@@ -29,9 +29,9 @@ from pathlib import Path
 from . import characters as characters_mod
 from . import flagship as flagship_mod
 from . import genfun, hecke, shimura, signscan
-from .arith import is_squarefree, primes_up_to
+from .arith import primes_up_to
 from .errors import HalfsignError
-from .forms import HalfIntegralForm, coefficient, form_to_dict, format_rational, load_form, load_series
+from .forms import HalfIntegralForm, form_to_dict, format_rational, load_form, load_series
 from .qseries import EtaRecipe, expand_recipe
 from .shimura import chi1
 
@@ -94,21 +94,10 @@ def cmd_expand(args) -> int:
 # verify
 
 
-def _twisted_from_form(form: HalfIntegralForm, t: int, p: int, horizon: int) -> list[Fraction]:
-    chi_p = form.chi(p)
-    return [
-        (chi_p ** (m % 2)) * coefficient(form, t, p**m) for m in range(horizon + 1)
-    ]
-
-
 def cmd_verify(args) -> int:
     form = _load_any_form(args)
     k, N = form.k, form.level
-    t_set = [
-        t
-        for t in range(1, args.t_max + 1)
-        if is_squarefree(t) and t <= form.prec and coefficient(form, t, 1) != 0
-    ]
+    t_set = hecke.base_indices(form, args.t_max)
     checks: dict[str, dict] = {}
     all_ok = True
 
@@ -150,26 +139,15 @@ def cmd_verify(args) -> int:
                 continue
             trace = hecke.extract_trace(form, t, p)
             c1 = chi1(p, t, k, N)
-            a_t = coefficient(form, t, 1)
             horizon = 0
             while t * p ** (2 * (horizon + 1)) <= form.prec:
                 horizon += 1
-            raw = _twisted_from_form(form, t, p, horizon)
-            h1 = genfun.h_n_closed(a_t, trace, c1, p, k)
-            closed = genfun.expand(h1, horizon)
-            s0, s1 = genfun.s_split_closed(a_t, raw[1] if horizon >= 1 else Fraction(0), trace, c1, p, k)
-            split_ok = (s0 + s1).cross_equal(h1)
-            s0x = genfun.expand(s0, horizon)
-            s1x = genfun.expand(s1, horizon)
-            parity_ok = all(
-                (s0x[m] == (raw[m] if m % 2 == 0 else 0))
-                and (s1x[m] == (raw[m] if m % 2 == 1 else 0))
-                for m in range(horizon + 1)
-            )
-            ok = closed == raw and split_ok and parity_ok
+            raw = [hecke.twisted_coefficient(form, t, p, m) for m in range(horizon + 1)]
+            closed_ok, split_ok, parity_ok = genfun.closed_form_checks(raw, raw[1], trace, c1, p, k)
+            ok = closed_ok and split_ok and parity_ok
             all_ok &= ok
             identities.append(
-                {"p": p, "t": t, "horizon": horizon, "closed_form_matches": closed == raw,
+                {"p": p, "t": t, "horizon": horizon, "closed_form_matches": closed_ok,
                  "split_identity": split_ok, "parity_support": parity_ok, "ok": ok}
             )
     checks["closed_form_identities"] = {
@@ -239,23 +217,10 @@ def check_instance(inst: dict, terms: int, m_p: int) -> dict:
     k, p, chi1_p = inst["k"], inst["p"], inst["chi1_p"]
     trace, a_t = inst["trace"], inst["a_t"]
     seq = signscan.twisted_sequence(a_t, trace, chi1_p, p, k, terms)
-    h1 = genfun.h_n_closed(a_t, trace, chi1_p, p, k)
-    closed_ok = genfun.expand(h1, terms) == seq
     b1 = (trace - chi1_p * p ** (k - 1)) * a_t
-    s0, s1 = genfun.s_split_closed(a_t, b1, trace, chi1_p, p, k)
-    split_ok = (s0 + s1).cross_equal(h1)
-    s0x = genfun.expand(s0, terms)
-    s1x = genfun.expand(s1, terms)
-    parity_ok = all(
-        s0x[m] == (seq[m] if m % 2 == 0 else 0)
-        and s1x[m] == (seq[m] if m % 2 == 1 else 0)
-        for m in range(terms + 1)
-    )
+    closed_ok, split_ok, parity_ok = genfun.closed_form_checks(seq, b1, trace, chi1_p, p, k)
     local = hecke.satake_data(trace, p, k)
     deligne = hecke.deligne_check(trace, p, k)
-    satake_ok = (local.root_kind == "complex_pair") == (deligne == "strict") or (
-        local.root_kind != "complex_pair"
-    )
     remark = genfun.remark_polynomial(local, m_p)
     remark_ok = m_p < 2 or remark(0) == 1
     roots_ok = True
@@ -276,7 +241,7 @@ def check_instance(inst: dict, terms: int, m_p: int) -> dict:
         "deligne": deligne,
         "remark_constant_term": remark_ok,
         "remark_real_roots": roots_ok,
-        "ok": closed_ok and split_ok and parity_ok and satake_ok and remark_ok and roots_ok,
+        "ok": closed_ok and split_ok and parity_ok and remark_ok and roots_ok,
     }
 
 

@@ -16,10 +16,9 @@ from __future__ import annotations
 import functools
 from importlib import resources
 
-from .arith import is_squarefree
-from .errors import HalfsignError, PrecisionExceeded
-from .forms import FormDescriptor, HalfIntegralForm, RealCharacter, coefficient, load_form
-from .hecke import eigen_consistency, extract_trace
+from .errors import HalfsignError, PrecisionExceeded, ZeroBase
+from .forms import FormDescriptor, HalfIntegralForm, RealCharacter, load_form
+from .hecke import base_indices, eigen_consistency, extract_trace
 from .qseries import EtaRecipe, TruncatedSeries, expand_recipe
 
 __all__ = [
@@ -62,19 +61,14 @@ def verify_eigenform(
 ) -> bool:
     """Eigen-consistency gate: zero residuals at every prime in `primes`
     over squarefree t <= t_max with a(t) != 0, recurrence depth m_max."""
-    t_set = [
-        t
-        for t in range(1, t_max + 1)
-        if is_squarefree(t) and t <= form.prec and coefficient(form, t, 1) != 0
-    ]
-    for p in primes:
-        try:
+    try:
+        t_set = base_indices(form, t_max)
+        for p in primes:
             trace = extract_trace(form, t_set[0], p)
-        except (PrecisionExceeded, IndexError):
-            return False
-        report = eigen_consistency(form, p, trace, t_set, m_max)
-        if not report.consistent:
-            return False
+            if not eigen_consistency(form, p, trace, t_set, m_max).consistent:
+                return False
+    except (PrecisionExceeded, ZeroBase):
+        return False
     return True
 
 

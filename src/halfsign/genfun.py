@@ -28,6 +28,7 @@ __all__ = [
     "RationalGF",
     "h_n_closed",
     "s_split_closed",
+    "closed_form_checks",
     "expand",
     "remark_polynomial",
     "real_root_count",
@@ -309,6 +310,32 @@ def s_split_closed(
     s0_num = Polynomial.of(a_t, 0, a_t * (norm - trace * chi1_p * p ** (k - 1)))
     s1_num = Polynomial.of(0, a_tp2_twisted, 0, -a_t * chi1_p * p ** (3 * k - 2))
     return RationalGF(s0_num, den), RationalGF(s1_num, den)
+
+
+def closed_form_checks(
+    seq: Sequence[Fraction],
+    b1: Rational,
+    trace: Rational,
+    chi1_p: int,
+    p: int,
+    k: int,
+) -> tuple[bool, bool, bool]:
+    """The closed-form identity suite for a twisted sequence seq = b_0..b_M.
+
+    Returns (closed_ok, split_ok, parity_ok): H = h_n_closed(b_0, ...)
+    expands to seq; S0 + S1 = H for the split built from b_0 and b1; and
+    S0, S1 expand to the even- and odd-index terms of seq, zero elsewhere.
+    """
+    terms = len(seq) - 1
+    h1 = h_n_closed(seq[0], trace, chi1_p, p, k)
+    s0, s1 = s_split_closed(seq[0], b1, trace, chi1_p, p, k)
+    s0x = expand(s0, terms)
+    s1x = expand(s1, terms)
+    parity_ok = all(
+        s0x[m] == (seq[m] if m % 2 == 0 else 0) and s1x[m] == (seq[m] if m % 2 == 1 else 0)
+        for m in range(terms + 1)
+    )
+    return expand(h1, terms) == list(seq), (s0 + s1).cross_equal(h1), parity_ok
 
 
 def lucas_sequence(trace: Fraction, norm: Fraction, count: int) -> list[Fraction]:

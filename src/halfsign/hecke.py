@@ -24,6 +24,8 @@ from .shimura import chi1
 
 __all__ = [
     "HeckeLocalData",
+    "base_indices",
+    "twisted_coefficient",
     "extract_trace",
     "eigen_consistency",
     "ConsistencyReport",
@@ -35,22 +37,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HeckeLocalData:
-    """Exact local data at p: trace tau_p, norm p^(2k-1), discriminant."""
+    """Exact local data at p: trace tau_p and norm p^(2k-1)."""
 
     p: int
     trace: Fraction
     norm: Fraction
-    disc: Fraction
-    root_kind: str  # real_distinct | real_double | complex_pair
 
-    def __post_init__(self) -> None:
-        if self.disc != self.trace * self.trace - 4 * self.norm:
-            raise ValueError("discriminant does not match trace^2 - 4*norm")
-        expected = (
-            "real_distinct" if self.disc > 0 else "real_double" if self.disc == 0 else "complex_pair"
-        )
-        if self.root_kind != expected:
-            raise ValueError(f"root_kind {self.root_kind!r} does not match disc sign")
+    @property
+    def disc(self) -> Fraction:
+        return self.trace * self.trace - 4 * self.norm
+
+    @property
+    def root_kind(self) -> str:
+        """real_distinct, real_double or complex_pair, by the sign of disc."""
+        disc = self.disc
+        return "real_distinct" if disc > 0 else "real_double" if disc == 0 else "complex_pair"
 
 
 def satake_data(trace: Rational, p: int, k: int) -> HeckeLocalData:
@@ -59,11 +60,7 @@ def satake_data(trace: Rational, p: int, k: int) -> HeckeLocalData:
         raise ValueError("k must be at least 2")
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    trace = as_fraction(trace)
-    norm = Fraction(p ** (2 * k - 1))
-    disc = trace * trace - 4 * norm
-    kind = "real_distinct" if disc > 0 else "real_double" if disc == 0 else "complex_pair"
-    return HeckeLocalData(p=p, trace=trace, norm=norm, disc=disc, root_kind=kind)
+    return HeckeLocalData(p=p, trace=as_fraction(trace), norm=Fraction(p ** (2 * k - 1)))
 
 
 def deligne_check(trace: Rational, p: int, k: int) -> str:
@@ -83,6 +80,23 @@ def deligne_check(trace: Rational, p: int, k: int) -> str:
     return "violated"
 
 
+def base_indices(form: HalfIntegralForm, t_max: int) -> list[int]:
+    """Squarefree t <= min(t_max, prec) with a(t) != 0, ascending."""
+    bound = min(t_max, form.prec)
+    t_set = [t for t in range(1, bound + 1) if is_squarefree(t) and coefficient(form, t, 1) != 0]
+    if not t_set:
+        raise ZeroBase(f"no squarefree t <= {bound} has a(t) != 0")
+    return t_set
+
+
+def twisted_coefficient(form: HalfIntegralForm, t: int, p: int, m: int) -> Fraction:
+    """b_m = a(t p^(2m)) / chi(p^m) for p coprime to the level.
+
+    chi(p^m) is then +-1, so dividing equals multiplying.
+    """
+    return form.chi.power(p, m) * coefficient(form, t, p**m)
+
+
 def extract_trace(form: HalfIntegralForm, t0: int, p: int) -> Fraction:
     """Twisted trace tau_p = a(p^2 t0)/(chi(p) a(t0)) + chi1(p) p^(k-1)."""
     if not is_prime(p):
@@ -98,9 +112,8 @@ def extract_trace(form: HalfIntegralForm, t0: int, p: int) -> Fraction:
     a_t = coefficient(form, t0, 1)
     if a_t == 0:
         raise ZeroBase(f"a({t0}) = 0; pick a base index with nonzero coefficient")
-    chi_p = form.chi(p)  # +-1 since p is coprime to the level
-    a_tp2 = coefficient(form, t0, p)
-    return chi_p * a_tp2 / a_t + chi1(p, t0, form.k, form.level) * p ** (form.k - 1)
+    c1 = chi1(p, t0, form.k, form.level)
+    return twisted_coefficient(form, t0, p, 1) / a_t + c1 * p ** (form.k - 1)
 
 
 @dataclass(frozen=True)
@@ -141,14 +154,12 @@ def eigen_consistency(
         raise NotCoprime(f"p = {p} divides the level {form.level}")
     trace = as_fraction(trace)
     k, N = form.k, form.level
-    chi_p = form.chi(p)
     norm = p ** (2 * k - 1)
     residuals: dict[tuple[int, int], Fraction] = {}
     skipped: list[tuple[int, int]] = []
 
     def b(t: int, m: int) -> Fraction:
-        # chi(p^m) is +-1, so dividing equals multiplying
-        return (chi_p ** (m % 2)) * coefficient(form, t, p**m)
+        return twisted_coefficient(form, t, p, m)
 
     for t in t_set:
         if not is_squarefree(t):

@@ -5,11 +5,10 @@ as exact rationals.  Multiplication truncates to the smaller precision and
 reading past the precision is an error, never a silent zero.
 
 Eta powers are built from the pentagonal-number expansion of the Euler
-product prod(1 - q^(d*n)) raised by binary exponentiation.  Products of
-integer-coefficient series go through a packed big-integer convolution
-(Kronecker substitution), which keeps precision 10^4 expansions fast in
-pure Python; series with genuinely rational coefficients fall back to the
-schoolbook product.
+product prod(1 - q^(d*n)) raised by binary exponentiation.  Every product
+goes through a packed big-integer convolution (Kronecker substitution),
+which keeps precision 10^4 expansions fast in pure Python; a rational
+operand is first scaled to integers by the lcm of its denominators.
 """
 
 from __future__ import annotations
@@ -166,31 +165,24 @@ def _int_convolution(xs: Sequence[int], ys: Sequence[int], n_out: int) -> list[i
     return out
 
 
-def _schoolbook(a: Sequence[Fraction], b: Sequence[Fraction], n_out: int) -> list[Fraction]:
-    out = [Fraction(0)] * (n_out + 1)
-    for i, ai in enumerate(a):
-        if i > n_out:
-            break
-        if ai == 0:
-            continue
-        for j in range(min(len(b), n_out - i + 1)):
-            bj = b[j]
-            if bj:
-                out[i + j] += ai * bj
-    return out
+def _scaled_numerators(coeffs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(d, [d*c for c in coeffs]) with d the lcm of the denominators."""
+    den = math.lcm(*{c.denominator for c in coeffs})
+    if den == 1:  # the common integer case skips a multiply per coefficient
+        return 1, [c.numerator for c in coeffs]
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
 
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Exact Cauchy product truncated at min(a.prec, b.prec)."""
     prec = min(a.prec, b.prec)
-    if all(c.denominator == 1 for c in a.coeffs) and all(c.denominator == 1 for c in b.coeffs):
-        ints = _int_convolution(
-            [c.numerator for c in a.coeffs],
-            [c.numerator for c in b.coeffs],
-            prec,
-        )
+    da, xs = _scaled_numerators(a.coeffs[: prec + 1])
+    db, ys = _scaled_numerators(b.coeffs[: prec + 1])
+    ints = _int_convolution(xs, ys, prec)
+    den = da * db
+    if den == 1:
         return TruncatedSeries(prec, tuple(Fraction(v) for v in ints))
-    return TruncatedSeries(prec, tuple(_schoolbook(a.coeffs, b.coeffs, prec)))
+    return TruncatedSeries(prec, tuple(Fraction(v, den) for v in ints))
 
 
 def series_pow(a: TruncatedSeries, e: int) -> TruncatedSeries:

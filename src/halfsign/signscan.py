@@ -132,7 +132,7 @@ class SignChangeReport:
 def scan(
     form: HalfIntegralForm,
     t: int,
-    mode: Mode,
+    mode: str,
     p_max: int,
     M: int,
     progression: tuple[int, int] | None = None,
@@ -140,16 +140,16 @@ def scan(
     """Sign-change reports for every admissible prime p <= p_max.
 
     For each prime coprime to the level: extract the twisted trace from
-    the q-expansion, run the recurrence to length M+1, filter by mode, and
-    count sign changes.  mode="progression" takes the pair (q, h) via the
-    progression argument; primes for which h is not a power of p mod q
-    (or p = q) do not satisfy the progression hypotheses and are skipped.
-    Reports come back sorted by p.
+    the q-expansion, run the recurrence to length M+1, filter by mode
+    ("full", "odd", "even" or "progression"), and count sign changes.
+    mode="progression" takes the pair (q, h) via the progression argument;
+    primes for which h is not a power of p mod q (or p = q) do not satisfy
+    the progression hypotheses and are skipped.  Reports come back sorted
+    by p.
     """
     a_t = coefficient(form, t, 1)
     if a_t == 0:
         raise ZeroBase(f"a({t}) = 0; the twisted sequence is identically zero")
-    want_progression = mode == "progression" or isinstance(mode, ProgressionSpec)
     if mode == "progression" and progression is None:
         raise ValueError("mode='progression' needs the (q, h) pair")
     reports: list[SignChangeReport] = []
@@ -157,10 +157,8 @@ def scan(
         if form.level % p == 0:
             continue
         this_mode: Mode = mode
-        if want_progression:
-            q, h = (
-                (mode.q, mode.h) if isinstance(mode, ProgressionSpec) else progression
-            )
+        if mode == "progression":
+            q, h = progression
             if p == q:
                 continue
             try:
@@ -172,7 +170,7 @@ def scan(
         seq = twisted_sequence(a_t, trace, c1, p, form.k, M)
         filtered = subsequence(seq, this_mode)
         stats = count_sign_changes(filtered)
-        label = this_mode.label if isinstance(this_mode, ProgressionSpec) else str(this_mode)
+        label = this_mode.label if isinstance(this_mode, ProgressionSpec) else mode
         reports.append(
             SignChangeReport(
                 p=p,

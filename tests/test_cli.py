@@ -46,6 +46,11 @@ def test_missing_inputs_exit_two(tmp_path, capsys):
     assert run(["scan", "--mode", "progression", "--form", "x"]) == 2
 
 
+def test_verify_without_base_index_exits_two(capsys):
+    assert run(["verify", "--flagship", "--prec", "100", "--t-max", "0"]) == 2
+    assert "halfsign: error: ZeroBase:" in capsys.readouterr().err
+
+
 def test_expand_writes_loadable_form(form_path):
     from halfsign.forms import load_form
 

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from halfsign.errors import NonIntegralOffset, PrecisionExceeded
 from halfsign.qseries import (
@@ -141,6 +143,29 @@ def test_mul_agrees_with_schoolbook_oracle():
         got = series_mul(a, b)  # integer inputs take the packed fast path
         expected = naive_mul(list(a.coeffs), list(b.coeffs), 30)
         assert list(got.coeffs) == expected
+
+
+_integer = st.integers(-10**6, 10**6).map(Fraction)
+_rational = st.fractions(max_denominator=60)
+
+
+def _series(coefficient):
+    return st.lists(coefficient, min_size=2, max_size=40).map(
+        lambda vals: TruncatedSeries(len(vals) - 1, tuple(vals))
+    )
+
+
+_operand = st.one_of(_series(_integer), _series(st.one_of(_integer, _rational)))
+
+
+@given(_operand, _operand)
+def test_mul_agrees_with_oracle_on_rational_series(a, b):
+    # integer, rational and mixed operands of unequal precision
+    got = series_mul(a, b)
+    prec = min(a.prec, b.prec)
+    assert got.prec == prec
+    assert list(got.coeffs) == naive_mul(list(a.coeffs), list(b.coeffs), prec)
+    assert all(isinstance(c, Fraction) for c in got.coeffs)
 
 
 def test_eta_power_additivity_in_exponent():
