@@ -1,7 +1,8 @@
 """Elementary number theory helpers: primes, squarefree parts, Kronecker symbol.
 
 Everything is exact integer arithmetic; these are the primitives the rest
-of the package leans on.
+of the package leans on.  `exact` is the package's one number rule: every
+value is an int when integral and a Fraction otherwise, never a float.
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ from typing import Union
 Rational = Union[int, Fraction]
 
 
-def as_fraction(x: Rational) -> Fraction:
-    """Coerce an int or Fraction to Fraction; reject floats (exactness contract)."""
+def exact(x: Rational) -> Rational:
+    """The canonical exact form of x: an int when x is integral, else a
+    Fraction.  Floats are rejected (exactness contract)."""
     if isinstance(x, Fraction):
-        return x
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 

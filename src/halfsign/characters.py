@@ -22,10 +22,9 @@ import cmath
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from .arith import is_prime, multiplicative_order, smallest_primitive_root
+from .arith import Rational, is_prime, multiplicative_order, smallest_primitive_root
 from .errors import LengthMismatch, NotInSubgroup, OutOfRange, SamePrime
 
 __all__ = [
@@ -152,21 +151,18 @@ class CharacterTable:
         return _is_uniform_orbit(counts, order, delta) and delta != 0
 
 
-def _cyclotomic_filter_weight(n: int, r: int) -> Fraction:
+def _cyclotomic_filter_weight(n: int, r: int) -> int:
     """(1/n) sum_{j=0}^{n-1} zeta_n^(j r), reduced exactly.
 
     The exponent multiset {j r mod n} covers the multiples of
     g = gcd(r, n), each g times, so the sum is g full sums over the
     (n/g)-th roots of unity: zero unless n | r, where it equals n.
     """
-    counts = Counter((j * r) % n for j in range(n))
-    if not _is_uniform_orbit(counts, n, r):
-        raise AssertionError("cyclotomic exponent multiset is not uniform")
-    return Fraction(1) if r % n == 0 else Fraction(0)
+    return 1 if r % n == 0 else 0
 
 
 def progression_extract(
-    seq: Sequence[Fraction],
+    seq: Sequence[Rational],
     spec: ProgressionSpec,
     route: str = "direct",
 ) -> list:
@@ -189,7 +185,7 @@ def progression_extract(
     raise ValueError(f"unknown route {route!r}")
 
 
-def _character_sum_route(seq: Sequence[Fraction], spec: ProgressionSpec) -> list[float]:
+def _character_sum_route(seq: Sequence[Rational], spec: ProgressionSpec) -> list[float]:
     """Orthogonality filter via the mod-q character table, prefactor 1/n.
 
     The n distinct restrictions to the subgroup <p> of the mod-q

@@ -82,24 +82,30 @@ def load_fixture() -> HalfIntegralForm:
         return load_form(path)
 
 
+def _truncated(form: HalfIntegralForm, prec: int) -> HalfIntegralForm:
+    if form.prec <= prec:
+        return form
+    return HalfIntegralForm(form.descriptor, form.series.truncate(prec))
+
+
 @functools.lru_cache(maxsize=4)
 def flagship_form(prec: int = DEFAULT_PREC) -> HalfIntegralForm:
     """The verified flagship form, recipe first, fixture as fallback.
 
+    The gate reads a(p^2) at every verify prime, so a candidate is expanded
+    and gated at precision max(prec, 49) and then truncated to prec.
     Raises HalfsignError if both the freshly expanded recipe and the
     vendored fixture fail the eigen-consistency gate.
     """
-    candidate = build_flagship(prec)
-    if verify_eigenform(candidate):
-        return candidate
-    fixture = load_fixture()
-    if fixture.prec > prec:
-        fixture = HalfIntegralForm(fixture.descriptor, fixture.series.truncate(prec))
-    if verify_eigenform(fixture):
-        return fixture
-    raise HalfsignError(
-        "neither the flagship recipe nor the vendored fixture passes eigen-consistency"
-    )
+    gate_prec = max(prec, max(VERIFY_PRIMES) ** 2)
+    candidate = build_flagship(gate_prec)
+    if not verify_eigenform(candidate):
+        candidate = _truncated(load_fixture(), gate_prec)
+        if not verify_eigenform(candidate):
+            raise HalfsignError(
+                "neither the flagship recipe nor the vendored fixture passes eigen-consistency"
+            )
+    return _truncated(candidate, prec)
 
 
 @functools.lru_cache(maxsize=4)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .arith import is_squarefree, squarefree_decompose
+from .arith import Rational, exact, is_squarefree, squarefree_decompose
 from .errors import (
     BadCharacter,
     InvalidLevel,
@@ -45,20 +45,19 @@ class RealCharacter:
     def __init__(self, modulus: int, table: dict[int, int] | None):
         self.modulus = modulus
         units = [a for a in range(modulus) if math.gcd(a, modulus) == 1]
-        if table is None:
+        if table is None:  # the trivial character, multiplicative by construction
             table = {a: 1 for a in units}
-        if sorted(table) != units:
-            raise BadCharacter(
-                f"character table must cover exactly the units mod {modulus}"
-            )
-        if any(v not in (1, -1) for v in table.values()):
+        elif sorted(table) != units:
+            raise BadCharacter(f"character table must cover exactly the units mod {modulus}")
+        elif any(v not in (1, -1) for v in table.values()):
             raise BadCharacter("character values must be +1 or -1")
-        for a in units:
-            for b in units:
-                if table[a * b % modulus] != table[a] * table[b]:
-                    raise BadCharacter(
-                        f"table is not multiplicative at ({a}, {b}) mod {modulus}"
-                    )
+        else:
+            for a in units:
+                for b in units:
+                    if table[a * b % modulus] != table[a] * table[b]:
+                        raise BadCharacter(
+                            f"table is not multiplicative at ({a}, {b}) mod {modulus}"
+                        )
         self.table = dict(table)
         self.is_trivial = all(v == 1 for v in table.values())
 
@@ -129,12 +128,12 @@ class HalfIntegralForm:
     def chi(self) -> RealCharacter:
         return self.descriptor.character
 
-    def an(self, n: int) -> Fraction:
+    def an(self, n: int) -> Rational:
         """Raw coefficient a(n); errors past the precision."""
         return self.series.coefficient(n)
 
 
-def coefficient(form: HalfIntegralForm, t: int, m: int) -> Fraction:
+def coefficient(form: HalfIntegralForm, t: int, m: int) -> Rational:
     """a(t * m^2) for squarefree t; exact accessor along the Hecke indexing."""
     if t < 1 or m < 1:
         raise ValueError("t and m must be positive")
@@ -159,21 +158,20 @@ def coefficient(form: HalfIntegralForm, t: int, m: int) -> Fraction:
 #                "p/q" exact rational; index 0 must be "0"
 
 
-def parse_rational(text: str) -> Fraction:
+def parse_rational(text: str) -> Rational:
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise ParseError(f"malformed rational literal {text!r}")
     if "/" in text:
         num, den = text.split("/")
         if int(den) == 0:
             raise ParseError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+        return exact(Fraction(int(num), int(den)))
+    return int(text)
 
 
-def format_rational(x: Fraction) -> str:
+def format_rational(x: Rational) -> str:
     """Lossless 'num/den' string, denominator omitted when 1."""
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return str(exact(x))
 
 
 def _character_from_json(level: int, spec: object) -> RealCharacter:
@@ -188,8 +186,8 @@ def _character_from_json(level: int, spec: object) -> RealCharacter:
     raise BadCharacter(f"character must be 'trivial' or a residue table, got {spec!r}")
 
 
-def load_form(path: str | Path) -> HalfIntegralForm:
-    """Read and fully validate a half-integral form from a JSON file."""
+def _read_coefficient_file(path: str | Path) -> tuple[dict, TruncatedSeries]:
+    """The decoded JSON object and its series, from the "prec" and "coeffs" fields."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -197,24 +195,32 @@ def load_form(path: str | Path) -> HalfIntegralForm:
     if not isinstance(data, dict):
         raise ParseError("form file must contain a JSON object")
     try:
-        level = int(data["level"])
-        k = int(data["k"])
         prec = int(data["prec"])
         raw_coeffs = data["coeffs"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"missing or malformed header field: {exc}") from exc
+    if not isinstance(raw_coeffs, list) or len(raw_coeffs) != prec + 1:
+        raise ParseError(f"expected {prec + 1} coefficient entries")
+    return data, TruncatedSeries(prec, tuple(parse_rational(c) for c in raw_coeffs))
+
+
+def load_form(path: str | Path) -> HalfIntegralForm:
+    """Read and fully validate a half-integral form from a JSON file."""
+    data, series = _read_coefficient_file(path)
+    try:
+        level = int(data["level"])
+        k = int(data["k"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"missing or malformed header field: {exc}") from exc
     if level % 4 != 0:
         raise InvalidLevel(f"level must be divisible by 4, got {level}")
     if k < 2:
         raise ParseError(f"k must be at least 2, got {k}")
-    if not isinstance(raw_coeffs, list) or len(raw_coeffs) != prec + 1:
-        raise ParseError(f"expected {prec + 1} coefficient entries")
     character = _character_from_json(level, data.get("character", "trivial"))
-    coeffs = tuple(parse_rational(c) for c in raw_coeffs)
-    if coeffs[0] != 0:
+    if series.coeffs[0] != 0:
         raise NonCuspidal("coefficient index 0 must be '0'")
     descriptor = FormDescriptor(level=level, k=k, character=character)
-    return HalfIntegralForm(descriptor, TruncatedSeries(prec, coeffs))
+    return HalfIntegralForm(descriptor, series)
 
 
 def form_to_dict(form: HalfIntegralForm) -> dict:
@@ -245,15 +251,4 @@ def load_series(path: str | Path) -> TruncatedSeries:
     character, and skips the cusp/level validation; used for ingesting
     integral-weight eigenform coefficients.
     """
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {path}: {exc}") from exc
-    try:
-        prec = int(data["prec"])
-        raw_coeffs = data["coeffs"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"missing or malformed header field: {exc}") from exc
-    if not isinstance(raw_coeffs, list) or len(raw_coeffs) != prec + 1:
-        raise ParseError(f"expected {prec + 1} coefficient entries")
-    return TruncatedSeries(prec, tuple(parse_rational(c) for c in raw_coeffs))
+    return _read_coefficient_file(path)[1]

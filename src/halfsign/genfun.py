@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .arith import Rational, as_fraction
+from .arith import Rational, exact
 from .errors import NotExpandable, ZeroPolynomial
 from .hecke import HeckeLocalData
 
@@ -40,25 +40,26 @@ __all__ = [
 class Polynomial:
     """Dense polynomial over the rationals, coefficients in ascending degree.
 
-    Trailing zeros are stripped; the zero polynomial has an empty
-    coefficient tuple and degree -1.
+    Coefficients are canonical exact numbers (arith.exact: int when
+    integral, else Fraction).  Trailing zeros are stripped; the zero
+    polynomial has an empty coefficient tuple and degree -1.
     """
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Rational, ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(as_fraction(c) for c in self.coeffs)
+        coeffs = tuple(exact(c) for c in self.coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def of(cls, *coeffs: Rational) -> "Polynomial":
-        return cls(tuple(as_fraction(c) for c in coeffs))
+        return cls(coeffs)
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable[Rational]) -> "Polynomial":
-        return cls(tuple(as_fraction(c) for c in coeffs))
+        return cls(tuple(coeffs))
 
     @property
     def degree(self) -> int:
@@ -69,14 +70,14 @@ class Polynomial:
         return not self.coeffs
 
     @property
-    def leading(self) -> Fraction:
+    def leading(self) -> Rational:
         if self.is_zero:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def __call__(self, x: Rational) -> Fraction:
-        x = as_fraction(x)
-        acc = Fraction(0)
+    def __call__(self, x: Rational) -> Rational:
+        x = exact(x)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -100,7 +101,7 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.is_zero or other.is_zero:
             return Polynomial(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -110,7 +111,6 @@ class Polynomial:
         return Polynomial(tuple(out))
 
     def scale(self, c: Rational) -> "Polynomial":
-        c = as_fraction(c)
         return Polynomial(tuple(c * v for v in self.coeffs))
 
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
@@ -118,13 +118,13 @@ class Polynomial:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        quot = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
+        quot = [0] * max(len(rem) - len(other.coeffs) + 1, 0)
         d = other.degree
         lead = other.leading
         for i in range(len(rem) - 1, d - 1, -1):
             if rem[i] == 0:
                 continue
-            c = rem[i] / lead
+            c = Fraction(rem[i], lead)
             quot[i - d] = c
             for j, b in enumerate(other.coeffs):
                 rem[i - d + j] -= c * b
@@ -182,13 +182,13 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
             if content:
                 rem = [v // content for v in rem]
             fa, fb = fb, rem
-        u = Polynomial(tuple(Fraction(v) for v in fa))
+        u = Polynomial(tuple(fa))
     if u.is_zero:
         return u
     ints = _integer_primitive(u)
     if ints[-1] < 0:
         ints = [-v for v in ints]
-    return Polynomial(tuple(Fraction(v) for v in ints))
+    return Polynomial(tuple(ints))
 
 
 def squarefree_part(poly: Polynomial) -> Polynomial:
@@ -227,8 +227,8 @@ class RationalGF:
                 num, _ = num.divmod(g)
                 den, _ = den.divmod(g)
             c = den.coeffs[0]
-            num = num.scale(1 / c)
-            den = den.scale(1 / c)
+            num = num.scale(Fraction(1, c))
+            den = den.scale(Fraction(1, c))
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -246,7 +246,7 @@ class RationalGF:
         return self.num * other.den == other.num * self.den
 
 
-def expand(gf: RationalGF, M: int) -> list[Fraction]:
+def expand(gf: RationalGF, M: int) -> list[Rational]:
     """First M+1 power-series coefficients of num/den, exactly.
 
     Uses the linear recurrence den(0) c_m = num_m - sum_j den_j c_{m-j};
@@ -255,9 +255,9 @@ def expand(gf: RationalGF, M: int) -> list[Fraction]:
     if M < 0:
         raise ValueError("M must be nonnegative")
     num, den = gf.num.coeffs, gf.den.coeffs
-    out: list[Fraction] = []
+    out: list[Rational] = []
     for m in range(M + 1):
-        c = num[m] if m < len(num) else Fraction(0)
+        c = num[m] if m < len(num) else 0
         for j in range(1, min(m, len(den) - 1) + 1):
             c -= den[j] * out[m - j]
         out.append(c)
@@ -274,8 +274,6 @@ def h_n_closed(lead: Rational, trace: Rational, chi1_p: int, p: int, k: int) -> 
         raise ValueError("k must be at least 2")
     if chi1_p not in (-1, 0, 1):
         raise ValueError("chi1_p must be one of -1, 0, 1")
-    lead = as_fraction(lead)
-    trace = as_fraction(trace)
     num = Polynomial.of(lead, -lead * chi1_p * p ** (k - 1))
     den = Polynomial.of(1, -trace, p ** (2 * k - 1))
     return RationalGF(num, den)
@@ -302,10 +300,7 @@ def s_split_closed(
         raise ValueError("k must be at least 2")
     if chi1_p not in (-1, 0, 1):
         raise ValueError("chi1_p must be one of -1, 0, 1")
-    a_t = as_fraction(a_t)
-    a_tp2_twisted = as_fraction(a_tp2_twisted)
-    trace = as_fraction(trace)
-    norm = Fraction(p ** (2 * k - 1))
+    norm = p ** (2 * k - 1)
     den = Polynomial.of(1, -trace, norm) * Polynomial.of(1, trace, norm)
     s0_num = Polynomial.of(a_t, 0, a_t * (norm - trace * chi1_p * p ** (k - 1)))
     s1_num = Polynomial.of(0, a_tp2_twisted, 0, -a_t * chi1_p * p ** (3 * k - 2))
@@ -313,7 +308,7 @@ def s_split_closed(
 
 
 def closed_form_checks(
-    seq: Sequence[Fraction],
+    seq: Sequence[Rational],
     b1: Rational,
     trace: Rational,
     chi1_p: int,
@@ -338,13 +333,13 @@ def closed_form_checks(
     return expand(h1, terms) == list(seq), (s0 + s1).cross_equal(h1), parity_ok
 
 
-def lucas_sequence(trace: Fraction, norm: Fraction, count: int) -> list[Fraction]:
+def lucas_sequence(trace: Rational, norm: Rational, count: int) -> list[Rational]:
     """u_0..u_count with u_0 = 0, u_1 = 1, u_{j+1} = trace u_j - norm u_{j-1}.
 
     u_j = (alpha^j - beta^j)/(alpha - beta) for the roots alpha, beta of
     X^2 - trace X + norm.
     """
-    values = [Fraction(0), Fraction(1)]
+    values = [0, 1]
     while len(values) <= count:
         values.append(trace * values[-1] - norm * values[-2])
     return values[: count + 1]
@@ -361,8 +356,8 @@ def remark_polynomial(local: HeckeLocalData, m_p: int) -> Polynomial:
     if m_p < 1:
         raise ValueError("m_p must be at least 1")
     u = lucas_sequence(local.trace, local.norm, m_p)
-    coeffs = [Fraction(0)] * (m_p + 1)
-    coeffs[0] = Fraction(1)
+    coeffs = [0] * (m_p + 1)
+    coeffs[0] = 1
     coeffs[m_p - 1] -= u[m_p]
     coeffs[m_p] += local.norm * u[m_p - 1]
     return Polynomial(tuple(coeffs))

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Rational, as_fraction, is_prime, is_squarefree
+from .arith import Rational, exact, is_prime, is_squarefree
 from .errors import NotCoprime, NotSquarefree, PrecisionExceeded, ZeroBase
 from .forms import HalfIntegralForm, coefficient
 from .shimura import chi1
@@ -37,14 +37,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HeckeLocalData:
-    """Exact local data at p: trace tau_p and norm p^(2k-1)."""
+    """Exact local data at p: trace tau_p (int or Fraction) and norm p^(2k-1) (int)."""
 
     p: int
-    trace: Fraction
-    norm: Fraction
+    trace: Rational
+    norm: int
 
     @property
-    def disc(self) -> Fraction:
+    def disc(self) -> Rational:
         return self.trace * self.trace - 4 * self.norm
 
     @property
@@ -60,7 +60,7 @@ def satake_data(trace: Rational, p: int, k: int) -> HeckeLocalData:
         raise ValueError("k must be at least 2")
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    return HeckeLocalData(p=p, trace=as_fraction(trace), norm=Fraction(p ** (2 * k - 1)))
+    return HeckeLocalData(p=p, trace=exact(trace), norm=p ** (2 * k - 1))
 
 
 def deligne_check(trace: Rational, p: int, k: int) -> str:
@@ -70,8 +70,8 @@ def deligne_check(trace: Rational, p: int, k: int) -> str:
     (the trace is then +-2 p^(k-1/2), forcing sqrt(p) into the eigenvalue
     field), and "violated" beyond the bound.
     """
-    trace = as_fraction(trace)
-    bound = 4 * Fraction(p) ** (2 * k - 1)
+    trace = exact(trace)
+    bound = 4 * p ** (2 * k - 1)
     square = trace * trace
     if square < bound:
         return "strict"
@@ -89,7 +89,7 @@ def base_indices(form: HalfIntegralForm, t_max: int) -> list[int]:
     return t_set
 
 
-def twisted_coefficient(form: HalfIntegralForm, t: int, p: int, m: int) -> Fraction:
+def twisted_coefficient(form: HalfIntegralForm, t: int, p: int, m: int) -> Rational:
     """b_m = a(t p^(2m)) / chi(p^m) for p coprime to the level.
 
     chi(p^m) is then +-1, so dividing equals multiplying.
@@ -97,7 +97,7 @@ def twisted_coefficient(form: HalfIntegralForm, t: int, p: int, m: int) -> Fract
     return form.chi.power(p, m) * coefficient(form, t, p**m)
 
 
-def extract_trace(form: HalfIntegralForm, t0: int, p: int) -> Fraction:
+def extract_trace(form: HalfIntegralForm, t0: int, p: int) -> Rational:
     """Twisted trace tau_p = a(p^2 t0)/(chi(p) a(t0)) + chi1(p) p^(k-1)."""
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
@@ -113,7 +113,7 @@ def extract_trace(form: HalfIntegralForm, t0: int, p: int) -> Fraction:
     if a_t == 0:
         raise ZeroBase(f"a({t0}) = 0; pick a base index with nonzero coefficient")
     c1 = chi1(p, t0, form.k, form.level)
-    return twisted_coefficient(form, t0, p, 1) / a_t + c1 * p ** (form.k - 1)
+    return exact(Fraction(twisted_coefficient(form, t0, p, 1), a_t) + c1 * p ** (form.k - 1))
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ class ConsistencyReport:
     """Residuals of the eigen recurrence, indexed by (t, m); m = 0 is the base relation."""
 
     p: int
-    residuals: dict[tuple[int, int], Fraction]
+    residuals: dict[tuple[int, int], Rational]
     skipped: tuple[tuple[int, int], ...]
 
     @property
@@ -152,13 +152,15 @@ def eigen_consistency(
         raise ValueError(f"p = {p} is not prime")
     if form.level % p == 0:
         raise NotCoprime(f"p = {p} divides the level {form.level}")
-    trace = as_fraction(trace)
+    if m_max < 0:
+        raise ValueError("m_max must be nonnegative")
+    trace = exact(trace)
     k, N = form.k, form.level
     norm = p ** (2 * k - 1)
-    residuals: dict[tuple[int, int], Fraction] = {}
+    residuals: dict[tuple[int, int], Rational] = {}
     skipped: list[tuple[int, int]] = []
 
-    def b(t: int, m: int) -> Fraction:
+    def b(t: int, m: int) -> Rational:
         return twisted_coefficient(form, t, p, m)
 
     for t in t_set:
@@ -186,7 +188,7 @@ def eigen_consistency(
     return ConsistencyReport(p=p, residuals=residuals, skipped=tuple(skipped))
 
 
-def multiplicativity_check(form: HalfIntegralForm, t: int, m: int, n: int) -> Fraction:
+def multiplicativity_check(form: HalfIntegralForm, t: int, m: int, n: int) -> Rational:
     """Residual a(t m^2) a(t n^2) - a(t) a(t m^2 n^2); zero for eigenforms."""
     if math.gcd(m, n) != 1:
         raise NotCoprime(f"gcd({m}, {n}) > 1")

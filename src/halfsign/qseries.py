@@ -1,8 +1,9 @@
 """Exact truncated q-expansions and eta/theta product construction.
 
 A TruncatedSeries knows its coefficients for exponents 0..prec inclusive,
-as exact rationals.  Multiplication truncates to the smaller precision and
-reading past the precision is an error, never a silent zero.
+each an int or a Fraction (arith.exact).  Multiplication truncates to the
+smaller precision and reading past the precision is an error, never a
+silent zero.
 
 Eta powers are built from the pentagonal-number expansion of the Euler
 product prod(1 - q^(d*n)) raised by binary exponentiation.  Every product
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .arith import Rational, as_fraction
+from .arith import Rational, exact
 from .errors import NonIntegralOffset, PrecisionExceeded
 
 __all__ = [
@@ -34,10 +35,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Power series known exactly for exponents 0..prec inclusive."""
+    """Power series known exactly for exponents 0..prec inclusive; from_coeffs
+    and series_mul give canonical coefficients (int iff integral, else Fraction)."""
 
     prec: int
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Rational, ...]
 
     def __post_init__(self) -> None:
         if self.prec < 1:
@@ -49,20 +51,20 @@ class TruncatedSeries:
 
     @classmethod
     def from_coeffs(cls, values: Iterable[Rational], prec: int | None = None) -> "TruncatedSeries":
-        coeffs = tuple(as_fraction(v) for v in values)
+        coeffs = tuple(exact(v) for v in values)
         if prec is None:
             prec = len(coeffs) - 1
         if len(coeffs) < prec + 1:
-            coeffs = coeffs + (Fraction(0),) * (prec + 1 - len(coeffs))
+            coeffs = coeffs + (0,) * (prec + 1 - len(coeffs))
         else:
             coeffs = coeffs[: prec + 1]
         return cls(prec, coeffs)
 
     @classmethod
     def one(cls, prec: int) -> "TruncatedSeries":
-        return cls(prec, (Fraction(1),) + (Fraction(0),) * prec)
+        return cls(prec, (1,) + (0,) * prec)
 
-    def coefficient(self, n: int) -> Fraction:
+    def coefficient(self, n: int) -> Rational:
         """Coefficient of q^n; n past the precision is an error."""
         if n < 0:
             raise ValueError("exponent must be nonnegative")
@@ -81,7 +83,7 @@ class TruncatedSeries:
             raise ValueError("offset must be nonnegative")
         if offset == 0:
             return self
-        zeros = (Fraction(0),) * min(offset, self.prec + 1)
+        zeros = (0,) * min(offset, self.prec + 1)
         return TruncatedSeries(self.prec, (zeros + self.coeffs)[: self.prec + 1])
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
@@ -165,7 +167,7 @@ def _int_convolution(xs: Sequence[int], ys: Sequence[int], n_out: int) -> list[i
     return out
 
 
-def _scaled_numerators(coeffs: Sequence[Fraction]) -> tuple[int, list[int]]:
+def _scaled_numerators(coeffs: Sequence[Rational]) -> tuple[int, list[int]]:
     """(d, [d*c for c in coeffs]) with d the lcm of the denominators."""
     den = math.lcm(*{c.denominator for c in coeffs})
     if den == 1:  # the common integer case skips a multiply per coefficient
@@ -181,8 +183,8 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     ints = _int_convolution(xs, ys, prec)
     den = da * db
     if den == 1:
-        return TruncatedSeries(prec, tuple(Fraction(v) for v in ints))
-    return TruncatedSeries(prec, tuple(Fraction(v, den) for v in ints))
+        return TruncatedSeries(prec, tuple(ints))
+    return TruncatedSeries(prec, tuple(exact(Fraction(v, den)) for v in ints))
 
 
 def series_pow(a: TruncatedSeries, e: int) -> TruncatedSeries:
@@ -209,8 +211,8 @@ def _euler_product(d: int, prec: int) -> TruncatedSeries:
     The expansion is sum_j (-1)^j q^(d*j*(3j-1)/2) over all integers j,
     so only O(sqrt(prec/d)) coefficients are nonzero.
     """
-    coeffs = [Fraction(0)] * (prec + 1)
-    coeffs[0] = Fraction(1)
+    coeffs = [0] * (prec + 1)
+    coeffs[0] = 1
     j = 1
     while True:
         g1 = j * (3 * j - 1) // 2
@@ -218,9 +220,9 @@ def _euler_product(d: int, prec: int) -> TruncatedSeries:
         if d * g1 > prec:
             break
         sign = -1 if j % 2 else 1
-        coeffs[d * g1] = Fraction(sign)
+        coeffs[d * g1] = sign
         if d * g2 <= prec:
-            coeffs[d * g2] = Fraction(sign)
+            coeffs[d * g2] = sign
         j += 1
     return TruncatedSeries(prec, tuple(coeffs))
 
@@ -246,10 +248,10 @@ def theta_series(prec: int) -> TruncatedSeries:
     """1 + 2*sum_{n>=1} q^(n^2), truncated at prec."""
     if prec < 1:
         raise ValueError("prec must be a positive integer")
-    coeffs = [Fraction(0)] * (prec + 1)
-    coeffs[0] = Fraction(1)
+    coeffs = [0] * (prec + 1)
+    coeffs[0] = 1
     for n in range(1, math.isqrt(prec) + 1):
-        coeffs[n * n] = Fraction(2)
+        coeffs[n * n] = 2
     return TruncatedSeries(prec, tuple(coeffs))
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import is_squarefree, kronecker
+from .arith import Rational, exact, is_squarefree, kronecker
 from .errors import MissingCoefficient, NotSquarefree, PrecisionExceeded, ZeroBase
 from .forms import HalfIntegralForm, coefficient
 from .qseries import TruncatedSeries
@@ -65,7 +65,7 @@ class LiftSeries:
     """Lift coefficients A_t(n), keyed by n = 1..n_max."""
 
     t: int
-    values: dict[int, Fraction]
+    values: dict[int, Rational]
 
     def __post_init__(self) -> None:
         if 1 not in self.values:
@@ -81,9 +81,9 @@ def lift_coefficients(form: HalfIntegralForm, t: int, n_max: int) -> LiftSeries:
             f"A_t({n_max}) needs a({t * n_max * n_max}) beyond precision {form.prec}"
         )
     twist = TwistCharacters(t=t, k=form.k, N=form.level, chi=form.chi)
-    values: dict[int, Fraction] = {}
+    values: dict[int, Rational] = {}
     for n in range(1, n_max + 1):
-        total = Fraction(0)
+        total = 0
         for d in range(1, n + 1):
             if n % d:
                 continue
@@ -109,7 +109,7 @@ class CrosscheckReport:
 def crosscheck_lift(
     form: HalfIntegralForm,
     t: int,
-    integral_form_coeffs: Sequence[Fraction] | TruncatedSeries,
+    integral_form_coeffs: Sequence[Rational] | TruncatedSeries,
     p_max: int,
 ) -> CrosscheckReport:
     """Verify eigenvalue transfer to a normalized integral-weight eigenform.
@@ -125,7 +125,7 @@ def crosscheck_lift(
     if isinstance(integral_form_coeffs, TruncatedSeries):
         integral = list(integral_form_coeffs.coeffs)
     else:
-        integral = [Fraction(c) for c in integral_form_coeffs]
+        integral = [exact(c) for c in integral_form_coeffs]
     a_t = coefficient(form, t, 1)
     if a_t == 0:
         raise ZeroBase(f"a({t}) = 0; cannot normalize the lift")
@@ -142,7 +142,7 @@ def crosscheck_lift(
             raise MissingCoefficient(
                 f"comparison series stops before coefficient {p}"
             )
-        lift_p = lift_coefficients(form, t, p).values[p] / a_t
+        lift_p = Fraction(lift_coefficients(form, t, p).values[p], a_t)
         trace = extract_trace(form, t, p)
         ok = lift_p == integral[p] and lift_p == trace * form.chi(p)
         compared.append(p)

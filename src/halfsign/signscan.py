@@ -12,12 +12,11 @@ with b_i * b_j < 0 and every entry strictly between them zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from . import characters as characters_mod
 from . import hecke as hecke_mod
-from .arith import Rational, as_fraction, primes_up_to
+from .arith import Rational, exact, primes_up_to
 from .characters import ProgressionSpec
 from .errors import NotInSubgroup, ZeroBase
 from .forms import HalfIntegralForm, coefficient
@@ -32,8 +31,6 @@ __all__ = [
     "scan",
 ]
 
-Mode = Union[str, ProgressionSpec]
-
 
 def twisted_sequence(
     a_t: Rational,
@@ -42,17 +39,17 @@ def twisted_sequence(
     p: int,
     k: int,
     M: int,
-) -> list[Fraction]:
+) -> list[Rational]:
     """b_0..b_M with b_0 = a_t, b_1 = (trace - chi1_p p^(k-1)) a_t and the
-    order-two recurrence above."""
+    order-two recurrence above; all ints when a_t and trace are integral."""
     if M < 0:
         raise ValueError("M must be nonnegative")
     if k < 2:
         raise ValueError("k must be at least 2")
     if chi1_p not in (-1, 0, 1):
         raise ValueError("chi1_p must be one of -1, 0, 1")
-    a_t = as_fraction(a_t)
-    trace = as_fraction(trace)
+    a_t = exact(a_t)
+    trace = exact(trace)
     norm = p ** (2 * k - 1)
     seq = [a_t]
     if M >= 1:
@@ -62,7 +59,7 @@ def twisted_sequence(
     return seq
 
 
-def subsequence(seq: Sequence[Fraction], mode: Mode) -> list[Fraction]:
+def subsequence(seq: Sequence[Rational], mode: str | ProgressionSpec) -> list[Rational]:
     """Index filter: full, odd (1,3,5,...), even (0,2,4,...), or a progression."""
     if isinstance(mode, ProgressionSpec):
         return characters_mod.progression_extract(seq, mode, route="direct")
@@ -86,7 +83,7 @@ class SignChangeCount:
     zero_count: int
 
 
-def count_sign_changes(seq: Sequence[Fraction]) -> SignChangeCount:
+def count_sign_changes(seq: Sequence[Rational]) -> SignChangeCount:
     """Count zero-transparent sign changes.
 
     Records each change as the index pair (i, j) of the two opposite-sign
@@ -156,7 +153,7 @@ def scan(
     for p in primes_up_to(p_max):
         if form.level % p == 0:
             continue
-        this_mode: Mode = mode
+        this_mode: str | ProgressionSpec = mode
         if mode == "progression":
             q, h = progression
             if p == q:

@@ -59,6 +59,18 @@ def naive_theta(prec: int) -> list[Fraction]:
     return out
 
 
+def naive_twisted_sequence(
+    a_t: Fraction, trace: Fraction, chi1_p: int, p: int, k: int, M: int
+) -> list[Fraction]:
+    """b_0..b_M of b_(nu+1) = trace b_nu - p^(2k-1) b_(nu-1), every term a Fraction,
+    from b_0 = a_t and b_1 = (trace - chi1_p p^(k-1)) a_t."""
+    a_t, trace = Fraction(a_t), Fraction(trace)
+    seq = [a_t, (trace - chi1_p * Fraction(p) ** (k - 1)) * a_t]
+    while len(seq) <= M:
+        seq.append(trace * seq[-1] - Fraction(p) ** (2 * k - 1) * seq[-2])
+    return seq[: M + 1]
+
+
 def legendre_euler(a: int, p: int) -> int:
     """Legendre symbol (a|p) for an odd prime p, via Euler's criterion."""
     v = pow(a % p, (p - 1) // 2, p)

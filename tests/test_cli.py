@@ -51,6 +51,22 @@ def test_verify_without_base_index_exits_two(capsys):
     assert "halfsign: error: ZeroBase:" in capsys.readouterr().err
 
 
+def test_verify_with_negative_depth_exits_two(capsys):
+    assert run(["verify", "--flagship", "--prec", "100", "--m-max", "-1"]) == 2
+    assert "m_max must be nonnegative" in capsys.readouterr().err
+
+
+def test_verify_flagship_below_precision_49_uses_the_recipe(monkeypatch, capsys):
+    from halfsign import flagship as flagship_mod
+
+    def no_fixture():
+        raise AssertionError("the vendored fixture was loaded")
+
+    monkeypatch.setattr(flagship_mod, "load_fixture", no_fixture)
+    assert run(["verify", "--flagship", "--prec", "48", "--p", "3", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["all_ok"] is True
+
+
 def test_expand_writes_loadable_form(form_path):
     from halfsign.forms import load_form
 

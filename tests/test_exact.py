@@ -1,0 +1,74 @@
+"""The exact-number contract: every value is an int or a Fraction, never a
+float, and series coefficients and traces are canonical (int exactly when
+integral)."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from halfsign import flagship as flagship_mod
+from halfsign.arith import primes_up_to
+from halfsign.flagship import flagship_form
+from halfsign.genfun import Polynomial, expand, h_n_closed
+from halfsign.hecke import deligne_check, extract_trace
+from halfsign.qseries import TruncatedSeries
+from halfsign.signscan import twisted_sequence
+from naive_oracle import naive_twisted_sequence
+
+_primes = st.sampled_from(primes_up_to(47))
+_chi1 = st.sampled_from((-1, 0, 1))
+_weights = st.integers(2, 8)
+_rational = st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=60))
+
+
+@given(st.integers(-10**6, 10**6), st.integers(-10**9, 10**9), _chi1, _primes, _weights,
+       st.integers(0, 60))
+def test_twisted_sequence_stays_int_and_matches_fraction_oracle(a_t, trace, chi1_p, p, k, M):
+    seq = twisted_sequence(a_t, trace, chi1_p, p, k, M)
+    assert all(type(b) is int for b in seq)
+    assert seq == naive_twisted_sequence(a_t, trace, chi1_p, p, k, M)
+
+
+@given(_rational, _rational, _chi1, _primes, _weights, st.integers(0, 30))
+def test_closed_form_expansion_never_yields_a_float(lead, trace, chi1_p, p, k, M):
+    terms = expand(h_n_closed(lead, trace, chi1_p, p, k), M)
+    assert len(terms) == M + 1
+    assert all(isinstance(c, (int, Fraction)) for c in terms)
+
+
+def test_floats_are_rejected():
+    with pytest.raises(TypeError):
+        TruncatedSeries.from_coeffs([0, 1, 0.5])
+    with pytest.raises(TypeError):
+        twisted_sequence(1, 2.0, 1, 3, 2, 4)
+    with pytest.raises(TypeError):
+        twisted_sequence(1.0, 2, 1, 3, 2, 4)
+    with pytest.raises(TypeError):
+        deligne_check(1.5, 3, 2)
+    with pytest.raises(TypeError):
+        Polynomial.of(1, 0.5)
+
+
+def test_flagship_coefficients_and_traces_are_int(flagship):
+    assert all(type(c) is int for c in flagship.series.coeffs)
+    form = flagship_form(2500)
+    assert all(type(c) is int for c in form.series.coeffs)
+    for p in primes_up_to(47)[1:]:
+        assert type(extract_trace(form, 1, p)) is int
+
+
+def test_flagship_below_precision_49_is_gated_without_the_fixture(monkeypatch):
+    fixture = flagship_mod.load_fixture()
+    calls = []
+
+    def counting_load_fixture():
+        calls.append(1)
+        return fixture
+
+    monkeypatch.setattr(flagship_mod, "load_fixture", counting_load_fixture)
+    form = flagship_form.__wrapped__(48)  # bypass the cache
+    assert form.prec == 48
+    assert form.series.coeffs == fixture.series.coeffs[:49]
+    assert calls == []

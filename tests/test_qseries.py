@@ -165,7 +165,8 @@ def test_mul_agrees_with_oracle_on_rational_series(a, b):
     prec = min(a.prec, b.prec)
     assert got.prec == prec
     assert list(got.coeffs) == naive_mul(list(a.coeffs), list(b.coeffs), prec)
-    assert all(isinstance(c, Fraction) for c in got.coeffs)
+    # canonical: int exactly when integral, else Fraction
+    assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in got.coeffs)
 
 
 def test_eta_power_additivity_in_exponent():
