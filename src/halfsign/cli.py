@@ -278,6 +278,10 @@ def cmd_scan(args) -> int:
     reports = signscan.scan(
         form, args.t, args.mode, args.p_max, args.nu_max, progression=progression
     )
+    for p in reports.skipped:
+        index = args.t * p * p
+        print(f"halfsign: scan: skipped p = {p}: a({index}) is beyond precision {form.prec}",
+              file=sys.stderr)
     rows = [
         {
             "p": r.p,

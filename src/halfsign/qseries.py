@@ -5,15 +5,19 @@ each an int or a Fraction (arith.exact).  Multiplication truncates to the
 smaller precision and reading past the precision is an error, never a
 silent zero.
 
-Eta powers are built from the pentagonal-number expansion of the Euler
-product prod(1 - q^(d*n)) raised by binary exponentiation.  Every product
-goes through a packed big-integer convolution (Kronecker substitution),
-which keeps precision 10^4 expansions fast in pure Python; a rational
+An eta power eta(d*z)^r is E(q^d)^r shifted by d*r/24, where
+E(q) = prod(1 - q^n) comes from the pentagonal number theorem and is
+raised by binary exponentiation at precision about prec/d.  Every product
+is one exact Kronecker substitution: each operand packed into one signed
+big number, one multiplication, and the coefficients read back limb by
+limb.  Large products are carried by `decimal`, whose libmpdec multiplies
+by number-theoretic transform, small ones by native ints; a rational
 operand is first scaled to integers by the lcm of its denominators.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -77,15 +81,6 @@ class TruncatedSeries:
             raise PrecisionExceeded(f"cannot extend precision {self.prec} to {prec}")
         return TruncatedSeries(prec, self.coeffs[: prec + 1])
 
-    def shift(self, offset: int) -> "TruncatedSeries":
-        """Multiply by q^offset, keeping the same truncation order."""
-        if offset < 0:
-            raise ValueError("offset must be nonnegative")
-        if offset == 0:
-            return self
-        zeros = (0,) * min(offset, self.prec + 1)
-        return TruncatedSeries(self.prec, (zeros + self.coeffs)[: self.prec + 1])
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return series_mul(self, other)
 
@@ -122,54 +117,110 @@ class EtaRecipe:
 # multiplication
 
 
+# The packed product has two exact carriers.  libmpdec multiplies large
+# decimals by a number-theoretic transform, while CPython multiplies ints in
+# about n^1.58 time.  Packed operand size is limb bits times len(xs) + len(ys);
+# on the products of `expand` at prec 2000 and 10^4 (CPython 3.11, Xeon) ints
+# won nearly every product under 200k bits and decimals every one over 330k.
+_DECIMAL_MIN_BITS = 250_000
+
+# The C `decimal`.  Without it `decimal` falls back to pure Python, which is
+# far slower than native ints; `_pydecimal` also sets __libmpdec_version__,
+# so the import is the test.
+try:
+    import _decimal as _libmpdec
+except ImportError:  # pragma: no cover - depends on how the interpreter was built
+    _libmpdec = None
+
+
+def _limb_bits(xs: Sequence[int], ys: Sequence[int]) -> int:
+    """Limb width b with 2^b > 2|c_k| for every product coefficient c_k and
+    2^b > every |x_i|, |y_j|."""
+    mx = max(map(abs, xs))
+    my = mx if ys is xs else max(map(abs, ys))
+    return mx.bit_length() + my.bit_length() + min(len(xs), len(ys)).bit_length() + 1
+
+
+def _int_product(xs: Sequence[int], ys: Sequence[int], bits: int, n: int) -> list[int]:
+    """c_0..c_(n-1) of the product of xs and ys, packed in native ints with
+    limbs of whole bytes (bits from _limb_bits)."""
+    width = (bits + 7) // 8
+    zero = bytes(width)
+
+    def pack(vals: Sequence[int]) -> int:
+        pos = b"".join(v.to_bytes(width, "little") if v > 0 else zero for v in vals)
+        neg = b"".join((-v).to_bytes(width, "little") if v < 0 else zero for v in vals)
+        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+    x = pack(xs)
+    product = x * x if ys is xs else x * pack(ys)
+    limbs = len(xs) + len(ys) - 1
+    half = 1 << (8 * width - 1)
+    product += int.from_bytes(half.to_bytes(width, "little") * limbs, "little")
+    raw = product.to_bytes(width * limbs, "little")
+    return [
+        int.from_bytes(raw[i : i + width], "little") - half for i in range(0, n * width, width)
+    ]
+
+
+def _decimal_product(xs: Sequence[int], ys: Sequence[int], bits: int, n: int) -> list[int]:
+    """c_0..c_(n-1) of the product of xs and ys, packed in exact decimals
+    with limbs of whole digits (bits from _limb_bits)."""
+    mpd = _libmpdec
+    digits = len(str(1 << bits))  # 10^digits > 2^bits
+    zero = "0" * digits
+    context = mpd.Context(
+        prec=mpd.MAX_PREC, Emax=mpd.MAX_EMAX, Emin=mpd.MIN_EMIN,
+        traps=[mpd.Inexact, mpd.Overflow, mpd.InvalidOperation],
+    )
+
+    def pack(vals: Sequence[int]):
+        pos = "".join(str(v).zfill(digits) if v > 0 else zero for v in reversed(vals))
+        neg = "".join(str(-v).zfill(digits) if v < 0 else zero for v in reversed(vals))
+        return context.subtract(mpd.Decimal(pos), mpd.Decimal(neg))
+
+    x = pack(xs)
+    product = context.multiply(x, x if ys is xs else pack(ys))
+    limbs = len(xs) + len(ys) - 1
+    half = "5" + zero[1:]
+    text = str(context.add(product, mpd.Decimal(half * limbs))).zfill(digits * limbs)
+    half_value = int(half)
+    last = len(text) - digits  # limb 0 is the last `digits` characters
+    return [
+        int(text[i : i + digits]) - half_value for i in range(last, last - n * digits, -digits)
+    ]
+
+
 def _int_convolution(xs: Sequence[int], ys: Sequence[int], n_out: int) -> list[int]:
-    """Truncated convolution of integer sequences via big-int packing.
+    """Truncated convolution c_0..c_n_out of integer sequences, exactly.
 
-    Coefficients are split by sign, each part packed little-endian into a
-    single integer with a limb width large enough that no carries cross
-    limb boundaries, and the heavy lifting is two native big-int products.
+    Kronecker substitution with one signed product: each operand becomes
+    one integer X = sum x_i B^i (its positive part less its negative part),
+    with a limb base B larger than twice every |c_k|, so X*Y holds c_k in
+    limb k.  Adding B/2 to each of its len(xs) + len(ys) - 1 limbs makes
+    every limb nonnegative, so limbs read off independently, each less B/2.
+    The carrier, native int or exact decimal, is chosen by packed size
+    alone; a squared operand (xs is ys) is packed once.
     """
-    xs = list(xs[: n_out + 1])
-    ys = list(ys[: n_out + 1])
-    mx = max((abs(v) for v in xs), default=0)
-    my = max((abs(v) for v in ys), default=0)
-    if mx == 0 or my == 0:
-        return [0] * (n_out + 1)
-    bound = 2 * mx * my * min(len(xs), len(ys)) + 1
-    width = (bound.bit_length() + 7) // 8 + 1
-
-    def pack(vals: Sequence[int], positive: bool) -> int:
-        buf = bytearray(width * len(vals))
-        for i, v in enumerate(vals):
-            if positive and v > 0:
-                buf[i * width : i * width + width] = v.to_bytes(width, "little")
-            elif not positive and v < 0:
-                buf[i * width : i * width + width] = (-v).to_bytes(width, "little")
-        return int.from_bytes(buf, "little")
-
-    xp, xn = pack(xs, True), pack(xs, False)
-    yp, yn = pack(ys, True), pack(ys, False)
-    plus = xp * yp + xn * yn
-    minus = xp * yn + xn * yp
-
-    count = len(xs) + len(ys) - 1
-
-    def unpack(big: int) -> list[int]:
-        raw = big.to_bytes(width * count, "little")
-        return [
-            int.from_bytes(raw[i * width : (i + 1) * width], "little")
-            for i in range(min(count, n_out + 1))
-        ]
-
-    pos, neg = unpack(plus), unpack(minus)
-    out = [p - n for p, n in zip(pos, neg)]
-    out.extend([0] * (n_out + 1 - len(out)))
-    return out
+    square = xs is ys
+    xs = xs[: n_out + 1]
+    ys = xs if square else ys[: n_out + 1]
+    bits = _limb_bits(xs, ys)
+    n = min(len(xs) + len(ys) - 1, n_out + 1)
+    if _libmpdec is not None and bits * (len(xs) + len(ys)) >= _DECIMAL_MIN_BITS:
+        out = _decimal_product(xs, ys, bits, n)
+    else:
+        out = _int_product(xs, ys, bits, n)
+    return out + [0] * (n_out + 1 - n)
 
 
 def _scaled_numerators(coeffs: Sequence[Rational]) -> tuple[int, list[int]]:
-    """(d, [d*c for c in coeffs]) with d the lcm of the denominators."""
-    den = math.lcm(*{c.denominator for c in coeffs})
+    """(d, [d*c for c in coeffs]) with d the lcm of the denominators; a
+    coefficient that is not an int or a Fraction is a TypeError."""
+    try:
+        den = math.lcm(*{c.denominator for c in coeffs})
+    except AttributeError:
+        raise TypeError("series coefficients must be exact: int or Fraction") from None
     if den == 1:  # the common integer case skips a multiply per coefficient
         return 1, [c.numerator for c in coeffs]
     return den, [c.numerator * (den // c.denominator) for c in coeffs]
@@ -179,7 +230,7 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Exact Cauchy product truncated at min(a.prec, b.prec)."""
     prec = min(a.prec, b.prec)
     da, xs = _scaled_numerators(a.coeffs[: prec + 1])
-    db, ys = _scaled_numerators(b.coeffs[: prec + 1])
+    db, ys = (da, xs) if b is a else _scaled_numerators(b.coeffs[: prec + 1])
     ints = _int_convolution(xs, ys, prec)
     den = da * db
     if den == 1:
@@ -188,16 +239,16 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 
 
 def series_pow(a: TruncatedSeries, e: int) -> TruncatedSeries:
-    """a**e by binary exponentiation (e >= 0)."""
+    """a**e by binary exponentiation (e >= 0), from the leading bit of e."""
     if e < 0:
         raise ValueError("negative series powers are not supported")
-    result = TruncatedSeries.one(a.prec)
-    base = a
-    while e:
-        if e & 1:
-            result = series_mul(result, base)
-        base = series_mul(base, base) if e > 1 else base
-        e >>= 1
+    if e == 0:
+        return TruncatedSeries.one(a.prec)
+    result = a
+    for bit in bin(e)[3:]:
+        result = series_mul(result, result)
+        if bit == "1":
+            result = series_mul(result, a)
     return result
 
 
@@ -205,11 +256,11 @@ def series_pow(a: TruncatedSeries, e: int) -> TruncatedSeries:
 # eta and theta expansions
 
 
-def _euler_product(d: int, prec: int) -> TruncatedSeries:
-    """prod_{n>=1} (1 - q^(d*n)) via the pentagonal number theorem.
+def _euler_product(prec: int) -> TruncatedSeries:
+    """prod_{n>=1} (1 - q^n) via the pentagonal number theorem.
 
-    The expansion is sum_j (-1)^j q^(d*j*(3j-1)/2) over all integers j,
-    so only O(sqrt(prec/d)) coefficients are nonzero.
+    The expansion is sum_j (-1)^j q^(j*(3j-1)/2) over all integers j,
+    so only O(sqrt(prec)) coefficients are nonzero.
     """
     coeffs = [0] * (prec + 1)
     coeffs[0] = 1
@@ -217,12 +268,12 @@ def _euler_product(d: int, prec: int) -> TruncatedSeries:
     while True:
         g1 = j * (3 * j - 1) // 2
         g2 = j * (3 * j + 1) // 2
-        if d * g1 > prec:
+        if g1 > prec:
             break
         sign = -1 if j % 2 else 1
-        coeffs[d * g1] = sign
-        if d * g2 <= prec:
-            coeffs[d * g2] = sign
+        coeffs[g1] = sign
+        if g2 <= prec:
+            coeffs[g2] = sign
         j += 1
     return TruncatedSeries(prec, tuple(coeffs))
 
@@ -231,7 +282,9 @@ def eta_power(d: int, r: int, prec: int) -> TruncatedSeries:
     """q-expansion of eta(d*z)^r up to q^prec.
 
     eta(d*z)^r = q^(d*r/24) * prod_{n>=1} (1 - q^(d*n))^r; the offset
-    d*r/24 must be an integer.
+    d*r/24 must be an integer.  The product is E(q^d)^r with
+    E(q) = prod (1 - q^n), so E^r is expanded only to the exponents that
+    land at or below prec and spread out to multiples of d.
     """
     if d < 1 or r < 1:
         raise ValueError("d and r must be positive integers")
@@ -240,8 +293,11 @@ def eta_power(d: int, r: int, prec: int) -> TruncatedSeries:
     if (d * r) % 24 != 0:
         raise NonIntegralOffset(f"d*r = {d * r} is not divisible by 24")
     offset = d * r // 24
-    power = series_pow(_euler_product(d, prec), r)
-    return power.shift(offset)
+    coeffs = [0] * (prec + 1)
+    if offset <= prec:
+        m = (prec - offset) // d
+        coeffs[offset::d] = series_pow(_euler_product(m), r).coeffs if m else (1,)
+    return TruncatedSeries(prec, tuple(coeffs))
 
 
 def theta_series(prec: int) -> TruncatedSeries:
@@ -257,9 +313,7 @@ def theta_series(prec: int) -> TruncatedSeries:
 
 def expand_recipe(recipe: EtaRecipe, prec: int) -> TruncatedSeries:
     """Product of all eta factors and theta_series^theta_power at prec."""
-    result = TruncatedSeries.one(prec)
-    for d, r in recipe.factors:
-        result = series_mul(result, eta_power(d, r, prec))
+    parts = [eta_power(d, r, prec) for d, r in recipe.factors]
     if recipe.theta_power:
-        result = series_mul(result, series_pow(theta_series(prec), recipe.theta_power))
-    return result
+        parts.append(series_pow(theta_series(prec), recipe.theta_power))
+    return functools.reduce(series_mul, parts) if parts else TruncatedSeries.one(prec)

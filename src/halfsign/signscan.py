@@ -28,6 +28,7 @@ __all__ = [
     "count_sign_changes",
     "SignChangeCount",
     "SignChangeReport",
+    "ScanReports",
     "scan",
 ]
 
@@ -126,6 +127,15 @@ class SignChangeReport:
     deligne: str
 
 
+class ScanReports(list):
+    """A scan's SignChangeReports, sorted by p, and in `skipped` the primes it
+    passed over because a(t p^2) lies beyond the form's precision."""
+
+    def __init__(self, reports: list[SignChangeReport], skipped: list[int]):
+        super().__init__(reports)
+        self.skipped = tuple(skipped)
+
+
 def scan(
     form: HalfIntegralForm,
     t: int,
@@ -133,7 +143,7 @@ def scan(
     p_max: int,
     M: int,
     progression: tuple[int, int] | None = None,
-) -> list[SignChangeReport]:
+) -> ScanReports:
     """Sign-change reports for every admissible prime p <= p_max.
 
     For each prime coprime to the level: extract the twisted trace from
@@ -141,8 +151,9 @@ def scan(
     ("full", "odd", "even" or "progression"), and count sign changes.
     mode="progression" takes the pair (q, h) via the progression argument;
     primes for which h is not a power of p mod q (or p = q) do not satisfy
-    the progression hypotheses and are skipped.  Reports come back sorted
-    by p.
+    the progression hypotheses and are left out.  Admissible primes whose
+    trace needs a(t p^2) beyond the form's precision are listed in
+    `skipped` instead of ending the scan.  Reports come back sorted by p.
     """
     a_t = coefficient(form, t, 1)
     if a_t == 0:
@@ -150,6 +161,7 @@ def scan(
     if mode == "progression" and progression is None:
         raise ValueError("mode='progression' needs the (q, h) pair")
     reports: list[SignChangeReport] = []
+    skipped: list[int] = []
     for p in primes_up_to(p_max):
         if form.level % p == 0:
             continue
@@ -162,6 +174,9 @@ def scan(
                 this_mode = ProgressionSpec.create(q=q, h=h, p=p)
             except NotInSubgroup:
                 continue
+        if t * p * p > form.prec:
+            skipped.append(p)
+            continue
         trace = hecke_mod.extract_trace(form, t, p)
         c1 = chi1(p, t, form.k, form.level)
         seq = twisted_sequence(a_t, trace, c1, p, form.k, M)
@@ -181,4 +196,4 @@ def scan(
                 deligne=hecke_mod.deligne_check(trace, p, form.k),
             )
         )
-    return reports
+    return ScanReports(reports, skipped)

@@ -155,6 +155,18 @@ def test_scan_progression_csv(form_path, tmp_path):
     assert [row["p"] for row in rows] == ["5", "11", "17", "23", "29"]
 
 
+def test_scan_skips_primes_beyond_precision(capsys):
+    # a(47^2) = a(2209) lies beyond precision 2000: p = 47 is named on
+    # stderr and the reports for the smaller primes are kept
+    assert run(["scan", "--flagship", "--prec", "2000", "--p-max", "50", "--nu-max", "40"]) == 0
+    captured = capsys.readouterr()
+    rows = list(csv.DictReader(captured.out.splitlines()))
+    assert [row["p"] for row in rows] == [
+        "3", "5", "7", "11", "13", "17", "19", "23", "29", "31", "37", "41", "43"
+    ]
+    assert captured.err == "halfsign: scan: skipped p = 47: a(2209) is beyond precision 2000\n"
+
+
 def test_genfun_check_seed_seven(tmp_path):
     out = tmp_path / "gf.json"
     code = run(["genfun-check", "--seed", "7", "--count", "40", "--terms", "60",

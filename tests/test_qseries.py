@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from halfsign import qseries
 from halfsign.errors import NonIntegralOffset, PrecisionExceeded
 from halfsign.qseries import (
     EtaRecipe,
@@ -185,3 +186,81 @@ def test_series_pow_matches_repeated_mul():
     for e in range(5):
         assert series_pow(a, e) == acc
         acc = series_mul(acc, a)
+
+
+def test_mul_rejects_float_coefficients():
+    floaty = TruncatedSeries(2, (0, 0.5, 1))
+    with pytest.raises(TypeError, match="exact"):
+        series_mul(floaty, TruncatedSeries.one(2))
+    with pytest.raises(TypeError, match="exact"):
+        series_mul(TruncatedSeries.one(2), floaty)
+
+
+# Operands for the packed-product carriers: one coefficient size per list,
+# from 0 to 300 bits, signed; all-zero lists; optionally a negative top
+# coefficient, whose high limbs must not disturb the low ones.
+_bits = st.integers(0, 300)
+_signed_list = _bits.flatmap(
+    lambda b: st.lists(st.integers(-(2**b), 2**b), min_size=1, max_size=30)
+)
+_carrier_operand = st.one_of(
+    _signed_list,
+    st.integers(1, 30).map(lambda n: [0] * n),
+    st.tuples(_signed_list, _bits).map(lambda pair: pair[0][:-1] + [-(2 ** pair[1])]),
+)
+_CARRIERS = (qseries._int_product, qseries._decimal_product)
+
+
+@pytest.mark.parametrize("carrier", _CARRIERS, ids=lambda f: f.__name__)
+@given(xs=_carrier_operand, ys=_carrier_operand, square=st.booleans(), n=st.integers(1, 59))
+@example(xs=[1, 2, -3], ys=[5, 0, 7, -(2**300)], square=False, n=2)
+def test_carrier_agrees_with_oracle(carrier, xs, ys, square, n):
+    if square:
+        ys = xs
+    # any number of low coefficients, including fewer than either operand has
+    n = min(n, len(xs) + len(ys) - 1)
+    got = carrier(xs, ys, qseries._limb_bits(xs, ys), n)
+    assert got == naive_mul(xs, ys, n - 1)
+    assert all(type(c) is int for c in got)
+
+
+def test_decimal_carrier_matches_int_carrier_at_transform_sizes():
+    # large enough for libmpdec to multiply by number-theoretic transform
+    rng = random.Random(4096)
+    xs = [rng.randint(-(2**60), 2**60) for _ in range(3000)]
+    ys = [rng.randint(-(2**60), 2**60) for _ in range(2500)]
+    ys[-1] = -(2**60)
+    for a, b in ((xs, ys), (xs, xs)):
+        bits = qseries._limb_bits(a, b)
+        n = len(a) + len(b) - 1
+        expected = qseries._int_product(a, b, bits, n)
+        assert qseries._decimal_product(a, b, bits, n) == expected
+        assert qseries._decimal_product(a, b, bits, 100) == expected[:100]
+
+
+_SINGLE_FACTORS = ((1, 24), (2, 12), (3, 8), (4, 6), (6, 4), (8, 3), (12, 2), (24, 1))
+
+
+@pytest.mark.parametrize("d, r", _SINGLE_FACTORS)
+def test_eta_power_in_q_to_the_d_matches_oracle(d, r):
+    for prec in sorted({1, max(d - 1, 1), d, d + 1, 2 * d + 3, 26}):
+        assert list(eta_power(d, r, prec).coeffs) == naive_eta_product(d, r, prec), prec
+
+
+def test_int_carrier_alone_gives_the_same_series(monkeypatch):
+    # without the C decimal module every product takes the native-int carrier
+    recipe = EtaRecipe(factors=((1, 24),), theta_power=1)
+    decimal_calls = []
+    real = qseries._decimal_product
+
+    def spy(*args):
+        decimal_calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(qseries, "_decimal_product", spy)
+    with_decimal = expand_recipe(recipe, 5000)
+    assert decimal_calls
+    decimal_calls.clear()
+    monkeypatch.setattr(qseries, "_libmpdec", None)
+    assert expand_recipe(recipe, 5000) == with_decimal
+    assert not decimal_calls
