@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import random
 import sys
@@ -39,20 +40,18 @@ USAGE_ERROR = 2
 CHECK_FAILED = 1
 
 
-def _write_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=1, sort_keys=True) + "\n"
 
 
 def _load_any_form(args) -> HalfIntegralForm:
-    if getattr(args, "flagship", False):
+    if args.flagship:
         return flagship_mod.flagship_form(args.prec or flagship_mod.DEFAULT_PREC)
-    if not args.form:
-        raise HalfsignError("either --form PATH or --flagship is required")
     return load_form(args.form)
+
+
+def _section(cases: list[dict]) -> dict:
+    return {"cases": cases, "ok": all(c["ok"] for c in cases)}
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +66,7 @@ def _parse_eta(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"eta factor must look like D:R, got {text!r}") from exc
 
 
-def cmd_expand(args) -> int:
+def cmd_expand(args) -> tuple[str, bool]:
     recipe = EtaRecipe(factors=tuple(args.eta or ()), theta_power=args.theta_power)
     series = expand_recipe(recipe, args.prec)
     if args.raw:
@@ -78,43 +77,36 @@ def cmd_expand(args) -> int:
             "prec": series.prec,
             "coeffs": [format_rational(c) for c in series.coeffs],
         }
-        _write_json(payload, args.out)
-        return 0
+        return _json(payload), True
     from .forms import FormDescriptor, RealCharacter
 
     descriptor = FormDescriptor(
         level=args.level, k=args.k, character=RealCharacter.trivial(args.level)
     )
     form = HalfIntegralForm(descriptor, series)
-    _write_json(form_to_dict(form), args.out)
-    return 0
+    return _json(form_to_dict(form)), True
 
 
 # ---------------------------------------------------------------------------
 # verify
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[str, bool]:
     form = _load_any_form(args)
     k, N = form.k, form.level
     t_set = hecke.base_indices(form, args.t_max)
-    checks: dict[str, dict] = {}
-    all_ok = True
 
     eigen: dict[str, dict] = {}
     for p in args.p:
         trace = hecke.extract_trace(form, t_set[0], p)
         report = hecke.eigen_consistency(form, p, trace, t_set, args.m_max)
-        ok = report.consistent
-        all_ok &= ok
         eigen[str(p)] = {
             "trace": format_rational(trace),
             "residuals_checked": len(report.residuals),
             "skipped": len(report.skipped),
             "failures": [list(key) for key in report.failures()],
-            "ok": ok,
+            "ok": report.consistent,
         }
-    checks["eigen_consistency"] = eigen
 
     mult: list[dict] = []
     pairs = [(2, 3), (3, 5), (2, 5), (4, 3), (3, 7), (2, 7)]
@@ -125,12 +117,9 @@ def cmd_verify(args) -> int:
             if t * m * m * n * n > form.prec:
                 continue
             residual = hecke.multiplicativity_check(form, t, m, n)
-            ok = residual == 0
-            all_ok &= ok
             mult.append(
-                {"t": t, "m": m, "n": n, "residual": format_rational(residual), "ok": ok}
+                {"t": t, "m": m, "n": n, "residual": format_rational(residual), "ok": residual == 0}
             )
-    checks["multiplicativity"] = {"cases": mult, "ok": all(c["ok"] for c in mult)}
 
     identities: list[dict] = []
     for p in args.p:
@@ -144,34 +133,34 @@ def cmd_verify(args) -> int:
                 horizon += 1
             raw = [hecke.twisted_coefficient(form, t, p, m) for m in range(horizon + 1)]
             closed_ok, split_ok, parity_ok = genfun.closed_form_checks(raw, raw[1], trace, c1, p, k)
-            ok = closed_ok and split_ok and parity_ok
-            all_ok &= ok
             identities.append(
                 {"p": p, "t": t, "horizon": horizon, "closed_form_matches": closed_ok,
-                 "split_identity": split_ok, "parity_support": parity_ok, "ok": ok}
+                 "split_identity": split_ok, "parity_support": parity_ok,
+                 "ok": closed_ok and split_ok and parity_ok}
             )
-    checks["closed_form_identities"] = {
-        "cases": identities,
-        "ok": all(c["ok"] for c in identities),
-    }
 
+    multiplicativity, closed_form = _section(mult), _section(identities)
+    all_ok = all(e["ok"] for e in eigen.values()) and multiplicativity["ok"] and closed_form["ok"]
     payload = {
         "level": N,
         "k": k,
         "prec": form.prec,
         "t_set": t_set,
-        "checks": checks,
+        "checks": {
+            "eigen_consistency": eigen,
+            "multiplicativity": multiplicativity,
+            "closed_form_identities": closed_form,
+        },
         "all_ok": all_ok,
     }
-    _write_json(payload, args.out)
-    return 0 if all_ok else CHECK_FAILED
+    return _json(payload), all_ok
 
 
 # ---------------------------------------------------------------------------
 # lift
 
 
-def cmd_lift(args) -> int:
+def cmd_lift(args) -> tuple[str, bool]:
     form = _load_any_form(args)
     if args.integral:
         integral = load_series(args.integral)
@@ -189,8 +178,7 @@ def cmd_lift(args) -> int:
             "ok": report.ok,
         },
     }
-    _write_json(payload, args.out)
-    return 0 if report.ok else CHECK_FAILED
+    return _json(payload), report.ok
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +233,7 @@ def check_instance(inst: dict, terms: int, m_p: int) -> dict:
     }
 
 
-def cmd_genfun_check(args) -> int:
+def cmd_genfun_check(args) -> tuple[str, bool]:
     rng = random.Random(args.seed)
     instances = [
         check_instance(random_instance(rng), args.terms, args.m_p)
@@ -260,15 +248,14 @@ def cmd_genfun_check(args) -> int:
         "instances": instances,
         "all_ok": all_ok,
     }
-    _write_json(payload, args.out)
-    return 0 if all_ok else CHECK_FAILED
+    return _json(payload), all_ok
 
 
 # ---------------------------------------------------------------------------
 # scan
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args) -> tuple[str, bool]:
     form = _load_any_form(args)
     progression = None
     if args.mode == "progression":
@@ -282,46 +269,23 @@ def cmd_scan(args) -> int:
         index = args.t * p * p
         print(f"halfsign: scan: skipped p = {p}: a({index}) is beyond precision {form.prec}",
               file=sys.stderr)
-    rows = [
-        {
-            "p": r.p,
-            "t": r.t,
-            "mode": r.mode,
-            "length": r.length,
-            "change_count": r.change_count,
-            "first_change_index": "" if r.first_change_index is None else r.first_change_index,
-            "zero_count": r.zero_count,
-            "deligne_status": r.deligne,
-        }
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(("p", "t", "mode", "length", "change_count", "first_change_index",
+                     "zero_count", "deligne_status"))
+    # csv writes a missing first_change_index (None) as an empty field
+    writer.writerows(
+        (r.p, r.t, r.mode, r.length, r.change_count, r.first_change_index, r.zero_count, r.deligne)
         for r in reports
-    ]
-    fieldnames = [
-        "p",
-        "t",
-        "mode",
-        "length",
-        "change_count",
-        "first_change_index",
-        "zero_count",
-        "deligne_status",
-    ]
-    if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(rows)
-    else:
-        writer = csv.DictWriter(sys.stdout, fieldnames=fieldnames, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-    return 0
+    )
+    return text.getvalue(), True
 
 
 # ---------------------------------------------------------------------------
 # characters
 
 
-def cmd_characters(args) -> int:
+def cmd_characters(args) -> tuple[str, bool]:
     table = characters_mod.CharacterTable.build(args.q)
     payload = {
         "q": table.q,
@@ -333,8 +297,7 @@ def cmd_characters(args) -> int:
             for j in range(table.group_order)
         ],
     }
-    _write_json(payload, args.out)
-    return 0
+    return _json(payload), True
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +311,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_expand = sub.add_parser("expand", help="expand an eta/theta recipe to a form JSON")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", default=None, help="write the report here instead of stdout")
+    form_source = argparse.ArgumentParser(add_help=False)
+    source = form_source.add_mutually_exclusive_group(required=True)
+    source.add_argument("--form", default=None)
+    source.add_argument("--flagship", action="store_true")
+    form_source.add_argument("--prec", type=int, default=None,
+                             help="flagship precision (with --flagship)")
+
+    p_expand = sub.add_parser("expand", parents=[output],
+                              help="expand an eta/theta recipe to a form JSON")
     p_expand.add_argument("--eta", action="append", type=_parse_eta, metavar="D:R",
                           help="eta(D z)^R factor; repeatable")
     p_expand.add_argument("--theta-power", type=int, default=0)
@@ -357,63 +330,52 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand.add_argument("--prec", type=int, default=100)
     p_expand.add_argument("--raw", action="store_true",
                           help="write without half-integral validation (comparison series)")
-    p_expand.add_argument("--out", default=None)
     p_expand.set_defaults(func=cmd_expand)
 
-    p_verify = sub.add_parser("verify", help="recurrence + identity suite on a form")
-    p_verify.add_argument("--form", default=None)
-    p_verify.add_argument("--flagship", action="store_true")
-    p_verify.add_argument("--prec", type=int, default=None,
-                          help="flagship precision (with --flagship)")
+    p_verify = sub.add_parser("verify", parents=[form_source, output],
+                              help="recurrence + identity suite on a form")
     p_verify.add_argument("--p", type=int, nargs="+", default=[3, 5, 7])
     p_verify.add_argument("--t-max", type=int, default=30)
     p_verify.add_argument("--m-max", type=int, default=4)
-    p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=cmd_verify)
 
-    p_lift = sub.add_parser("lift", help="lift coefficients and eigenvalue cross-check")
-    p_lift.add_argument("--form", default=None)
-    p_lift.add_argument("--flagship", action="store_true")
-    p_lift.add_argument("--prec", type=int, default=None)
+    p_lift = sub.add_parser("lift", parents=[form_source, output],
+                            help="lift coefficients and eigenvalue cross-check")
     p_lift.add_argument("--t", type=int, default=1)
     p_lift.add_argument("--n-max", type=int, default=20)
     p_lift.add_argument("--integral", default=None,
                         help="comparison coefficient JSON; defaults to eta(z)^24")
     p_lift.add_argument("--p-max", type=int, default=50)
-    p_lift.add_argument("--out", default=None)
     p_lift.set_defaults(func=cmd_lift)
 
-    p_gf = sub.add_parser("genfun-check", help="seeded random identity fuzzing")
+    p_gf = sub.add_parser("genfun-check", parents=[output], help="seeded random identity fuzzing")
     p_gf.add_argument("--seed", type=int, required=True)
     p_gf.add_argument("--count", type=int, default=100)
     p_gf.add_argument("--terms", type=int, default=100)
     p_gf.add_argument("--m-p", type=int, default=2,
                       help="exponent for the companion-polynomial check")
-    p_gf.add_argument("--out", default=None)
     p_gf.set_defaults(func=cmd_genfun_check)
 
-    p_scan = sub.add_parser("scan", help="per-prime sign-change reports (CSV)")
-    p_scan.add_argument("--form", default=None)
-    p_scan.add_argument("--flagship", action="store_true")
-    p_scan.add_argument("--prec", type=int, default=None)
+    p_scan = sub.add_parser("scan", parents=[form_source, output],
+                            help="per-prime sign-change reports (CSV)")
     p_scan.add_argument("--t", type=int, default=1)
     p_scan.add_argument("--mode", choices=("full", "odd", "even", "progression"), default="full")
     p_scan.add_argument("--q", type=int, default=None)
     p_scan.add_argument("--h", type=int, default=None)
     p_scan.add_argument("--p-max", type=int, default=50)
     p_scan.add_argument("--nu-max", type=int, default=200)
-    p_scan.add_argument("--out", default=None)
     p_scan.set_defaults(func=cmd_scan)
 
-    p_chars = sub.add_parser("characters", help="character table dump mod a prime q")
+    p_chars = sub.add_parser("characters", parents=[output],
+                             help="character table dump mod a prime q")
     p_chars.add_argument("--q", type=int, required=True)
-    p_chars.add_argument("--out", default=None)
     p_chars.set_defaults(func=cmd_characters)
 
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
+    """Run one command, write its report to --out or stdout, return the exit status."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -421,13 +383,16 @@ def run(argv: list[str] | None = None) -> int:
         # argparse exits 0 for --help, 2 for usage errors
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except HalfsignError as exc:
+        text, ok = args.func(args)
+        if args.out:
+            # newline="" keeps the reports' \n line endings on every platform
+            Path(args.out).write_text(text, encoding="utf-8", newline="")
+        else:
+            sys.stdout.write(text)
+    except (HalfsignError, OSError, ValueError) as exc:
         print(f"halfsign: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (OSError, ValueError) as exc:
-        print(f"halfsign: error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    return 0 if ok else CHECK_FAILED
 
 
 def main() -> None:

@@ -191,18 +191,6 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return Polynomial(tuple(ints))
 
 
-def squarefree_part(poly: Polynomial) -> Polynomial:
-    """poly / gcd(poly, poly'); same distinct roots, all simple."""
-    if poly.is_zero:
-        raise ZeroPolynomial("squarefree part of the zero polynomial")
-    g = poly_gcd(poly, poly.derivative())
-    if g.degree < 1:
-        return poly
-    quotient, remainder = poly.divmod(g)
-    assert remainder.is_zero
-    return quotient
-
-
 @dataclass(frozen=True)
 class RationalGF:
     """Reduced rational function num/den with den(0) normalized to 1.
@@ -364,7 +352,10 @@ def remark_polynomial(local: HeckeLocalData, m_p: int) -> Polynomial:
 
 
 def sturm_chain(poly: Polynomial) -> list[Polynomial]:
-    """Sturm sequence of a squarefree polynomial."""
+    """Sturm sequence of a nonzero polynomial: poly, poly', then negated
+    remainders down to a multiple of gcd(poly, poly').  Squarefree input is
+    not required: the drop in sign variations between two points that are
+    not roots still counts the distinct roots between them."""
     chain = [poly, poly.derivative()]
     while not chain[-1].is_zero and chain[-1].degree >= 1:
         _, rem = chain[-2].divmod(chain[-1])
@@ -382,17 +373,14 @@ def _sign_variations(signs: Sequence[int]) -> int:
 def real_root_count(poly: Polynomial) -> int:
     """Number of distinct real roots, by Sturm's theorem on (-inf, +inf).
 
-    The polynomial is first reduced to its squarefree part, so multiple
-    roots are counted once.
+    Multiple roots are counted once; no squarefree reduction is needed,
+    since the Sturm chain of any nonzero polynomial counts distinct roots.
     """
     if poly.is_zero:
         raise ZeroPolynomial("real_root_count of the zero polynomial")
     if poly.degree == 0:
         return 0
-    reduced = squarefree_part(poly)
-    if reduced.degree == 0:
-        return 0
-    chain = sturm_chain(reduced)
+    chain = sturm_chain(poly)
 
     def sign_at_inf(c: Polynomial, positive: bool) -> int:
         s = 1 if c.leading > 0 else -1

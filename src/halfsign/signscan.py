@@ -16,9 +16,9 @@ from typing import Sequence
 
 from . import characters as characters_mod
 from . import hecke as hecke_mod
-from .arith import Rational, exact, primes_up_to
+from .arith import Rational, exact, is_prime, primes_up_to
 from .characters import ProgressionSpec
-from .errors import NotInSubgroup, ZeroBase
+from .errors import NotInSubgroup, OutOfRange, ZeroBase
 from .forms import HalfIntegralForm, coefficient
 from .shimura import chi1
 
@@ -149,17 +149,25 @@ def scan(
     For each prime coprime to the level: extract the twisted trace from
     the q-expansion, run the recurrence to length M+1, filter by mode
     ("full", "odd", "even" or "progression"), and count sign changes.
-    mode="progression" takes the pair (q, h) via the progression argument;
-    primes for which h is not a power of p mod q (or p = q) do not satisfy
-    the progression hypotheses and are left out.  Admissible primes whose
-    trace needs a(t p^2) beyond the form's precision are listed in
-    `skipped` instead of ending the scan.  Reports come back sorted by p.
+    mode="progression" takes the pair (q, h), q prime and 1 < h < q, via
+    the progression argument; primes for which h is not a power of p mod q
+    (or p = q) do not satisfy the progression hypotheses and are left out,
+    and a prime whose progression starts past index M is reported with an
+    empty subsequence.  Admissible primes whose trace needs a(t p^2) beyond
+    the form's precision are listed in `skipped` instead of ending the
+    scan.  Reports come back sorted by p.
     """
     a_t = coefficient(form, t, 1)
     if a_t == 0:
         raise ZeroBase(f"a({t}) = 0; the twisted sequence is identically zero")
-    if mode == "progression" and progression is None:
-        raise ValueError("mode='progression' needs the (q, h) pair")
+    if mode == "progression":
+        if progression is None:
+            raise ValueError("mode='progression' needs the (q, h) pair")
+        q, h = progression
+        if not is_prime(q):
+            raise ValueError(f"q = {q} is not prime")
+        if not 1 < h < q:
+            raise OutOfRange(f"need 1 < h < q, got h = {h}, q = {q}")
     reports: list[SignChangeReport] = []
     skipped: list[int] = []
     for p in primes_up_to(p_max):
@@ -167,7 +175,6 @@ def scan(
             continue
         this_mode: str | ProgressionSpec = mode
         if mode == "progression":
-            q, h = progression
             if p == q:
                 continue
             try:
@@ -180,7 +187,8 @@ def scan(
         trace = hecke_mod.extract_trace(form, t, p)
         c1 = chi1(p, t, form.k, form.level)
         seq = twisted_sequence(a_t, trace, c1, p, form.k, M)
-        filtered = subsequence(seq, this_mode)
+        starts_past_m = isinstance(this_mode, ProgressionSpec) and this_mode.d > M
+        filtered = [] if starts_past_m else subsequence(seq, this_mode)
         stats = count_sign_changes(filtered)
         label = this_mode.label if isinstance(this_mode, ProgressionSpec) else mode
         reports.append(

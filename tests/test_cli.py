@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import halfsign
 from halfsign.cli import run
 
 
@@ -28,6 +33,15 @@ def form_path(tmp_path_factory):
         ]
     )
     assert code == 0
+    return path
+
+
+@pytest.fixture(scope="module")
+def broken_path(form_path, tmp_path_factory):
+    data = json.loads(form_path.read_text())
+    data["coeffs"][9] = "10"  # a(9) = 9 truly
+    path = tmp_path_factory.mktemp("forms") / "broken.json"
+    path.write_text(json.dumps(data))
     return path
 
 
@@ -98,14 +112,10 @@ def test_verify_flagship_file(form_path, tmp_path):
     assert report["checks"]["eigen_consistency"]["3"]["trace"] == "252"
 
 
-def test_verify_detects_broken_form(form_path, tmp_path):
-    data = json.loads(form_path.read_text())
-    data["coeffs"][9] = "10"  # a(9) = 9 truly
-    broken = tmp_path / "broken.json"
-    broken.write_text(json.dumps(data))
+def test_verify_detects_broken_form(broken_path, tmp_path):
     out = tmp_path / "verify_broken.json"
     code = run(
-        ["verify", "--form", str(broken), "--p", "3", "--t-max", "5",
+        ["verify", "--form", str(broken_path), "--p", "3", "--t-max", "5",
          "--m-max", "2", "--out", str(out)]
     )
     assert code == 1
@@ -198,3 +208,63 @@ def test_reports_are_deterministic(form_path, tmp_path):
     assert run(["genfun-check", "--seed", "7", "--count", "25", "--out", str(ga)]) == 0
     assert run(["genfun-check", "--seed", "7", "--count", "25", "--out", str(gb)]) == 0
     assert ga.read_bytes() == gb.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["expand", "--eta", "2:12", "--theta-power", "1", "--prec", "60"], 0),
+        (["expand", "--eta", "1:24", "--level", "1", "--k", "12", "--prec", "30", "--raw"], 0),
+        (["verify", "--form", "{form}", "--p", "3", "--t-max", "5", "--m-max", "2"], 0),
+        (["verify", "--form", "{broken}", "--p", "3", "--t-max", "5", "--m-max", "2"], 1),
+        (["lift", "--form", "{form}", "--n-max", "6", "--p-max", "20"], 0),
+        (["genfun-check", "--seed", "3", "--count", "5", "--terms", "20"], 0),
+        (["scan", "--form", "{form}", "--mode", "even", "--p-max", "20", "--nu-max", "30"], 0),
+        (["characters", "--q", "11"], 0),
+    ],
+    ids=["expand", "expand-raw", "verify", "verify-failed", "lift", "genfun-check", "scan",
+         "characters"],
+)
+def test_stdout_and_out_file_carry_the_same_bytes(argv, code, form_path, broken_path, tmp_path,
+                                                  capsys):
+    argv = [{"{form}": str(form_path), "{broken}": str(broken_path)}.get(a, a) for a in argv]
+    assert run(argv) == code
+    stdout = capsys.readouterr().out
+    out = tmp_path / "report"
+    assert run(argv + ["--out", str(out)]) == code
+    assert capsys.readouterr().out == ""
+    assert stdout and out.read_bytes() == stdout.encode("utf-8")
+    if code:
+        assert json.loads(stdout)["all_ok"] is False
+
+
+@pytest.mark.parametrize("command", ["verify", "lift", "scan"])
+def test_form_source_is_exactly_one_of_form_and_flagship(command, form_path, capsys):
+    assert run([command, "--form", str(form_path), "--flagship"]) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert run([command]) == 2
+    assert "one of the arguments --form --flagship is required" in capsys.readouterr().err
+
+
+def _python_m_halfsign(*argv):
+    src = str(Path(halfsign.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "halfsign", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+
+
+def test_python_m_halfsign_scan(form_path):
+    done = _python_m_halfsign("scan", "--form", str(form_path), "--mode", "progression",
+                              "--q", "31", "--h", "30", "--p-max", "50", "--nu-max", "3")
+    assert done.returncode == 0, done.stderr
+    rows = list(csv.DictReader(done.stdout.splitlines()))
+    assert [(row["p"], row["length"]) for row in rows] == [
+        ("3", "0"), ("11", "0"), ("13", "0"), ("17", "0"), ("23", "0"), ("29", "0"), ("37", "1"),
+        ("43", "0"),
+    ]
+    assert {row["mode"] for row in rows} == {"progression(31,30)"}
+
+    for q, h in (("4", "3"), ("5", "7")):
+        done = _python_m_halfsign("scan", "--form", str(form_path), "--mode", "progression",
+                                  "--q", q, "--h", h, "--p-max", "2")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("halfsign: error: ") and "Traceback" not in done.stderr

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halfsign.arith import primes_up_to
 from halfsign.cli import random_instance
@@ -16,7 +18,6 @@ from halfsign.genfun import (
     real_root_count,
     remark_polynomial,
     s_split_closed,
-    squarefree_part,
 )
 from halfsign.hecke import satake_data
 from halfsign.signscan import twisted_sequence
@@ -43,13 +44,6 @@ def test_poly_gcd_basic():
     assert poly_gcd(P(), P()).is_zero
     # content-normalized: result is primitive regardless of input scaling
     assert poly_gcd(a.scale(Fraction(3, 7)), b.scale(50)) == P(1, 1)
-
-
-def test_squarefree_part():
-    cube = P(0, 0, 0, 1)  # X^3
-    assert squarefree_part(cube) == P(0, 1)
-    doubled = P(1, 2, 1) * P(-3, 1)  # (X+1)^2 (X-3)
-    assert squarefree_part(doubled) == P(1, 1) * P(-3, 1)
 
 
 def test_rational_gf_reduction_and_expand():
@@ -223,3 +217,24 @@ def test_real_root_count_vs_grid_lower_bound():
         poly = Polynomial.from_coeffs(coeffs)
         grid = grid_sign_changes(list(poly.coeffs), Fraction(-20), Fraction(20), 400)
         assert grid <= real_root_count(poly)
+
+
+_coeff = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+_nonzero_coeff = _coeff.filter(lambda c: c != 0)
+_factor = st.one_of(
+    st.builds(P, _coeff, _nonzero_coeff),  # linear
+    st.builds(P, _coeff, _coeff, _nonzero_coeff),  # quadratic, real or complex roots
+)
+
+
+@settings(deadline=None)  # sympy's first call is slow
+@given(_nonzero_coeff, st.lists(st.tuples(_factor, st.integers(1, 3)), min_size=1, max_size=3))
+def test_real_root_count_matches_sympy_distinct_real_roots(scale, factors):
+    sympy = pytest.importorskip("sympy")
+    poly = P(scale)
+    for factor, multiplicity in factors:
+        for _ in range(multiplicity):
+            poly = poly * factor
+    x = sympy.Symbol("x")
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(poly.coeffs)]
+    assert real_root_count(poly) == len(set(sympy.real_roots(sympy.Poly(coeffs, x))))

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from halfsign.characters import ProgressionSpec
-from halfsign.errors import ZeroBase
+from halfsign.errors import OutOfRange, ZeroBase
 from halfsign.forms import coefficient
 from halfsign.genfun import expand, h_n_closed
 from halfsign.hecke import extract_trace
@@ -131,6 +131,25 @@ def test_scan_progression_skips_inadmissible(flagship):
     # auditable exception rather than hiding it
     assert [r.p for r in reports if r.change_count == 0] == [43]
     assert all(r.change_count >= 1 for r in reports if r.p != 43)
+
+
+def test_scan_checks_the_progression_before_any_prime(flagship):
+    # p_max = 2 reaches no prime coprime to the level 4, so only a check made
+    # before the prime loop sees the bad (q, h)
+    with pytest.raises(ValueError, match="q = 4 is not prime"):
+        scan(flagship, 1, "progression", 2, 10, progression=(4, 3))
+    with pytest.raises(OutOfRange):
+        scan(flagship, 1, "progression", 2, 10, progression=(5, 7))
+
+
+def test_scan_reports_a_progression_starting_past_m_as_empty(flagship):
+    # -1 = 30 mod 31 sits at index d = n/2 of <p>; only p = 37 (n = 6, d = 3)
+    # has d <= M = 3, and every other admissible prime is kept with length 0
+    reports = scan(flagship, 1, "progression", 50, 3, progression=(31, 30))
+    assert [(r.p, r.length) for r in reports] == [
+        (3, 0), (11, 0), (13, 0), (17, 0), (23, 0), (29, 0), (37, 1), (43, 0)
+    ]
+    assert all(r.change_count == 0 and r.first_change_index is None for r in reports)
 
 
 def test_scan_zero_base():
