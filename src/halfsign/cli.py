@@ -234,6 +234,8 @@ def check_instance(inst: dict, terms: int, m_p: int) -> dict:
 
 
 def cmd_genfun_check(args) -> tuple[str, bool]:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     rng = random.Random(args.seed)
     instances = [
         check_instance(random_instance(rng), args.terms, args.m_p)

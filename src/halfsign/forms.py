@@ -7,6 +7,7 @@ coefficient file format is documented in load_form.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -39,25 +40,50 @@ __all__ = [
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
+def _unit_generators(modulus: int, units: list[int]) -> list[int]:
+    """Generators of (Z/modulus)^x by greedy subgroup closure: each one at
+    least doubles the subgroup, so there are at most log2 phi(modulus).  The
+    trivial group gets [1 % modulus], so the list is never empty."""
+    subgroup = {1 % modulus}
+    generators = []
+    for a in units:
+        if a in subgroup:
+            continue
+        generators.append(a)
+        grown, power = set(subgroup), a
+        while power not in subgroup:
+            grown.update(h * power % modulus for h in subgroup)
+            power = power * a % modulus
+        subgroup = grown
+    return generators or [1 % modulus]
+
+
 class RealCharacter:
-    """Real Dirichlet character mod N: +-1 on units, 0 off the units."""
+    """Real Dirichlet character mod N: +-1 on units, 0 off the units.
+
+    `table` maps each unit to its value; it is None for the trivial
+    character, which never lists the units."""
 
     def __init__(self, modulus: int, table: dict[int, int] | None):
         self.modulus = modulus
-        units = [a for a in range(modulus) if math.gcd(a, modulus) == 1]
-        if table is None:  # the trivial character, multiplicative by construction
-            table = {a: 1 for a in units}
-        elif sorted(table) != units:
+        if table is None:  # the trivial character: chi(n) = 1 exactly when gcd(n, N) = 1
+            self.table = None
+            self.is_trivial = True
+            return
+        # a table covering the units has phi(N) entries, so listing stops one
+        # unit past its size and costs O(len(table) N/phi(N)), not O(N)
+        units = list(itertools.islice(
+            (a for a in range(modulus) if math.gcd(a, modulus) == 1), len(table) + 1))
+        if sorted(table) != units:
             raise BadCharacter(f"character table must cover exactly the units mod {modulus}")
-        elif any(v not in (1, -1) for v in table.values()):
+        if any(v not in (1, -1) for v in table.values()):
             raise BadCharacter("character values must be +1 or -1")
-        else:
-            for a in units:
-                for b in units:
-                    if table[a * b % modulus] != table[a] * table[b]:
-                        raise BadCharacter(
-                            f"table is not multiplicative at ({a}, {b}) mod {modulus}"
-                        )
+        # chi(g b) = chi(g) chi(b) for generators g and all units b forces
+        # chi(1) = 1 (take b = 1) and then multiplicativity on all pairs
+        for g in _unit_generators(modulus, units):
+            for b in units:
+                if table[g * b % modulus] != table[g] * table[b]:
+                    raise BadCharacter(f"table is not multiplicative at ({g}, {b}) mod {modulus}")
         self.table = dict(table)
         self.is_trivial = all(v == 1 for v in table.values())
 
@@ -66,8 +92,9 @@ class RealCharacter:
         return cls(modulus, None)
 
     def __call__(self, n: int) -> int:
-        n %= self.modulus
-        return self.table.get(n, 0)
+        if self.table is None:
+            return 1 if math.gcd(n, self.modulus) == 1 else 0
+        return self.table.get(n % self.modulus, 0)
 
     def power(self, n: int, e: int) -> int:
         """chi(n)^e, using chi(n) in {-1, 0, 1}."""
@@ -81,7 +108,8 @@ class RealCharacter:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RealCharacter):
             return NotImplemented
-        return self.modulus == other.modulus and self.table == other.table
+        same_values = (self.is_trivial and other.is_trivial) or self.table == other.table
+        return self.modulus == other.modulus and same_values
 
 
 @dataclass(frozen=True)
@@ -180,7 +208,7 @@ def _character_from_json(level: int, spec: object) -> RealCharacter:
     if isinstance(spec, dict):
         try:
             table = {int(key): int(value) for key, value in spec.items()}
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise BadCharacter(f"unreadable character table: {exc}") from exc
         return RealCharacter(level, table)
     raise BadCharacter(f"character must be 'trivial' or a residue table, got {spec!r}")
@@ -197,7 +225,7 @@ def _read_coefficient_file(path: str | Path) -> tuple[dict, TruncatedSeries]:
     try:
         prec = int(data["prec"])
         raw_coeffs = data["coeffs"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"missing or malformed header field: {exc}") from exc
     if not isinstance(raw_coeffs, list) or len(raw_coeffs) != prec + 1:
         raise ParseError(f"expected {prec + 1} coefficient entries")
@@ -210,7 +238,7 @@ def load_form(path: str | Path) -> HalfIntegralForm:
     try:
         level = int(data["level"])
         k = int(data["k"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"missing or malformed header field: {exc}") from exc
     if level % 4 != 0:
         raise InvalidLevel(f"level must be divisible by 4, got {level}")

@@ -2,8 +2,18 @@
 
 The twisted sequence b_nu = a(t p^(2 nu))/chi(p^nu) obeys the order-two
 linear recurrence b_{nu+1} = trace * b_nu - p^(2k-1) * b_{nu-1}; only its
-first two terms come from the q-expansion, so scans can run to any length
-regardless of the series precision.
+first two terms come from the q-expansion.  twisted_sequence computes it
+exactly, and its terms grow to about nu (k - 1/2) log2(p) bits.
+
+A scan needs only signs.  Under strict Deligne, trace = 2 p^(k-1/2) cos(theta)
+with 0 < theta < pi, and c_nu = b_nu / (b_0 p^(nu(k-1/2))) obeys
+c_(nu+1) = 2 cos(theta) c_nu - c_(nu-1) and stays below 2/sin(theta) in
+size.  scan runs that recurrence in F-bit fixed-point integers with
+an exact running bound E_nu on the error, which grows linearly in nu, and
+takes sgn b_nu = sgn(b_0) sgn(C_nu) wherever |C_nu| > E_nu.  When a term is
+not certified (an exact zero, or an angle too close to 0 or pi), or the
+trace is extremal or violated, the prime's signs come from the exact
+sequence instead, so every sign a scan reports is the exact one.
 
 Sign changes are zero-transparent: a change is a pair of indices i < j
 with b_i * b_j < 0 and every entry strictly between them zero.
@@ -12,7 +22,9 @@ with b_i * b_j < 0 and every entry strictly between them zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from fractions import Fraction
+from math import isqrt
+from typing import Iterator, Sequence
 
 from . import characters as characters_mod
 from . import hecke as hecke_mod
@@ -58,6 +70,89 @@ def twisted_sequence(
     for _ in range(1, M):
         seq.append(trace * seq[-1] - norm * seq[-2])
     return seq
+
+
+def _sine_bound(trace: Rational, norm: int) -> int | None:
+    """An integer S >= 1/sin(theta), where trace = 2 sqrt(norm) cos(theta);
+    None unless trace^2 < 4 norm (strict Deligne)."""
+    u, v = trace.numerator, trace.denominator
+    four_nv2 = 4 * norm * v * v
+    gap = four_nv2 - u * u
+    if gap <= 0:
+        return None
+    return isqrt(-(-four_nv2 // gap)) + 1
+
+
+def _normalised_walk(
+    b0: Rational, b1: Rational, trace: Rational, norm: int, S: int, F: int, M: int
+) -> Iterator[tuple[int, int]]:
+    """Yield (C_nu, B_nu) for nu = 1..M, where C_nu is 2^F c_nu in fixed point,
+    c_nu = b_nu / (b_0 sqrt(norm)^nu), and |C_nu - 2^F c_nu| < B_nu / 2^F.
+
+    c_(nu+1) = x c_nu - c_(nu-1) with x = trace/sqrt(norm) = 2 cos(theta).
+    C_1 and X are within 1 of 2^F c_1 and 2^F x, and each step floors
+    X C_nu / 2^F, so the error e_nu = C_nu - 2^F c_nu obeys
+    e_(nu+1) = x e_nu - e_(nu-1) + delta_nu with |delta_nu| < 1 + |C_nu|/2^F
+    and e_0 = 0.  Its solution sums e_1 and the delta_j against Chebyshev
+    U_n(cos theta) = sin((n+1) theta)/sin(theta), each at most S in size, so
+    |e_nu| < E_nu = S (1 + sum_(1 <= j < nu) (1 + |C_j|/2^F)), which the
+    integer B_nu = 2^F E_nu holds exactly.  The caller supplies S from
+    _sine_bound; b_0 must be nonzero.
+    """
+    r = Fraction(b1, b0)
+    u, v = trace.numerator, trace.denominator
+    c1 = isqrt((r.numerator * r.numerator << 2 * F) // (r.denominator * r.denominator * norm))
+    x = isqrt((u * u << 2 * F) // (v * v * norm))
+    C, X = (c1 if r > 0 else -c1), (x if u > 0 else -x)
+    one = prev = total = 1 << F
+    for _ in range(M):
+        yield C, S * total
+        total += one + abs(C)
+        prev, C = C, ((X * C) >> F) - prev
+
+
+def _certified_signs(
+    b0: Rational, b1: Rational, trace: Rational, norm: int, M: int
+) -> list[int] | None:
+    """sgn b_0..sgn b_M from the normalised walk, or None when the trace is
+    not strict or some term is not certified (|C_nu| <= E_nu).
+
+    F = 48 + bitlen(M S (S+2)) leaves about 48 bits between 2^F |c_nu|,
+    which is below 2S, and the error bound E_M.
+    """
+    S = _sine_bound(trace, norm)
+    if S is None:
+        return None
+    F = 48 + (M * S * (S + 2)).bit_length()
+    sign = 1 if b0 > 0 else -1
+    signs = [sign]
+    for C, B in _normalised_walk(b0, b1, trace, norm, S, F, M):
+        if C << F > B:
+            signs.append(sign)
+        elif -C << F > B:
+            signs.append(-sign)
+        else:
+            return None
+    return signs
+
+
+def _twisted_signs(
+    a_t: Rational, trace: Rational, chi1_p: int, p: int, k: int, M: int
+) -> list[int]:
+    """The signs (-1, 0 or 1) of twisted_sequence(a_t, trace, chi1_p, p, k, M).
+
+    twisted_sequence supplies b_0 and b_1 (and validates the inputs); the
+    certified walk decides the rest.  Only when it cannot (a zero term, an
+    angle too close to 0 or pi, an extremal or violated trace) does the
+    exact sequence run to length M.
+    """
+    seed = twisted_sequence(a_t, trace, chi1_p, p, k, min(M, 1))
+    if M > 1:
+        signs = _certified_signs(seed[0], seed[1], trace, p ** (2 * k - 1), M)
+        if signs is not None:
+            return signs
+        seed = twisted_sequence(a_t, trace, chi1_p, p, k, M)
+    return [(v > 0) - (v < 0) for v in seed]
 
 
 def subsequence(seq: Sequence[Rational], mode: str | ProgressionSpec) -> list[Rational]:
@@ -147,8 +242,10 @@ def scan(
     """Sign-change reports for every admissible prime p <= p_max.
 
     For each prime coprime to the level: extract the twisted trace from
-    the q-expansion, run the recurrence to length M+1, filter by mode
-    ("full", "odd", "even" or "progression"), and count sign changes.
+    the q-expansion, decide the signs of b_0..b_M (certified fixed-point
+    signs, with the exact recurrence as the fallback; see the module
+    docstring), filter them by mode ("full", "odd", "even" or
+    "progression"), and count sign changes.
     mode="progression" takes the pair (q, h), q prime and 1 < h < q, via
     the progression argument; primes for which h is not a power of p mod q
     (or p = q) do not satisfy the progression hypotheses and are left out,
@@ -186,9 +283,9 @@ def scan(
             continue
         trace = hecke_mod.extract_trace(form, t, p)
         c1 = chi1(p, t, form.k, form.level)
-        seq = twisted_sequence(a_t, trace, c1, p, form.k, M)
+        signs = _twisted_signs(a_t, trace, c1, p, form.k, M)
         starts_past_m = isinstance(this_mode, ProgressionSpec) and this_mode.d > M
-        filtered = [] if starts_past_m else subsequence(seq, this_mode)
+        filtered = [] if starts_past_m else subsequence(signs, this_mode)
         stats = count_sign_changes(filtered)
         label = this_mode.label if isinstance(this_mode, ProgressionSpec) else mode
         reports.append(

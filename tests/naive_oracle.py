@@ -71,6 +71,13 @@ def naive_twisted_sequence(
     return seq[: M + 1]
 
 
+def naive_is_multiplicative(modulus: int, table: dict[int, int]) -> bool:
+    """Whether table[a b mod N] = table[a] table[b] for every pair of units."""
+    return all(
+        table[a * b % modulus] == table[a] * table[b] for a in table for b in table
+    )
+
+
 def legendre_euler(a: int, p: int) -> int:
     """Legendre symbol (a|p) for an odd prime p, via Euler's criterion."""
     v = pow(a % p, (p - 1) // 2, p)

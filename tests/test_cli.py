@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import halfsign
 from halfsign.cli import run
@@ -187,6 +191,14 @@ def test_genfun_check_seed_seven(tmp_path):
     assert report["count"] == 40
 
 
+@pytest.mark.parametrize("count", ["-1", "0"])
+def test_genfun_check_below_one_instance_exits_two(count, capsys):
+    assert run(["genfun-check", "--seed", "1", "--count", count]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--count must be at least 1, got {count}" in captured.err
+
+
 def test_characters_dump(tmp_path):
     out = tmp_path / "chars.json"
     assert run(["characters", "--q", "7", "--out", str(out)]) == 0
@@ -268,3 +280,22 @@ def test_python_m_halfsign_scan(form_path):
                                   "--q", q, "--h", h, "--p-max", "2")
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr.startswith("halfsign: error: ") and "Traceback" not in done.stderr
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_scan_and_genfun_check_exit_0_1_or_2_on_any_integers(data):
+    def draw_int(lo, hi):
+        return str(data.draw(st.integers(lo, hi)))
+
+    if data.draw(st.booleans()):
+        mode = data.draw(st.sampled_from(("full", "odd", "even", "progression")))
+        argv = ["scan", "--flagship", "--prec", "200", "--mode", mode, "--t", draw_int(-3, 40),
+                "--p-max", draw_int(-5, 60), "--nu-max", draw_int(-5, 300)]
+        if mode == "progression" or data.draw(st.booleans()):
+            argv += ["--q", draw_int(-3, 40), "--h", draw_int(-3, 40)]
+    else:
+        argv = ["genfun-check", "--seed", draw_int(0, 99), "--count", draw_int(-3, 3),
+                "--terms", draw_int(-3, 30), "--m-p", draw_int(-2, 4)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert run(argv) in (0, 1, 2)

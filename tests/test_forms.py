@@ -1,11 +1,18 @@
 import json
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from halfsign.arith import is_squarefree, squarefree_decompose
+import halfsign.data
+from halfsign.arith import is_prime, is_squarefree, squarefree_decompose
+from halfsign.flagship import FIXTURE_NAME
 from halfsign.errors import (
     BadCharacter,
+    HalfsignError,
     InvalidLevel,
     NonCuspidal,
     NotSquarefree,
@@ -24,6 +31,7 @@ from halfsign.forms import (
     save_form,
 )
 from halfsign.qseries import TruncatedSeries
+from naive_oracle import kronecker_bottom_two, legendre_euler, naive_is_multiplicative
 
 
 def test_squarefree_decompose_examples():
@@ -94,6 +102,49 @@ def test_load_form_bad_character(tmp_path):
         load_form(_write_form(tmp_path, character={"1": 1}))
 
 
+@st.composite
+def unit_tables(draw):
+    """(N, table) with N <= 60 and a +-1 table on the units mod N: random, a
+    real character (a product of Legendre symbols mod odd primes q | N,
+    chi_-4 when 4 | N and chi_8 when 8 | N), or a real character with one
+    value flipped."""
+    modulus = draw(st.integers(1, 60))
+    units = [a for a in range(modulus) if gcd(a, modulus) == 1]
+    kind = draw(st.sampled_from(("random", "character", "flipped")))
+    if kind == "random":
+        return modulus, {a: draw(st.sampled_from((1, -1))) for a in units}, kind
+    odd_primes = [q for q in range(3, modulus + 1, 2) if modulus % q == 0 and is_prime(q)]
+    factors = [lambda a, q=q: legendre_euler(a, q) for q in odd_primes]
+    if modulus % 4 == 0:
+        factors.append(lambda a: 1 if a % 4 == 1 else -1)
+    if modulus % 8 == 0:
+        factors.append(kronecker_bottom_two)
+    chosen = [f for f in factors if draw(st.booleans())]
+    table = {}
+    for a in units:
+        table[a] = 1
+        for f in chosen:
+            table[a] *= f(a)
+    if kind == "flipped":
+        a = draw(st.sampled_from(units))
+        table[a] = -table[a]
+    return modulus, table, kind
+
+
+@given(unit_tables())
+@example((2, {1: -1}, "random"))  # only b = 1 forces chi(1) = 1 in a trivial unit group
+def test_character_check_accepts_exactly_the_multiplicative_tables(case):
+    modulus, table, kind = case
+    try:
+        RealCharacter(modulus, table)
+        accepted = True
+    except BadCharacter as exc:
+        assert "is not multiplicative at (" in str(exc)
+        accepted = False
+    assert accepted == naive_is_multiplicative(modulus, table)
+    assert accepted or kind != "character"
+
+
 def test_quadratic_character_mod_4():
     chi = RealCharacter(4, {1: 1, 3: -1})
     assert chi(3) == -1 and chi(5) == 1 and chi(6) == 0
@@ -151,3 +202,59 @@ def test_load_series_is_lenient(tmp_path):
     )
     series = load_series(path)
     assert series.coefficient(3) == 252
+
+
+def _fixture_head(prec: int) -> dict:
+    """The vendored flagship fixture, cut to its first prec + 1 coefficients."""
+    data = json.loads(Path(halfsign.data.__file__).with_name(FIXTURE_NAME).read_text("utf-8"))
+    return {**data, "prec": prec, "coeffs": data["coeffs"][: prec + 1]}
+
+
+FIXTURE_HEAD = _fixture_head(40)
+_junk = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**30, 10**30), st.floats(), st.text(max_size=4),
+    st.lists(st.integers(-2, 2), max_size=3), st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=3),
+)
+_bad_rationals = st.sampled_from(("1/0", "3/", "x", "", "1.5", " 2", "--1", "1/-2", "0x10", 7, 1.5, None))
+
+
+@st.composite
+def mutated_fixtures(draw):
+    """The fixture head with one to three defects: a dropped key, a value of
+    the wrong type, a bad rational literal, or a drawn character table."""
+    data = {**FIXTURE_HEAD, "coeffs": list(FIXTURE_HEAD["coeffs"])}
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(sorted(FIXTURE_HEAD)))
+        defect = draw(st.sampled_from(("drop", "junk", "rational", "table")))
+        if defect == "drop":
+            data.pop(key, None)
+        elif defect == "junk":
+            data[key] = draw(_junk)
+        elif defect == "rational" and isinstance(data.get("coeffs"), list) and data["coeffs"]:
+            data["coeffs"][draw(st.integers(0, len(data["coeffs"]) - 1))] = draw(_bad_rationals)
+        elif defect == "table":
+            level = draw(st.sampled_from((4, 8, 12, 20)))
+            data["level"] = level
+            units = [a for a in range(level) if gcd(a, level) == 1]
+            data["character"] = {str(a): draw(st.sampled_from((1, -1, 1, -1, 0, 2, "1"))) for a in units}
+    return data
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "form.json"
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_fixtures())
+@example({**FIXTURE_HEAD, "prec": float("inf")})  # int(inf) raises OverflowError
+@example({**FIXTURE_HEAD, "k": float("-inf")})
+@example({**FIXTURE_HEAD, "character": {"1": float("inf"), "3": 1}})
+@example({**FIXTURE_HEAD, "level": 4 * 10**30})  # no unit of a huge level is ever listed
+@example({**FIXTURE_HEAD, "level": 4 * 10**30, "character": {"1": 1, "3": -1}})
+def test_load_form_raises_only_halfsign_errors_on_mutated_fixtures(fuzz_path, data):
+    fuzz_path.write_text(json.dumps(data), encoding="utf-8")
+    try:
+        load_form(fuzz_path)
+    except HalfsignError:
+        pass

@@ -1,8 +1,15 @@
+import contextlib
 import random
 from fractions import Fraction
+from math import isqrt
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from halfsign import signscan
+from halfsign.arith import exact, primes_up_to
 from halfsign.characters import ProgressionSpec
 from halfsign.errors import OutOfRange, ZeroBase
 from halfsign.forms import coefficient
@@ -10,6 +17,9 @@ from halfsign.genfun import expand, h_n_closed
 from halfsign.hecke import extract_trace
 from halfsign.shimura import chi1
 from halfsign.signscan import (
+    _normalised_walk,
+    _sine_bound,
+    _twisted_signs,
     count_sign_changes,
     scan,
     subsequence,
@@ -168,3 +178,129 @@ def test_deligne_violating_synthetic_has_no_sign_changes():
     seq = twisted_sequence(1, 6, 1, 2, 2, 30)
     assert seq[:4] == F(1, 4, 16, 64)
     assert count_sign_changes(seq).change_count == 0
+
+
+# ---------------------------------------------------------------------------
+# certified fixed-point signs against the exact recurrence
+
+
+def exact_signs(a_t, trace, chi1_p, p, k, M):
+    return [(b > 0) - (b < 0) for b in twisted_sequence(a_t, trace, chi1_p, p, k, M)]
+
+
+@pytest.fixture(scope="module")
+def flagship_signs(flagship):
+    """Exact signs of b_0..b_5000 at t = 1 for every flagship prime <= 97."""
+    signs = {}
+    for p in primes_up_to(97)[1:]:
+        trace = extract_trace(flagship, 1, p)
+        c1 = chi1(p, 1, flagship.k, flagship.level)
+        signs[p] = exact_signs(coefficient(flagship, 1, 1), trace, c1, p, flagship.k, 5000)
+    return signs
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 5000), st.sampled_from(("full", "odd", "even", "progression")))
+@example(5000, "full")
+@example(5000, "odd")
+@example(5000, "even")
+@example(5000, "progression")
+def test_scan_counts_equal_the_exact_recurrence_counts(flagship, flagship_signs, M, mode):
+    # the reference scan reads the prefix of the exact signs of b_0..b_5000,
+    # which are the signs of twisted_sequence(..., M) for every M <= 5000
+    progression = (5, 2) if mode == "progression" else None
+    reports = scan(flagship, 1, mode, 97, M, progression=progression)
+
+    def exact_prefix(a_t, trace, chi1_p, p, k, length):
+        return flagship_signs[p][: length + 1]
+
+    with mock.patch.object(signscan, "_twisted_signs", exact_prefix):
+        expected = scan(flagship, 1, mode, 97, M, progression=progression)
+    assert len(reports) >= 8
+    assert reports == expected
+
+
+@contextlib.contextmanager
+def recorded_lengths():
+    """The M of every twisted_sequence call signscan makes inside the block."""
+    lengths = []
+
+    def recording(*args):
+        lengths.append(args[-1])
+        return twisted_sequence(*args)
+
+    with mock.patch.object(signscan, "twisted_sequence", recording):
+        yield lengths
+
+
+@st.composite
+def twisted_inputs(draw, strict=False):
+    """(a_t, trace, chi1_p, p, k): rational or negative a_t, odd and even k,
+    and rational traces at the edges: angles near 0 and pi, trace 0 with
+    chi1_p = 0 (every odd-index term zero), traces of size at most 2, and,
+    unless strict, traces beyond the Deligne bound."""
+    k = draw(st.sampled_from((2, 3, 6, 7)))
+    p = draw(st.sampled_from((2, 3, 5, 7, 13, 47, 97)))
+    chi1_p = draw(st.sampled_from((-1, 0, 1)))
+    a_t = draw(st.one_of(st.integers(-99, 99), st.fractions(-99, 99, max_denominator=20)).filter(bool))
+    den = draw(st.sampled_from((1, 1, 2, 3, 7)))
+    # edge^2 < 4 p^(2k-1) den^2, since an odd power of p is not a square
+    edge = isqrt(4 * p ** (2 * k - 1) * den * den)
+    kinds = ("edge", "zero", "small", "inside") + (() if strict else ("violated",))
+    kind = draw(st.sampled_from(kinds))
+    if kind == "edge":
+        u = edge - draw(st.integers(0, 2))
+    elif kind == "zero":
+        u, chi1_p = 0, 0
+    elif kind == "small":
+        u = draw(st.integers(0, 2 * den))
+    elif kind == "inside":
+        u = draw(st.integers(0, edge))
+    else:
+        u = edge + draw(st.integers(1, 3))
+    trace = exact(Fraction(draw(st.sampled_from((1, -1))) * u, den))
+    return a_t, trace, chi1_p, p, k
+
+
+@settings(max_examples=150, deadline=None)
+@given(twisted_inputs(), st.integers(0, 400))
+def test_certified_signs_equal_the_exact_signs(inputs, M):
+    assert _twisted_signs(*inputs, M) == exact_signs(*inputs, M)
+
+
+@pytest.mark.parametrize("a_t, trace, chi1_p, p, k, falls_back", [
+    (1, 0, 0, 3, 2, True),  # b_nu = 0 at every odd nu: a zero is never certified
+    (1, 6, 1, 2, 2, True),  # violated: trace^2 = 36 > 4 * 2^3
+    (-3, Fraction(1, 2), 1, 3, 2, False),  # strict, no zero: every term certified
+])
+def test_uncertified_terms_fall_back_to_the_exact_recurrence(a_t, trace, chi1_p, p, k, falls_back):
+    with recorded_lengths() as lengths:
+        signs = _twisted_signs(a_t, trace, chi1_p, p, k, 40)
+    assert signs == exact_signs(a_t, trace, chi1_p, p, k, 40)
+    assert lengths == ([1, 40] if falls_back else [1])
+
+
+def test_flagship_scan_runs_the_exact_recurrence_to_two_terms_only(flagship):
+    with recorded_lengths() as lengths:
+        reports = scan(flagship, 1, "full", 97, 1250)
+    assert len(reports) == 24
+    assert lengths == [1] * 24
+
+
+@settings(max_examples=60, deadline=None)
+@given(twisted_inputs(strict=True), st.integers(1, 16))
+# inputs where the error at nu = 6 exceeds E_nu with the per-step "1 +" left out
+@example((-1, Fraction(57, 2), 1, 3, 3), 16)
+@example((3, Fraction(73, 7), 1, 2, 3), 8)
+@example((3, Fraction(13072811, 1000), 1, 5, 6), 4)
+def test_walk_error_stays_within_its_bound(inputs, F):
+    # at even nu, 2^F c_nu = 2^F b_nu / (b_0 p^((2k-1) nu/2)) is rational, so
+    # |C_nu - 2^F c_nu| <= E_nu is checked exactly, at a deliberately small F
+    a_t, trace, chi1_p, p, k = inputs
+    norm = p ** (2 * k - 1)
+    seq = twisted_sequence(a_t, trace, chi1_p, p, k, 200)
+    walk = list(_normalised_walk(seq[0], seq[1], trace, norm, _sine_bound(trace, norm), F, 200))
+    for nu in range(2, 201, 2):
+        C, B = walk[nu - 1]  # E_nu = B / 2^F
+        error = C - Fraction(seq[nu] * 2**F) / (seq[0] * p ** ((2 * k - 1) * nu // 2))
+        assert abs(error) * 2**F <= B
