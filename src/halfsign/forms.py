@@ -184,6 +184,8 @@ def coefficient(form: HalfIntegralForm, t: int, m: int) -> Rational:
 #   "prec"       integer truncation order
 #   "coeffs"     array of strings, index = exponent, each an integer or
 #                "p/q" exact rational; index 0 must be "0"
+# An integer field or character value must be a JSON integer: a float such
+# as 4.0 or 4.9, or a boolean, is rejected rather than truncated.
 
 
 def parse_rational(text: str) -> Rational:
@@ -202,13 +204,27 @@ def format_rational(x: Rational) -> str:
     return str(exact(x))
 
 
+def _header_int(data: dict, key: str) -> int:
+    """The header field data[key], which must be a JSON integer: a float or a
+    bool is rejected, not truncated."""
+    if key not in data:
+        raise ParseError(f"missing header field {key!r}")
+    value = data[key]
+    if type(value) is not int:
+        raise ParseError(f"header field {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def _character_from_json(level: int, spec: object) -> RealCharacter:
     if spec == "trivial":
         return RealCharacter.trivial(level)
     if isinstance(spec, dict):
+        for value in spec.values():
+            if type(value) is not int:
+                raise BadCharacter(f"character values must be integers, got {value!r}")
         try:
-            table = {int(key): int(value) for key, value in spec.items()}
-        except (TypeError, ValueError, OverflowError) as exc:
+            table = {int(key): value for key, value in spec.items()}
+        except ValueError as exc:
             raise BadCharacter(f"unreadable character table: {exc}") from exc
         return RealCharacter(level, table)
     raise BadCharacter(f"character must be 'trivial' or a residue table, got {spec!r}")
@@ -218,15 +234,12 @@ def _read_coefficient_file(path: str | Path) -> tuple[dict, TruncatedSeries]:
     """The decoded JSON object and its series, from the "prec" and "coeffs" fields."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer over the digit limit
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("form file must contain a JSON object")
-    try:
-        prec = int(data["prec"])
-        raw_coeffs = data["coeffs"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"missing or malformed header field: {exc}") from exc
+    prec = _header_int(data, "prec")
+    raw_coeffs = data.get("coeffs")
     if not isinstance(raw_coeffs, list) or len(raw_coeffs) != prec + 1:
         raise ParseError(f"expected {prec + 1} coefficient entries")
     return data, TruncatedSeries(prec, tuple(parse_rational(c) for c in raw_coeffs))
@@ -235,11 +248,8 @@ def _read_coefficient_file(path: str | Path) -> tuple[dict, TruncatedSeries]:
 def load_form(path: str | Path) -> HalfIntegralForm:
     """Read and fully validate a half-integral form from a JSON file."""
     data, series = _read_coefficient_file(path)
-    try:
-        level = int(data["level"])
-        k = int(data["k"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"missing or malformed header field: {exc}") from exc
+    level = _header_int(data, "level")
+    k = _header_int(data, "k")
     if level % 4 != 0:
         raise InvalidLevel(f"level must be divisible by 4, got {level}")
     if k < 2:

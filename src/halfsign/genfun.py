@@ -8,6 +8,10 @@ its even/odd split S0, S1 over the common degree-4 denominator, power
 series expansion, the Lucas-normalized companion polynomial of the local
 Satake data, and exact real-root counting via Sturm sequences.
 
+Power series expansion clears denominators first: the recurrence runs on
+integers scaled by powers of the lcm L of the coefficient denominators,
+and each coefficient becomes a Fraction once, at the end (see expand).
+
 All identity checking is done by cross-multiplication into polynomial
 identities; nothing in this module touches floating point.
 """
@@ -225,6 +229,8 @@ class RationalGF:
         return cls(Polynomial.from_coeffs(num), Polynomial.from_coeffs(den))
 
     def __add__(self, other: "RationalGF") -> "RationalGF":
+        if self.den == other.den:
+            return RationalGF(self.num + other.num, self.den)
         return RationalGF(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
@@ -237,19 +243,41 @@ class RationalGF:
 def expand(gf: RationalGF, M: int) -> list[Rational]:
     """First M+1 power-series coefficients of num/den, exactly.
 
-    Uses the linear recurrence den(0) c_m = num_m - sum_j den_j c_{m-j};
-    den(0) = 1 after normalization.
+    The recurrence den(0) c_m = num_m - sum_j den_j c_{m-j} (den(0) = 1
+    after normalization) runs on integers: with L the lcm of the
+    coefficient denominators, N_m = L num_m and D_j = L den_j, the scaled
+    terms e_m = L^(m+1) c_m obey
+
+        e_m = L^m N_m - sum_(1 <= j <= deg den) D_j L^(j-1) e_(m-j),
+
+    and each c_m = e_m / L^(m+1) is built once at the end.  With L = 1
+    this is the plain integer recurrence on c_m itself.
     """
     if M < 0:
         raise ValueError("M must be nonnegative")
-    num, den = gf.num.coeffs, gf.den.coeffs
-    out: list[Rational] = []
+    L = 1
+    for c in gf.num.coeffs + gf.den.coeffs:
+        L = math.lcm(L, c.denominator)
+    num = [c.numerator * (L // c.denominator) * L**m for m, c in enumerate(gf.num.coeffs)]
+    # D_j L^(j-1) for j = 1..deg den, paired below with e_(m-1), e_(m-2), ...
+    den = [
+        c.numerator * (L // c.denominator) * L**j
+        for j, c in enumerate(gf.den.coeffs[1:])
+    ]
+    out: list[int] = []
     for m in range(M + 1):
-        c = num[m] if m < len(num) else 0
-        for j in range(1, min(m, len(den) - 1) + 1):
-            c -= den[j] * out[m - j]
-        out.append(c)
-    return out
+        e = num[m] if m < len(num) else 0
+        for d, prev in zip(den, reversed(out)):
+            e -= d * prev
+        out.append(e)
+    if L == 1:
+        return out
+    scaled: list[Rational] = []
+    scale = 1
+    for e in out:
+        scale *= L
+        scaled.append(exact(Fraction(e, scale)))
+    return scaled
 
 
 def h_n_closed(lead: Rational, trace: Rational, chi1_p: int, p: int, k: int) -> RationalGF:

@@ -3,7 +3,9 @@
 The twisted sequence b_nu = a(t p^(2 nu))/chi(p^nu) obeys the order-two
 linear recurrence b_{nu+1} = trace * b_nu - p^(2k-1) * b_{nu-1}; only its
 first two terms come from the q-expansion.  twisted_sequence computes it
-exactly, and its terms grow to about nu (k - 1/2) log2(p) bits.
+exactly, and its terms grow to about nu (k - 1/2) log2(p) bits.  A rational
+a_t = r/s or trace = u/v is cleared first: the recurrence runs on the
+integers B_nu = s v^nu b_nu, and each b_nu becomes a Fraction once.
 
 A scan needs only signs.  Under strict Deligne, trace = 2 p^(k-1/2) cos(theta)
 with 0 < theta < pi, and c_nu = b_nu / (b_0 p^(nu(k-1/2))) obeys
@@ -54,7 +56,14 @@ def twisted_sequence(
     M: int,
 ) -> list[Rational]:
     """b_0..b_M with b_0 = a_t, b_1 = (trace - chi1_p p^(k-1)) a_t and the
-    order-two recurrence above; all ints when a_t and trace are integral."""
+    order-two recurrence above; all ints when a_t and trace are integral.
+
+    The recurrence runs on integers: with a_t = r/s and trace = u/v, the
+    scaled terms B_nu = s v^nu b_nu obey B_0 = r,
+    B_1 = (u - chi1_p p^(k-1) v) r and B_(nu+1) = u B_nu - p^(2k-1) v^2 B_(nu-1),
+    and each b_nu = B_nu / (s v^nu) is built once.  When s = v = 1 the
+    B_nu are the b_nu themselves.
+    """
     if M < 0:
         raise ValueError("M must be nonnegative")
     if k < 2:
@@ -63,13 +72,22 @@ def twisted_sequence(
         raise ValueError("chi1_p must be one of -1, 0, 1")
     a_t = exact(a_t)
     trace = exact(trace)
-    norm = p ** (2 * k - 1)
-    seq = [a_t]
+    r, s = a_t.numerator, a_t.denominator
+    u, v = trace.numerator, trace.denominator
+    step = p ** (2 * k - 1) * v * v
+    seq = [r]
     if M >= 1:
-        seq.append((trace - chi1_p * p ** (k - 1)) * a_t)
+        seq.append((u - chi1_p * p ** (k - 1) * v) * r)
     for _ in range(1, M):
-        seq.append(trace * seq[-1] - norm * seq[-2])
-    return seq
+        seq.append(u * seq[-1] - step * seq[-2])
+    if s == 1 and v == 1:
+        return seq
+    out: list[Rational] = []
+    scale = s
+    for b in seq:
+        out.append(exact(Fraction(b, scale)))
+        scale *= v
+    return out
 
 
 def _sine_bound(trace: Rational, norm: int) -> int | None:

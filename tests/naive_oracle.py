@@ -71,6 +71,19 @@ def naive_twisted_sequence(
     return seq[: M + 1]
 
 
+def naive_expand(num: list[Fraction], den: list[Fraction], M: int) -> list[Fraction]:
+    """c_0..c_M of num/den as a power series, every term a Fraction, from
+    den_0 c_m = num_m - sum_(j >= 1) den_j c_(m-j); den_0 must be nonzero."""
+    num, den = [Fraction(c) for c in num], [Fraction(c) for c in den]
+    out: list[Fraction] = []
+    for m in range(M + 1):
+        c = num[m] if m < len(num) else Fraction(0)
+        for j in range(1, min(m, len(den) - 1) + 1):
+            c -= den[j] * out[m - j]
+        out.append(c / den[0])
+    return out
+
+
 def naive_is_multiplicative(modulus: int, table: dict[int, int]) -> bool:
     """Whether table[a b mod N] = table[a] table[b] for every pair of units."""
     return all(

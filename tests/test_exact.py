@@ -5,7 +5,7 @@ integral)."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from halfsign import flagship as flagship_mod
@@ -28,6 +28,18 @@ _rational = st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=6
 def test_twisted_sequence_stays_int_and_matches_fraction_oracle(a_t, trace, chi1_p, p, k, M):
     seq = twisted_sequence(a_t, trace, chi1_p, p, k, M)
     assert all(type(b) is int for b in seq)
+    assert seq == naive_twisted_sequence(a_t, trace, chi1_p, p, k, M)
+
+
+@given(st.fractions(), st.fractions(), _chi1, _primes, _weights, st.integers(0, 60))
+@example(Fraction(1, 2), Fraction(1, 2), 0, 3, 2, 2)  # b_1 = 1/4, b_2 = 1/8 - 27/2
+@example(Fraction(2, 3), Fraction(3, 2), 1, 2, 2, 3)  # b_1 = (3/2 - 2) 2/3 = -1/3
+@example(Fraction(3, 2), Fraction(4, 3), -1, 2, 2, 1)  # b_1 = (4/3 + 2) 3/2 = 5, an int
+def test_twisted_sequence_on_rationals_is_canonical_and_matches_fraction_oracle(
+    a_t, trace, chi1_p, p, k, M
+):
+    seq = twisted_sequence(a_t, trace, chi1_p, p, k, M)
+    assert all(type(b) is int or (type(b) is Fraction and b.denominator != 1) for b in seq)
     assert seq == naive_twisted_sequence(a_t, trace, chi1_p, p, k, M)
 
 

@@ -102,6 +102,41 @@ def test_load_form_bad_character(tmp_path):
         load_form(_write_form(tmp_path, character={"1": 1}))
 
 
+@pytest.mark.parametrize(
+    "field, value, error",
+    [
+        ("level", 4.9, ParseError),
+        ("level", 4.0, ParseError),
+        ("level", True, ParseError),
+        ("k", 6.7, ParseError),
+        ("k", 2.0, ParseError),
+        ("prec", 6.5, ParseError),
+        ("prec", 6.0, ParseError),
+        ("character", {"1": 1.0, "3": -1}, BadCharacter),
+        ("character", {"1": 1, "3": -1.0}, BadCharacter),
+        ("character", {"1": True, "3": -1}, BadCharacter),
+    ],
+)
+def test_load_form_rejects_float_and_bool_integers(tmp_path, field, value, error):
+    with pytest.raises(error):
+        load_form(_write_form(tmp_path, **{field: value}))
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b'{"level": 4' + b"0" * 5000 + b', "k": 2, "prec": 0, "coeffs": ["0"]}',
+        b'{"level": 4, "k": 2, "prec": 0, "coeffs": ["\xff"]}',
+    ],
+    ids=["integer-over-digit-limit", "not-utf-8"],
+)
+def test_load_form_raises_parse_error_on_undecodable_files(tmp_path, raw):
+    path = tmp_path / "form.json"
+    path.write_bytes(raw)
+    with pytest.raises(ParseError):
+        load_form(path)
+
+
 @st.composite
 def unit_tables(draw):
     """(N, table) with N <= 60 and a +-1 table on the units mod N: random, a
@@ -221,22 +256,25 @@ _bad_rationals = st.sampled_from(("1/0", "3/", "x", "", "1.5", " 2", "--1", "1/-
 @st.composite
 def mutated_fixtures(draw):
     """The fixture head with one to three defects: a dropped key, a value of
-    the wrong type, a bad rational literal, or a drawn character table."""
+    the wrong type, an integer header turned into a float, a bad rational
+    literal, or a drawn character table."""
     data = {**FIXTURE_HEAD, "coeffs": list(FIXTURE_HEAD["coeffs"])}
     for _ in range(draw(st.integers(1, 3))):
         key = draw(st.sampled_from(sorted(FIXTURE_HEAD)))
-        defect = draw(st.sampled_from(("drop", "junk", "rational", "table")))
+        defect = draw(st.sampled_from(("drop", "junk", "float", "rational", "table")))
         if defect == "drop":
             data.pop(key, None)
         elif defect == "junk":
             data[key] = draw(_junk)
+        elif defect == "float" and type(data.get(key)) is int:
+            data[key] += draw(st.sampled_from((0.0, 0.5, 0.9, -0.1)))
         elif defect == "rational" and isinstance(data.get("coeffs"), list) and data["coeffs"]:
             data["coeffs"][draw(st.integers(0, len(data["coeffs"]) - 1))] = draw(_bad_rationals)
         elif defect == "table":
             level = draw(st.sampled_from((4, 8, 12, 20)))
             data["level"] = level
             units = [a for a in range(level) if gcd(a, level) == 1]
-            data["character"] = {str(a): draw(st.sampled_from((1, -1, 1, -1, 0, 2, "1"))) for a in units}
+            data["character"] = {str(a): draw(st.sampled_from((1, -1, 1, -1, 0, 2, "1", 1.0, -1.0, True))) for a in units}
     return data
 
 
@@ -255,6 +293,11 @@ def fuzz_path(tmp_path_factory):
 def test_load_form_raises_only_halfsign_errors_on_mutated_fixtures(fuzz_path, data):
     fuzz_path.write_text(json.dumps(data), encoding="utf-8")
     try:
-        load_form(fuzz_path)
+        form = load_form(fuzz_path)
     except HalfsignError:
-        pass
+        return
+    # what loads was read exactly: integer fields and table values are JSON ints
+    assert all(type(data[key]) is int for key in ("level", "k", "prec"))
+    assert (form.level, form.k, form.prec) == (data["level"], data["k"], data["prec"])
+    if isinstance(data.get("character"), dict):
+        assert all(type(v) is int for v in data["character"].values())

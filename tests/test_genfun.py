@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from halfsign.arith import primes_up_to
@@ -21,7 +21,7 @@ from halfsign.genfun import (
 )
 from halfsign.hecke import satake_data
 from halfsign.signscan import twisted_sequence
-from naive_oracle import grid_sign_changes
+from naive_oracle import grid_sign_changes, naive_expand
 
 
 def P(*coeffs):
@@ -136,6 +136,62 @@ def test_expand_errors():
     gf = RationalGF.of([1], [1, -1])
     with pytest.raises(ValueError):
         expand(gf, -1)
+
+
+def _canonical(values):
+    return all(
+        type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in values
+    )
+
+
+_int_coeff = st.integers(-50, 50)
+_any_coeff = st.one_of(_int_coeff, st.fractions(min_value=-50, max_value=50, max_denominator=12))
+
+
+@st.composite
+def expandable(draw):
+    """(num, den) of degree 0 to 5 with den(0) != 0; half the draws are
+    integral with den(0) = +-1, so that no denominator is left to clear."""
+    integral = draw(st.booleans())
+    coeff = _int_coeff if integral else _any_coeff
+    num = draw(st.lists(coeff, max_size=6))
+    den0 = draw(st.sampled_from((1, -1)) if integral else coeff.filter(bool))
+    return num, [den0, *draw(st.lists(coeff, max_size=5))]
+
+
+@given(expandable(), st.integers(0, 60))
+@example(([1], [Fraction(1, 3), 0, 0, 0, 0, Fraction(1, 2)]), 0)  # M below deg den
+@example(([Fraction(1, 2), 3], [1, Fraction(-2, 3), Fraction(5, 7)]), 1)
+@example(([2, 4], [-1, 3, 0, 7]), 2)
+@example(([Fraction(1, 2), Fraction(1, 2)], [1, -1]), 3)  # c_1 = 1/2 + 1/2 is an int
+def test_expand_matches_fraction_oracle_with_canonical_types(gf, M):
+    num, den = gf
+    terms = expand(RationalGF.of(num, den), M)
+    assert terms == naive_expand(num, den, M)
+    assert _canonical(terms)
+
+
+def _cross_multiplied_sum(a, b):
+    return RationalGF(a.num * b.den + b.num * a.den, a.den * b.den)
+
+
+_rational = st.one_of(st.integers(-10**4, 10**4), st.fractions(max_denominator=30))
+
+
+@given(_rational, _rational, _rational, st.sampled_from((-1, 0, 1)),
+       st.sampled_from(primes_up_to(30)), st.integers(2, 7))
+def test_same_denominator_sum_equals_cross_multiplied_sum(a_t, b1, trace, chi1_p, p, k):
+    s0, s1 = s_split_closed(a_t, b1, trace, chi1_p, p, k)
+    total, expected = s0 + s1, _cross_multiplied_sum(s0, s1)
+    assert (total.num, total.den) == (expected.num, expected.den)
+
+
+@given(expandable(), expandable())
+def test_sum_of_any_two_functions_equals_cross_multiplied_sum(f, g):
+    a, b = RationalGF.of(*f), RationalGF.of(*g)
+    for x, y in ((a, b), (a, RationalGF(b.num, a.den))):
+        total, expected = x + y, _cross_multiplied_sum(x, y)
+        assert (total.num, total.den) == (expected.num, expected.den)
 
 
 def test_lucas_sequence_closed_form():
