@@ -259,14 +259,14 @@ def cmd_genfun_check(args) -> tuple[str, bool]:
 
 def cmd_scan(args) -> tuple[str, bool]:
     form = _load_any_form(args)
-    progression = None
-    if args.mode == "progression":
+    mode = args.mode
+    if mode == "progression":
         if args.q is None or args.h is None:
             raise HalfsignError("mode=progression needs --q and --h")
-        progression = (args.q, args.h)
-    reports = signscan.scan(
-        form, args.t, args.mode, args.p_max, args.nu_max, progression=progression
-    )
+        mode = (args.q, args.h)
+    elif args.q is not None or args.h is not None:
+        raise HalfsignError("--q and --h apply only to --mode progression")
+    reports = signscan.scan(form, args.t, mode, args.p_max, args.nu_max)
     for p in reports.skipped:
         index = args.t * p * p
         print(f"halfsign: scan: skipped p = {p}: a({index}) is beyond precision {form.prec}",

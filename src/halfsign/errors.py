@@ -66,6 +66,3 @@ class NotInSubgroup(HalfsignError):
 class OutOfRange(HalfsignError):
     """Progression residue h must satisfy 1 < h < q."""
 
-
-class LengthMismatch(HalfsignError):
-    """Input sequence is too short for the requested extraction."""

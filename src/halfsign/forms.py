@@ -215,6 +215,17 @@ def _header_int(data: dict, key: str) -> int:
     return value
 
 
+def _residue_key(key: str) -> int:
+    """The residue a character-table key spells in canonical decimal."""
+    try:
+        residue = int(key)
+    except ValueError:
+        residue = None
+    if residue is None or str(residue) != key:
+        raise BadCharacter(f"character-table keys must be decimal residues, got {key!r}")
+    return residue
+
+
 def _character_from_json(level: int, spec: object) -> RealCharacter:
     if spec == "trivial":
         return RealCharacter.trivial(level)
@@ -222,10 +233,7 @@ def _character_from_json(level: int, spec: object) -> RealCharacter:
         for value in spec.values():
             if type(value) is not int:
                 raise BadCharacter(f"character values must be integers, got {value!r}")
-        try:
-            table = {int(key): value for key, value in spec.items()}
-        except ValueError as exc:
-            raise BadCharacter(f"unreadable character table: {exc}") from exc
+        table = {_residue_key(key): value for key, value in spec.items()}
         return RealCharacter(level, table)
     raise BadCharacter(f"character must be 'trivial' or a residue table, got {spec!r}")
 

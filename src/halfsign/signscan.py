@@ -176,7 +176,7 @@ def _twisted_signs(
 def subsequence(seq: Sequence[Rational], mode: str | ProgressionSpec) -> list[Rational]:
     """Index filter: full, odd (1,3,5,...), even (0,2,4,...), or a progression."""
     if isinstance(mode, ProgressionSpec):
-        return characters_mod.progression_extract(seq, mode, route="direct")
+        return characters_mod.progression_extract(seq, mode)
     if mode == "full":
         return list(seq)
     if mode == "odd":
@@ -252,48 +252,48 @@ class ScanReports(list):
 def scan(
     form: HalfIntegralForm,
     t: int,
-    mode: str,
+    mode: str | tuple[int, int],
     p_max: int,
     M: int,
-    progression: tuple[int, int] | None = None,
 ) -> ScanReports:
     """Sign-change reports for every admissible prime p <= p_max.
 
     For each prime coprime to the level: extract the twisted trace from
     the q-expansion, decide the signs of b_0..b_M (certified fixed-point
     signs, with the exact recurrence as the fallback; see the module
-    docstring), filter them by mode ("full", "odd", "even" or
-    "progression"), and count sign changes.
-    mode="progression" takes the pair (q, h), q prime and 1 < h < q, via
-    the progression argument; primes for which h is not a power of p mod q
-    (or p = q) do not satisfy the progression hypotheses and are left out,
-    and a prime whose progression starts past index M is reported with an
-    empty subsequence.  Admissible primes whose trace needs a(t p^2) beyond
-    the form's precision are listed in `skipped` instead of ending the
-    scan.  Reports come back sorted by p.
+    docstring), filter them by mode, and count sign changes.
+    mode is "full", "odd", "even", or a pair (q, h) with q prime and
+    1 < h < q for the progression p^nu = h (mod q); both are checked
+    before any prime is tried.  For a pair, primes for which h is not a
+    power of p mod q (or p = q) do not satisfy the progression hypotheses
+    and are left out, and a prime whose progression starts past index M
+    is reported with an empty subsequence.  Admissible primes whose trace
+    needs a(t p^2) beyond the form's precision are listed in `skipped`
+    instead of ending the scan.  Reports come back sorted by p.
     """
     a_t = coefficient(form, t, 1)
     if a_t == 0:
         raise ZeroBase(f"a({t}) = 0; the twisted sequence is identically zero")
-    if mode == "progression":
-        if progression is None:
-            raise ValueError("mode='progression' needs the (q, h) pair")
-        q, h = progression
+    progression = isinstance(mode, tuple)
+    if progression:
+        q, h = mode
         if not is_prime(q):
             raise ValueError(f"q = {q} is not prime")
         if not 1 < h < q:
             raise OutOfRange(f"need 1 < h < q, got h = {h}, q = {q}")
+    elif mode not in ("full", "odd", "even"):
+        raise ValueError(f"unknown mode {mode!r}")
     reports: list[SignChangeReport] = []
     skipped: list[int] = []
     for p in primes_up_to(p_max):
         if form.level % p == 0:
             continue
-        this_mode: str | ProgressionSpec = mode
-        if mode == "progression":
+        selector: str | ProgressionSpec = mode
+        if progression:
             if p == q:
                 continue
             try:
-                this_mode = ProgressionSpec.create(q=q, h=h, p=p)
+                selector = ProgressionSpec.create(q=q, h=h, p=p)
             except NotInSubgroup:
                 continue
         if t * p * p > form.prec:
@@ -302,15 +302,12 @@ def scan(
         trace = hecke_mod.extract_trace(form, t, p)
         c1 = chi1(p, t, form.k, form.level)
         signs = _twisted_signs(a_t, trace, c1, p, form.k, M)
-        starts_past_m = isinstance(this_mode, ProgressionSpec) and this_mode.d > M
-        filtered = [] if starts_past_m else subsequence(signs, this_mode)
-        stats = count_sign_changes(filtered)
-        label = this_mode.label if isinstance(this_mode, ProgressionSpec) else mode
+        stats = count_sign_changes(subsequence(signs, selector))
         reports.append(
             SignChangeReport(
                 p=p,
                 t=t,
-                mode=label,
+                mode=selector.label if progression else mode,
                 length=stats.length,
                 change_count=stats.change_count,
                 first_change_index=stats.first_change_index,

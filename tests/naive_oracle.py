@@ -84,6 +84,12 @@ def naive_expand(num: list[Fraction], den: list[Fraction], M: int) -> list[Fract
     return out
 
 
+def naive_progression(seq: list, q: int, h: int, p: int) -> list:
+    """The entries seq[m] whose index satisfies p^m = h (mod q), by testing
+    every index against the definition."""
+    return [x for m, x in enumerate(seq) if pow(p, m, q) == h]
+
+
 def naive_is_multiplicative(modulus: int, table: dict[int, int]) -> bool:
     """Whether table[a b mod N] = table[a] table[b] for every pair of units."""
     return all(

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from halfsign.arith import is_squarefree, primes_up_to
-from halfsign.characters import ProgressionSpec, progression_extract
+from halfsign.characters import ProgressionSpec, character_sum_extract, progression_extract
 from halfsign.cli import random_instance, run
 from halfsign.flagship import build_flagship, flagship_form, load_fixture, ramanujan_delta
 from halfsign.forms import coefficient
@@ -181,22 +181,20 @@ def test_criterion_7_progression_extraction(flagship):
         spec = ProgressionSpec.create(q, h, p)
         length = spec.d + spec.n * 60
         seq = [Fraction(rng.randint(-999, 999), rng.randint(1, 9)) for _ in range(length)]
-        direct = progression_extract(seq, spec, "direct")[:60]
-        exact = progression_extract(seq, spec, "roots_of_unity")[:60]
-        floats = progression_extract(seq, spec, "character_sum")[:60]
+        direct = progression_extract(seq, spec)[:60]
+        floats = character_sum_extract(seq, spec)[:60]
         ok &= len(direct) == 60
-        ok &= exact == direct
         if spec.n <= 2:
             # n <= 2 keeps the character route on real rationals +-1; still
             # float-valued here, so equality is checked to roundoff zero
             ok &= all(abs(f - float(d)) == 0.0 for f, d in zip(floats, direct))
         else:
             ok &= all(abs(f - float(d)) <= 1e-9 for f, d in zip(floats, direct))
-        reports = scan(flagship, 1, "progression", p, 200, progression=(q, h))
+        reports = scan(flagship, 1, (q, h), p, 200)
         at_p = [r for r in reports if r.p == p]
         ok &= len(at_p) == 1 and at_p[0].change_count >= 1
         details.append(f"(q={q},h={h},p={p})")
-    _report(7, "three-route progression agreement + scans " + " ".join(details), ok)
+    _report(7, "exact and character-sum progression agreement + scans " + " ".join(details), ok)
 
 
 def test_criterion_8_deligne_logic(flagship):

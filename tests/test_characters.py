@@ -2,15 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from halfsign.arith import primes_up_to
 from halfsign.characters import (
     CharacterTable,
     ProgressionSpec,
+    character_sum_extract,
     index_of,
     order_of,
     progression_extract,
 )
-from halfsign.errors import LengthMismatch, NotInSubgroup, OutOfRange, SamePrime
+from halfsign.errors import NotInSubgroup, OutOfRange, SamePrime
+from naive_oracle import naive_progression
 
 
 def test_order_of_examples():
@@ -51,10 +56,14 @@ def test_index_roundtrip():
 def test_progression_spec_validation():
     spec = ProgressionSpec.create(7, 2, 3)
     assert (spec.n, spec.d) == (6, 2)
-    with pytest.raises(ValueError):
-        ProgressionSpec(q=7, h=2, p=3, n=3, d=2)  # wrong order
-    with pytest.raises(ValueError):
-        ProgressionSpec(q=7, h=2, p=3, n=6, d=1)  # wrong index
+    assert ProgressionSpec(q=7, h=2, p=3) == spec
+    # n and d are derived, never supplied
+    with pytest.raises(TypeError):
+        ProgressionSpec(q=7, h=2, p=3, n=3, d=2)
+    with pytest.raises(TypeError):
+        ProgressionSpec(q=7, h=2, p=3, d=1)
+    with pytest.raises(NotInSubgroup):
+        ProgressionSpec(q=7, h=3, p=2)
 
 
 def test_character_table_smallest_generator():
@@ -68,32 +77,13 @@ def test_character_table_trivial_character():
     assert all(table.value_exponent(0, a) == 0 for a in range(1, 13))
 
 
-def test_orthogonality_exact_up_to_31():
-    from halfsign.arith import primes_up_to
-
-    for q in primes_up_to(31):
-        if q == 2:
-            continue
-        table = CharacterTable.build(q)
-        for j in range(1, q - 1):
-            assert table.column_sum_is_zero(j)
-        assert not table.column_sum_is_zero(0)
-        for a in range(1, q):
-            for b in range(1, q):
-                if a != b:
-                    assert table.row_pair_sum_is_zero(a, b)
-                else:
-                    assert not table.row_pair_sum_is_zero(a, b)
-
-
 def test_extract_three_routes_small():
     seq = [Fraction(i) for i in range(1, 8)]
     spec = ProgressionSpec.create(3, 2, 5)  # n = 2, d = 1
     assert (spec.n, spec.d) == (2, 1)
-    direct = progression_extract(seq, spec, "direct")
+    direct = progression_extract(seq, spec)
     assert direct == [2, 4, 6]
-    assert progression_extract(seq, spec, "roots_of_unity") == direct
-    floats = progression_extract(seq, spec, "character_sum")
+    floats = character_sum_extract(seq, spec)
     assert len(floats) == len(direct)
     for got, want in zip(floats, direct):
         assert abs(got - float(want)) <= 1e-9
@@ -112,22 +102,41 @@ def test_extract_routes_agree_random():
     for spec in specs:
         length = spec.d + spec.n * 25
         seq = [Fraction(rng.randint(-500, 500), rng.randint(1, 9)) for _ in range(length)]
-        direct = progression_extract(seq, spec, "direct")
-        exact = progression_extract(seq, spec, "roots_of_unity")
-        assert exact == direct
-        floats = progression_extract(seq, spec, "character_sum")
+        direct = progression_extract(seq, spec)
+        assert direct == naive_progression(seq, spec.q, spec.h, spec.p)
+        floats = character_sum_extract(seq, spec)
         assert len(floats) == len(direct)
         for got, want in zip(floats, direct):
             assert abs(got - float(want)) <= 1e-9
 
 
-def test_extract_length_mismatch():
-    spec = ProgressionSpec.create(5, 2, 3)  # d = 3
-    with pytest.raises(LengthMismatch):
-        progression_extract([Fraction(1), Fraction(2)], spec, "direct")
+@st.composite
+def progression_cases(draw):
+    """A prime q <= 31, an admissible prime p != q and residue h in <p>,
+    and a sequence of length 0..d + 3n."""
+    q = draw(st.sampled_from([q for q in primes_up_to(31) if q > 2]))
+    p = draw(st.sampled_from(
+        [p for p in primes_up_to(113) if p != q and p % q != 1]))
+    powers = {pow(p, e, q) for e in range(q - 1)} - {1}
+    h = draw(st.sampled_from(sorted(powers)))
+    spec = ProgressionSpec.create(q, h, p)
+    length = draw(st.integers(0, spec.d + 3 * spec.n))
+    entry = st.one_of(st.integers(-999, 999), st.fractions(-999, 999, max_denominator=9))
+    return spec, draw(st.lists(entry, min_size=length, max_size=length))
 
 
-def test_extract_unknown_route():
-    spec = ProgressionSpec.create(3, 2, 5)
-    with pytest.raises(ValueError):
-        progression_extract([Fraction(1), Fraction(1)], spec, "telepathy")
+@settings(max_examples=200, deadline=None)
+@given(progression_cases())
+@example((ProgressionSpec.create(31, 30, 3), []))
+@example((ProgressionSpec.create(31, 30, 3), [1] * 15))  # d = 15: one short
+@example((ProgressionSpec.create(31, 30, 3), [1] * 16))
+def test_extract_matches_its_definition(case):
+    spec, seq = case
+    expected = naive_progression(seq, spec.q, spec.h, spec.p)
+    assert progression_extract(seq, spec) == expected
+    if len(seq) <= spec.d:
+        assert expected == []
+    floats = character_sum_extract(seq, spec)
+    assert len(floats) == len(expected)
+    for got, want in zip(floats, expected):
+        assert abs(got - float(want)) <= 1e-9

@@ -169,6 +169,16 @@ def test_scan_progression_csv(form_path, tmp_path):
     assert [row["p"] for row in rows] == ["5", "11", "17", "23", "29"]
 
 
+@pytest.mark.parametrize("extra", [["--mode", "full", "--q", "5", "--h", "2"],
+                                   ["--mode", "odd", "--q", "5"], ["--h", "2"]])
+def test_scan_rejects_q_and_h_outside_progression_mode(capsys, extra):
+    argv = ["scan", "--flagship", "--prec", "200", "--p-max", "13", "--nu-max", "20"]
+    assert run(argv + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--q and --h apply only to --mode progression" in captured.err
+
+
 def test_scan_skips_primes_beyond_precision(capsys):
     # a(47^2) = a(2209) lies beyond precision 2000: p = 47 is named on
     # stderr and the reports for the smaller primes are kept

@@ -102,6 +102,17 @@ def test_load_form_bad_character(tmp_path):
         load_form(_write_form(tmp_path, character={"1": 1}))
 
 
+@pytest.mark.parametrize("key", [" 3", "3 ", "+3", "03", "0_3", "３"])
+def test_load_form_rejects_non_canonical_character_keys(tmp_path, key):
+    # the table is the genuine character mod 8 with chi(3) = -1; only the
+    # spelling of the residue 3 is off
+    assert load_form(_write_form(
+        tmp_path, level=8, character={"1": 1, "3": -1, "5": 1, "7": -1})).chi(3) == -1
+    with pytest.raises(BadCharacter, match="residue"):
+        load_form(_write_form(
+            tmp_path, level=8, character={"1": 1, key: -1, "5": 1, "7": -1}))
+
+
 @pytest.mark.parametrize(
     "field, value, error",
     [

@@ -131,7 +131,7 @@ def test_scan_modes_odd_even(flagship):
 
 
 def test_scan_progression_skips_inadmissible(flagship):
-    reports = scan(flagship, 1, "progression", 50, 200, progression=(5, 2))
+    reports = scan(flagship, 1, (5, 2), 50, 200)
     # admissible p: 2 generates (Z/5)* so p must be a primitive root mod 5
     # (p = 2, 3 mod 5), and p = 5 itself is skipped
     assert [r.p for r in reports] == [3, 7, 13, 17, 23, 37, 43, 47]
@@ -145,17 +145,20 @@ def test_scan_progression_skips_inadmissible(flagship):
 
 def test_scan_checks_the_progression_before_any_prime(flagship):
     # p_max = 2 reaches no prime coprime to the level 4, so only a check made
-    # before the prime loop sees the bad (q, h)
+    # before the prime loop sees the bad (q, h) or the unknown mode
     with pytest.raises(ValueError, match="q = 4 is not prime"):
-        scan(flagship, 1, "progression", 2, 10, progression=(4, 3))
+        scan(flagship, 1, (4, 3), 2, 10)
     with pytest.raises(OutOfRange):
-        scan(flagship, 1, "progression", 2, 10, progression=(5, 7))
+        scan(flagship, 1, (5, 7), 2, 10)
+    for mode in ("sideways", "progression"):
+        with pytest.raises(ValueError, match="unknown mode"):
+            scan(flagship, 1, mode, 2, 10)
 
 
 def test_scan_reports_a_progression_starting_past_m_as_empty(flagship):
     # -1 = 30 mod 31 sits at index d = n/2 of <p>; only p = 37 (n = 6, d = 3)
     # has d <= M = 3, and every other admissible prime is kept with length 0
-    reports = scan(flagship, 1, "progression", 50, 3, progression=(31, 30))
+    reports = scan(flagship, 1, (31, 30), 50, 3)
     assert [(r.p, r.length) for r in reports] == [
         (3, 0), (11, 0), (13, 0), (17, 0), (23, 0), (29, 0), (37, 1), (43, 0)
     ]
@@ -208,14 +211,15 @@ def flagship_signs(flagship):
 def test_scan_counts_equal_the_exact_recurrence_counts(flagship, flagship_signs, M, mode):
     # the reference scan reads the prefix of the exact signs of b_0..b_5000,
     # which are the signs of twisted_sequence(..., M) for every M <= 5000
-    progression = (5, 2) if mode == "progression" else None
-    reports = scan(flagship, 1, mode, 97, M, progression=progression)
+    if mode == "progression":
+        mode = (5, 2)
+    reports = scan(flagship, 1, mode, 97, M)
 
     def exact_prefix(a_t, trace, chi1_p, p, k, length):
         return flagship_signs[p][: length + 1]
 
     with mock.patch.object(signscan, "_twisted_signs", exact_prefix):
-        expected = scan(flagship, 1, mode, 97, M, progression=progression)
+        expected = scan(flagship, 1, mode, 97, M)
     assert len(reports) >= 8
     assert reports == expected
 
