@@ -29,25 +29,33 @@ __all__ = [
 ]
 
 
-def order_of(p: int, q: int) -> int:
-    """Multiplicative order of p modulo q (p, q distinct primes)."""
+def _check_distinct_primes(p: int, q: int) -> None:
     if not is_prime(p) or not is_prime(q):
         raise ValueError("p and q must be prime")
     if p == q:
         raise SamePrime(f"need p != q, got {p}")
+
+
+def order_of(p: int, q: int) -> int:
+    """Multiplicative order of p modulo q (p, q distinct primes)."""
+    _check_distinct_primes(p, q)
     return multiplicative_order(p, q)
 
 
 def index_of(p: int, h: int, q: int) -> int:
-    """Least d >= 0 with p^d = h (mod q); requires 1 < h < q."""
+    """Least d >= 0 with p^d = h (mod q); requires 1 < h < q.
+
+    Walks p, p^2, ... until it meets h or returns to 1, so the order of p
+    is never computed separately.
+    """
     if not (1 < h < q):
         raise OutOfRange(f"need 1 < h < q, got h = {h}, q = {q}")
-    n = order_of(p, q)
-    x = 1
-    for d in range(n):
-        if x == h % q:
+    _check_distinct_primes(p, q)
+    x, d = p % q, 1
+    while x != 1:
+        if x == h:
             return d
-        x = x * p % q
+        x, d = x * p % q, d + 1
     raise NotInSubgroup(f"{h} is not a power of {p} modulo {q}")
 
 

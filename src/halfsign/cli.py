@@ -46,7 +46,10 @@ def _json(payload: dict) -> str:
 
 def _load_any_form(args) -> HalfIntegralForm:
     if args.flagship:
-        return flagship_mod.flagship_form(args.prec or flagship_mod.DEFAULT_PREC)
+        prec = flagship_mod.DEFAULT_PREC if args.prec is None else args.prec
+        return flagship_mod.flagship_form(prec)
+    if args.prec is not None:
+        raise HalfsignError("--prec applies only to --flagship")
     return load_form(args.form)
 
 

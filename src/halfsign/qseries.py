@@ -6,13 +6,16 @@ smaller precision and reading past the precision is an error, never a
 silent zero.
 
 An eta power eta(d*z)^r is E(q^d)^r shifted by d*r/24, where
-E(q) = prod(1 - q^n) comes from the pentagonal number theorem and is
-raised by binary exponentiation at precision about prec/d.  Every product
-is one exact Kronecker substitution: each operand packed into one signed
-big number, one multiplication, and the coefficients read back limb by
-limb.  Large products are carried by `decimal`, whose libmpdec multiplies
-by number-theoretic transform, small ones by native ints; a rational
-operand is first scaled to integers by the lcm of its denominators.
+E(q) = prod(1 - q^n), expanded at precision about prec/d.  When 3 | r the
+power starts from Jacobi's identity E^3 = sum_j (-1)^j (2j+1) q^(j(j+1)/2)
+and raises it to r/3, two products fewer than raising E itself, which the
+pentagonal number theorem gives; powers are taken by binary exponentiation.
+Every product is one exact Kronecker substitution: each operand packed
+into one signed big number, one multiplication, and the coefficients read
+back limb by limb, with limbs just wide enough for the l1-norm bound on the
+coefficients.  Large products are carried by `decimal`, whose libmpdec
+multiplies by number-theoretic transform, small ones by native ints; a
+rational operand is first scaled to integers by the lcm of its denominators.
 """
 
 from __future__ import annotations
@@ -119,9 +122,13 @@ class EtaRecipe:
 
 # The packed product has two exact carriers.  libmpdec multiplies large
 # decimals by a number-theoretic transform, while CPython multiplies ints in
-# about n^1.58 time.  Packed operand size is limb bits times len(xs) + len(ys);
-# on the products of `expand` at prec 2000 and 10^4 (CPython 3.11, Xeon) ints
-# won nearly every product under 200k bits and decimals every one over 330k.
+# about n^1.58 time.  Packed operand size is limb bits times len(xs) + len(ys).
+# Timed on every distinct product of the single-factor recipes, with and
+# without theta, at prec 2000 and 10^4 (l1-norm limbs, best of 7 per carrier,
+# CPython 3.11, Xeon), their summed time is flat within 1% for any threshold
+# from 150k to 400k bits and grows above it.  Ints win nearly every product
+# under about 190k bits, decimals nearly every one over 500k, and the two
+# trade wins in between, so the threshold stays at 250k.
 _DECIMAL_MIN_BITS = 250_000
 
 # The C `decimal`.  Without it `decimal` falls back to pure Python, which is
@@ -135,10 +142,22 @@ except ImportError:  # pragma: no cover - depends on how the interpreter was bui
 
 def _limb_bits(xs: Sequence[int], ys: Sequence[int]) -> int:
     """Limb width b with 2^b > 2|c_k| for every product coefficient c_k and
-    2^b > every |x_i|, |y_j|."""
-    mx = max(map(abs, xs))
-    my = mx if ys is xs else max(map(abs, ys))
-    return mx.bit_length() + my.bit_length() + min(len(xs), len(ys)).bit_length() + 1
+    2^b > every |x_i|, |y_j|.
+
+    |c_k| <= sum_i |x_i| |y_(k-i)| <= min(max|x| * |y|_1, max|y| * |x|_1),
+    which is well below max|x| * max|y| * len when an operand is sparse,
+    such as theta or Jacobi's series; one more bit covers the sign.  The
+    operand term matters only when one operand is all zeros.
+    """
+    ax = list(map(abs, xs))
+    mx, lx = max(ax), sum(ax)
+    if ys is xs:
+        my, bound = mx, mx * lx
+    else:
+        ay = list(map(abs, ys))
+        my = max(ay)
+        bound = min(mx * sum(ay), my * lx)
+    return max(bound.bit_length() + 1, mx.bit_length(), my.bit_length())
 
 
 def _int_product(xs: Sequence[int], ys: Sequence[int], bits: int, n: int) -> list[int]:
@@ -278,13 +297,27 @@ def _euler_product(prec: int) -> TruncatedSeries:
     return TruncatedSeries(prec, tuple(coeffs))
 
 
+def _euler_cube(prec: int) -> TruncatedSeries:
+    """prod_{n>=1} (1 - q^n)^3 via Jacobi's identity.
+
+    The expansion is sum_{j>=0} (-1)^j (2j+1) q^(j(j+1)/2), so only
+    O(sqrt(prec)) coefficients are nonzero.
+    """
+    coeffs = [0] * (prec + 1)
+    for j in range((math.isqrt(8 * prec + 1) + 1) // 2):  # j(j+1)/2 <= prec
+        coeffs[j * (j + 1) // 2] = (-1) ** j * (2 * j + 1)
+    return TruncatedSeries(prec, tuple(coeffs))
+
+
 def eta_power(d: int, r: int, prec: int) -> TruncatedSeries:
     """q-expansion of eta(d*z)^r up to q^prec.
 
     eta(d*z)^r = q^(d*r/24) * prod_{n>=1} (1 - q^(d*n))^r; the offset
     d*r/24 must be an integer.  The product is E(q^d)^r with
     E(q) = prod (1 - q^n), so E^r is expanded only to the exponents that
-    land at or below prec and spread out to multiples of d.
+    land at or below prec and spread out to multiples of d.  E^r is
+    (E^3)^(r/3) from Jacobi's series when 3 | r, else E^r from the
+    pentagonal series.
     """
     if d < 1 or r < 1:
         raise ValueError("d and r must be positive integers")
@@ -296,7 +329,8 @@ def eta_power(d: int, r: int, prec: int) -> TruncatedSeries:
     coeffs = [0] * (prec + 1)
     if offset <= prec:
         m = (prec - offset) // d
-        coeffs[offset::d] = series_pow(_euler_product(m), r).coeffs if m else (1,)
+        base, e = (_euler_cube, r // 3) if r % 3 == 0 else (_euler_product, r)
+        coeffs[offset::d] = series_pow(base(m), e).coeffs if m else (1,)
     return TruncatedSeries(prec, tuple(coeffs))
 
 

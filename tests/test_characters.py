@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from halfsign.arith import primes_up_to
+from halfsign.arith import multiplicative_order, primes_up_to
 from halfsign.characters import (
     CharacterTable,
     ProgressionSpec,
@@ -64,6 +64,26 @@ def test_progression_spec_validation():
         ProgressionSpec(q=7, h=2, p=3, d=1)
     with pytest.raises(NotInSubgroup):
         ProgressionSpec(q=7, h=3, p=2)
+
+
+def test_progression_spec_computes_the_order_once(monkeypatch):
+    from halfsign import characters
+
+    calls = []
+
+    def counted(p, q):
+        calls.append((p, q))
+        return multiplicative_order(p, q)
+
+    monkeypatch.setattr(characters, "multiplicative_order", counted)
+    for q, h, p in ((7, 2, 3), (31, 30, 37), (23, 5, 97)):
+        calls.clear()
+        ProgressionSpec.create(q, h, p)
+        assert calls == [(p, q)]
+    calls.clear()
+    with pytest.raises(NotInSubgroup):
+        ProgressionSpec.create(7, 3, 2)
+    assert calls == [(2, 7)]
 
 
 def test_character_table_smallest_generator():

@@ -179,6 +179,24 @@ def test_scan_rejects_q_and_h_outside_progression_mode(capsys, extra):
     assert "--q and --h apply only to --mode progression" in captured.err
 
 
+def test_flagship_prec_zero_is_rejected_not_defaulted(capsys):
+    # prec 0 is a bad precision like any other, not "use the default"
+    assert run(["verify", "--flagship", "--prec", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "prec must be a positive integer" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["lift", "--n-max", "6", "--p-max", "20"],
+                                  ["scan", "--p-max", "13", "--nu-max", "5"]],
+                         ids=["verify", "lift", "scan"])
+def test_prec_applies_only_to_the_flagship(argv, form_path, capsys):
+    assert run(argv + ["--form", str(form_path), "--prec", "50"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--prec applies only to --flagship" in captured.err
+
+
 def test_scan_skips_primes_beyond_precision(capsys):
     # a(47^2) = a(2209) lies beyond precision 2000: p = 47 is named on
     # stderr and the reports for the smaller primes are kept

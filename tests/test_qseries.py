@@ -68,6 +68,19 @@ def test_eta_power_examples():
     assert list(e2.coeffs) == naive_eta_product(2, 12, 10)
 
 
+# 1, 2, 3, every triangular number up to 28 and its neighbours, and 2000
+_CUBE_PRECS = sorted({t + e for t in (1, 3, 6, 10, 15, 21, 28) for e in (-1, 0, 1)} - {0} | {2000})
+
+
+@pytest.mark.parametrize("m", _CUBE_PRECS)
+def test_euler_cube_is_the_cube_of_the_euler_product(m):
+    cube = qseries._euler_cube(m)
+    assert cube == series_pow(qseries._euler_product(m), 3)
+    if m <= 29:
+        # eta(8z)^3 = q E(q^8)^3
+        assert list(cube.coeffs) == naive_eta_product(8, 3, 8 * m + 1)[1::8]
+
+
 def test_eta_power_nonintegral_offset():
     with pytest.raises(NonIntegralOffset):
         eta_power(1, 1, 10)
@@ -214,6 +227,11 @@ _CARRIERS = (qseries._int_product, qseries._decimal_product)
 @pytest.mark.parametrize("carrier", _CARRIERS, ids=lambda f: f.__name__)
 @given(xs=_carrier_operand, ys=_carrier_operand, square=st.booleans(), n=st.integers(1, 59))
 @example(xs=[1, 2, -3], ys=[5, 0, 7, -(2**300)], square=False, n=2)
+# |c_k| equal to the l1 bound: c_31 = 2^15 needs the sign bit to get a third
+# byte, and -8100 needs it to get a fifth decimal digit
+@example(xs=[2**5] * 32, ys=[2**5] * 32, square=True, n=63)
+@example(xs=[90], ys=[-90], square=False, n=1)
+@example(xs=[0], ys=[256], square=False, n=1)
 def test_carrier_agrees_with_oracle(carrier, xs, ys, square, n):
     if square:
         ys = xs
@@ -248,19 +266,23 @@ def test_eta_power_in_q_to_the_d_matches_oracle(d, r):
 
 
 def test_int_carrier_alone_gives_the_same_series(monkeypatch):
-    # without the C decimal module every product takes the native-int carrier
-    recipe = EtaRecipe(factors=((1, 24),), theta_power=1)
+    # without the C decimal module every product takes the native-int carrier;
+    # eta(z)^24 theta at 5000, and the flagship eta(2z)^12 theta at 10^4
     decimal_calls = []
     real = qseries._decimal_product
+    libmpdec = qseries._libmpdec
 
     def spy(*args):
         decimal_calls.append(1)
         return real(*args)
 
     monkeypatch.setattr(qseries, "_decimal_product", spy)
-    with_decimal = expand_recipe(recipe, 5000)
-    assert decimal_calls
-    decimal_calls.clear()
-    monkeypatch.setattr(qseries, "_libmpdec", None)
-    assert expand_recipe(recipe, 5000) == with_decimal
-    assert not decimal_calls
+    for factor, prec in (((1, 24), 5000), ((2, 12), 10_000)):
+        recipe = EtaRecipe(factors=(factor,), theta_power=1)
+        monkeypatch.setattr(qseries, "_libmpdec", libmpdec)
+        with_decimal = expand_recipe(recipe, prec)
+        assert decimal_calls
+        decimal_calls.clear()
+        monkeypatch.setattr(qseries, "_libmpdec", None)
+        assert expand_recipe(recipe, prec) == with_decimal
+        assert not decimal_calls
