@@ -239,6 +239,10 @@ def check_instance(inst: dict, terms: int, m_p: int) -> dict:
 def cmd_genfun_check(args) -> tuple[str, bool]:
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
+    if args.terms < 0:
+        raise ValueError(f"--terms must be at least 0, got {args.terms}")
+    if args.m_p < 1:
+        raise ValueError(f"--m-p must be at least 1, got {args.m_p}")
     rng = random.Random(args.seed)
     instances = [
         check_instance(random_instance(rng), args.terms, args.m_p)

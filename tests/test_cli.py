@@ -227,6 +227,25 @@ def test_genfun_check_below_one_instance_exits_two(count, capsys):
     assert f"--count must be at least 1, got {count}" in captured.err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--terms", "-1", "--terms must be at least 0, got -1"),
+    ("--m-p", "0", "--m-p must be at least 1, got 0"),
+    ("--m-p", "-3", "--m-p must be at least 1, got -3"),
+])
+def test_genfun_check_out_of_range_terms_or_m_p_exits_two(flag, value, message, capsys):
+    assert run(["genfun-check", "--seed", "1", "--count", "2", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_genfun_check_accepts_zero_terms_and_m_p_one(tmp_path):
+    out = tmp_path / "gf.json"
+    argv = ["genfun-check", "--seed", "1", "--count", "3", "--terms", "0", "--m-p", "1"]
+    assert run(argv + ["--out", str(out)]) == 0
+    assert json.loads(out.read_text())["all_ok"] is True
+
+
 def test_characters_dump(tmp_path):
     out = tmp_path / "chars.json"
     assert run(["characters", "--q", "7", "--out", str(out)]) == 0

@@ -11,6 +11,8 @@ from halfsign.errors import NotExpandable, ZeroPolynomial
 from halfsign.genfun import (
     Polynomial,
     RationalGF,
+    _expands_to,
+    closed_form_checks,
     expand,
     h_n_closed,
     lucas_sequence,
@@ -132,6 +134,40 @@ def test_split_denominator_is_product_of_h1_dens():
         assert h1.den == P(1, -trace, norm)
 
 
+# (a_t, trace, chi1_p, p, k, delta): one integral and one rational twisted
+# sequence, with the amount a perturbed term is moved by
+_TWISTED_CASES = [(3, 5, 1, 3, 3, 1), (Fraction(-7, 4), Fraction(11, 6), -1, 5, 2, Fraction(1, 3))]
+_TWISTED_IDS = ["integral", "rational"]
+
+
+def _twisted(a_t, trace, chi1_p, p, k):
+    seq = twisted_sequence(a_t, trace, chi1_p, p, k, 12)
+    return seq, (trace - chi1_p * p ** (k - 1)) * a_t
+
+
+@pytest.mark.parametrize("case", _TWISTED_CASES, ids=_TWISTED_IDS)
+def test_closed_form_checks_accept_a_twisted_sequence(case):
+    *params, _ = case
+    seq, b1 = _twisted(*params)
+    assert closed_form_checks(seq, b1, *params[1:]) == (True, True, True)
+
+
+@pytest.mark.parametrize("index", [1, 2, 12])
+@pytest.mark.parametrize("case", _TWISTED_CASES, ids=_TWISTED_IDS)
+def test_closed_form_checks_reject_a_perturbed_term(case, index):
+    *params, delta = case
+    seq, b1 = _twisted(*params)
+    seq[index] += delta
+    assert closed_form_checks(seq, b1, *params[1:]) == (False, True, False)
+
+
+@pytest.mark.parametrize("case", _TWISTED_CASES, ids=_TWISTED_IDS)
+def test_closed_form_checks_reject_a_wrong_b1(case):
+    *params, delta = case
+    seq, b1 = _twisted(*params)
+    assert closed_form_checks(seq, b1 + delta, *params[1:]) == (True, False, False)
+
+
 def test_expand_errors():
     gf = RationalGF.of([1], [1, -1])
     with pytest.raises(ValueError):
@@ -169,6 +205,32 @@ def test_expand_matches_fraction_oracle_with_canonical_types(gf, M):
     terms = expand(RationalGF.of(num, den), M)
     assert terms == naive_expand(num, den, M)
     assert _canonical(terms)
+
+
+@st.composite
+def expansion_targets(draw):
+    """(num, den, target): target is the expansion of num/den, or it with one
+    term changed; its terms are canonical ints and Fractions, or all Fractions."""
+    num, den = draw(expandable())
+    target = expand(RationalGF.of(num, den), draw(st.integers(0, 60)))
+    if draw(st.booleans()):
+        target[draw(st.integers(0, len(target) - 1))] += draw(_any_coeff.filter(bool))
+    if draw(st.booleans()):
+        target = [Fraction(t) for t in target]
+    return num, den, target
+
+
+@given(expansion_targets())
+@example(([1, 2], [1, -1], [1, 3, 3]))  # L = 1
+@example(([1, 2], [1, -1], [1, 3, 4]))
+@example(([Fraction(1, 2)], [1, Fraction(-1, 3)], [Fraction(1, 2), Fraction(1, 6), Fraction(1, 18)]))
+@example(([Fraction(1, 2)], [1, Fraction(-1, 3)], [Fraction(1, 2), Fraction(1, 6), Fraction(1, 19)]))
+@example(([Fraction(1, 2), Fraction(1, 2)], [1, -1], [Fraction(1, 2), 1, 1]))  # int terms, L = 2
+@example(([Fraction(1, 2), Fraction(1, 2)], [1, -1], [Fraction(1, 2), 1, 2]))
+def test_expands_to_agrees_with_comparing_the_expansion(case):
+    num, den, target = case
+    gf = RationalGF.of(num, den)
+    assert _expands_to(gf, target) == (expand(gf, len(target) - 1) == list(target))
 
 
 def _cross_multiplied_sum(a, b):
