@@ -6,13 +6,13 @@ p^d = h (mod q).  An index m then satisfies p^m = h (mod q) exactly when
 m = d (mod n), which is what character orthogonality over the cyclic
 subgroup <p> of (Z/q)* says.  So extracting the progression from a
 sequence indexed by m is the exact index filter progression_extract.
-character_sum_extract runs the orthogonality sum itself, in complex
-floating point, as a labelled cross-check of that filter.
+Nothing here touches floating point; the test oracles run the
+orthogonality sum itself, in complex floats, as a cross-check of that
+filter.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -25,7 +25,6 @@ __all__ = [
     "ProgressionSpec",
     "CharacterTable",
     "progression_extract",
-    "character_sum_extract",
 ]
 
 
@@ -125,33 +124,3 @@ def progression_extract(seq: Sequence[Rational], spec: ProgressionSpec) -> list:
     """The exact subsequence (seq[d + n*nu])_nu; empty when len(seq) <= d."""
     return list(seq[spec.d::spec.n])
 
-
-def character_sum_extract(seq: Sequence[Rational], spec: ProgressionSpec) -> list[float]:
-    """Floating-point cross-check of progression_extract: the orthogonality
-    filter via the mod-q character table, prefactor 1/n.
-
-    The n distinct restrictions to the subgroup <p> of the mod-q
-    characters are enumerated by solving j * log(p) = c * (q-1)/n
-    (mod q-1) for c = 0..n-1; averaging epsilon_j(p^m) conj(epsilon_j(h))
-    over them weights index m by approximately [m = d (mod n)].  Indices
-    whose weight is near 1 are kept, as floats.
-    """
-    table = CharacterTable.build(spec.q)
-    order = spec.q - 1
-    n = spec.n
-    log_p = table.log[spec.p % spec.q]
-    log_h = table.log[spec.h % spec.q]
-    step = order // n  # gcd(log_p, order), since p has order n
-    lp = log_p // step
-    lp_inv = pow(lp, -1, n)
-    js = [(c * lp_inv) % n for c in range(n)]
-    out: list[float] = []
-    for m in range(len(seq)):
-        weight = 0j
-        for j in js:
-            e = (j * (m * log_p - log_h)) % order
-            weight += cmath.exp(2j * cmath.pi * e / order)
-        weight /= n
-        if abs(weight) > 0.5:
-            out.append(float(seq[m]) * weight.real)
-    return out

@@ -96,15 +96,6 @@ class RealCharacter:
             return 1 if math.gcd(n, self.modulus) == 1 else 0
         return self.table.get(n % self.modulus, 0)
 
-    def power(self, n: int, e: int) -> int:
-        """chi(n)^e, using chi(n) in {-1, 0, 1}."""
-        v = self(n)
-        if v == 1 or e == 0:
-            return 1
-        if v == 0:
-            return 0
-        return -1 if e % 2 else 1
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RealCharacter):
             return NotImplemented

@@ -377,7 +377,9 @@ def closed_form_checks(
     even = [b if m % 2 == 0 else 0 for m, b in enumerate(seq)]
     odd = [b if m % 2 == 1 else 0 for m, b in enumerate(seq)]
     parity_ok = _expands_to(s0, even) and _expands_to(s1, odd)
-    return _expands_to(h1, seq), (s0 + s1).cross_equal(h1), parity_ok
+    # S0 + S1 = H, cross-multiplied over the three denominators
+    split_ok = (s0.num * s1.den + s1.num * s0.den) * h1.den == h1.num * s0.den * s1.den
+    return _expands_to(h1, seq), split_ok, parity_ok
 
 
 def lucas_sequence(trace: Rational, norm: Rational, count: int) -> list[Rational]:

@@ -1,13 +1,21 @@
 """Hecke eigenvalue extraction and validation from half-integral coefficients.
 
-The twisted trace tau_p = lambda_p / chi(p) is read off the coefficient
-recurrence
+Everything here reads one twisted row per (t, p): for squarefree t and a
+prime p coprime to the level,
 
-    tau_p a(t) = a(p^2 t)/chi(p) + chi1(p) p^(k-1) a(t),          (base)
-    tau_p b_m  = b_{m+1} + p^(2k-1) b_{m-1}   for m >= 1,         (step)
+    b_m = a(t p^(2m)) / chi(p^m) = chi(p)^m a(t p^(2m)),   m = 0..H,
 
-where b_m = a(t p^(2m)) / chi(p^m).  Satake data is carried as the exact
-pair (trace, norm = p^(2k-1)); the roots alpha, beta of
+where the horizon H is the largest m with t p^(2m) <= prec (the row is
+empty when t > prec).  twisted_row is where this module and the CLI read
+b_m and compute H.  Along the row the twisted trace tau_p = lambda_p /
+chi(p) satisfies
+
+    tau_p b_0 = b_1 + chi1(p) p^(k-1) b_0,                         (base)
+    tau_p b_m = b_{m+1} + p^(2k-1) b_{m-1}   for m >= 1,           (step)
+
+so extract_trace reads tau_p off b_0 and b_1, and eigen_consistency checks
+the recurrence along the row up to depth min(m_max, H - 1).  Satake data is
+carried as the exact pair (trace, norm = p^(2k-1)); the roots alpha, beta of
 X^2 - trace*X + norm are never materialized as radicals or floats.
 """
 
@@ -25,7 +33,7 @@ from .shimura import chi1
 __all__ = [
     "HeckeLocalData",
     "base_indices",
-    "twisted_coefficient",
+    "twisted_row",
     "extract_trace",
     "eigen_consistency",
     "ConsistencyReport",
@@ -89,31 +97,35 @@ def base_indices(form: HalfIntegralForm, t_max: int) -> list[int]:
     return t_set
 
 
-def twisted_coefficient(form: HalfIntegralForm, t: int, p: int, m: int) -> Rational:
-    """b_m = a(t p^(2m)) / chi(p^m) for p coprime to the level.
+def twisted_row(form: HalfIntegralForm, t: int, p: int) -> list[Rational]:
+    """b_0..b_H with b_m = chi(p)^m a(t p^(2m)) and H the largest m with
+    t p^(2m) <= prec; empty when t > prec.
 
-    chi(p^m) is then +-1, so dividing equals multiplying.
+    p must be a prime not dividing the level, so chi(p) is +-1 and dividing
+    by chi(p^m) equals multiplying; t must be squarefree.
     """
-    return form.chi.power(p, m) * coefficient(form, t, p**m)
-
-
-def extract_trace(form: HalfIntegralForm, t0: int, p: int) -> Rational:
-    """Twisted trace tau_p = a(p^2 t0)/(chi(p) a(t0)) + chi1(p) p^(k-1)."""
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if form.level % p == 0:
         raise NotCoprime(f"p = {p} divides the level {form.level}")
-    if not is_squarefree(t0):
-        raise NotSquarefree(f"t0 = {t0} is not squarefree")
-    if t0 * p * p > form.prec:
-        raise PrecisionExceeded(
-            f"a({t0 * p * p}) is beyond precision {form.prec}"
-        )
-    a_t = coefficient(form, t0, 1)
-    if a_t == 0:
+    if not is_squarefree(t):
+        raise NotSquarefree(f"t = {t} is not squarefree")
+    row, n, sign = [], t, 1
+    while n <= form.prec:
+        row.append(sign * form.series.coeffs[n])
+        n, sign = n * p * p, sign * form.chi(p)
+    return row
+
+
+def extract_trace(form: HalfIntegralForm, t0: int, p: int) -> Rational:
+    """Twisted trace tau_p = b_1/b_0 + chi1(p) p^(k-1) on the row of t0."""
+    row = twisted_row(form, t0, p)
+    if len(row) < 2:
+        raise PrecisionExceeded(f"a({t0 * p * p}) is beyond precision {form.prec}")
+    if row[0] == 0:
         raise ZeroBase(f"a({t0}) = 0; pick a base index with nonzero coefficient")
     c1 = chi1(p, t0, form.k, form.level)
-    return exact(Fraction(twisted_coefficient(form, t0, p, 1), a_t) + c1 * p ** (form.k - 1))
+    return exact(Fraction(row[1], row[0]) + c1 * p ** (form.k - 1))
 
 
 @dataclass(frozen=True)
@@ -141,12 +153,13 @@ def eigen_consistency(
 ) -> ConsistencyReport:
     """Residuals R(t, m) of the coefficient recurrence for the given trace.
 
-    R(t, 0) = trace*a(t) - b_1 - chi1(p) p^(k-1) a(t)   (only when a(t) != 0)
+    R(t, 0) = trace*b_0 - b_1 - chi1(p) p^(k-1) b_0     (only when b_0 = a(t) != 0)
     R(t, m) = trace*b_m - b_{m+1} - p^(2k-1) b_{m-1}    for 1 <= m <= m_max
 
-    with b_m = a(t p^(2m)) / chi(p^m).  Index pairs whose coefficients lie
-    beyond the series precision are skipped and reported as such; the form
-    is consistent at p iff every computed residual is exactly zero.
+    on the twisted row b = twisted_row(form, t, p).  The first (t, m) whose
+    b_{m+1} lies beyond the row's horizon is skipped and reported as such,
+    as is (t, 0) for t > prec; the form is consistent at p iff every computed
+    residual is exactly zero.
     """
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
@@ -159,27 +172,21 @@ def eigen_consistency(
     norm = p ** (2 * k - 1)
     residuals: dict[tuple[int, int], Rational] = {}
     skipped: list[tuple[int, int]] = []
-
-    def b(t: int, m: int) -> Rational:
-        return twisted_coefficient(form, t, p, m)
-
     for t in t_set:
-        if not is_squarefree(t):
-            raise NotSquarefree(f"t = {t} is not squarefree")
-        if t > form.prec:
+        row = twisted_row(form, t, p)
+        if not row:
             skipped.append((t, 0))
             continue
-        a_t = coefficient(form, t, 1)
-        for m in range(0, m_max + 1):
-            if m == 0 and a_t == 0:
+        for m in range(m_max + 1):
+            if m == 0 and row[0] == 0:
                 continue
-            if t * p ** (2 * m + 2) > form.prec:
+            if m + 1 >= len(row):
                 skipped.append((t, m))
                 break
             if m == 0:
-                residual = trace * a_t - b(t, 1) - chi1(p, t, k, N) * p ** (k - 1) * a_t
+                residual = trace * row[0] - row[1] - chi1(p, t, k, N) * p ** (k - 1) * row[0]
             else:
-                residual = trace * b(t, m) - b(t, m + 1) - norm * b(t, m - 1)
+                residual = trace * row[m] - row[m + 1] - norm * row[m - 1]
             residuals[(t, m)] = residual
     if not residuals:
         raise PrecisionExceeded(

@@ -129,6 +129,7 @@ def crosscheck_lift(
     a_t = coefficient(form, t, 1)
     if a_t == 0:
         raise ZeroBase(f"a({t}) = 0; cannot normalize the lift")
+    twist = TwistCharacters(t=t, k=form.k, N=form.level, chi=form.chi)
     compared: list[int] = []
     mismatches: list[int] = []
     skipped: list[int] = []
@@ -142,7 +143,8 @@ def crosscheck_lift(
             raise MissingCoefficient(
                 f"comparison series stops before coefficient {p}"
             )
-        lift_p = Fraction(lift_coefficients(form, t, p).values[p], a_t)
+        # A_t(p) / a(t), the divisor sum at a prime
+        lift_p = Fraction(coefficient(form, t, p), a_t) + twist.chi_tN(p) * p ** (form.k - 1)
         trace = extract_trace(form, t, p)
         ok = lift_p == integral[p] and lift_p == trace * form.chi(p)
         compared.append(p)

@@ -3,13 +3,18 @@
 Everything here is written with the dumbest correct algorithm available,
 on purpose: plain O(n^2) convolutions, factor-by-factor product expansion
 (no pentagonal-number shortcut, no packed integer tricks), Euler's
-criterion for quadratic residues, and grid sign counting for real roots.
+criterion for quadratic residues, grid sign counting for real roots,
+coefficients read one index at a time, and a complex floating-point
+character sum for progressions.
 The library under test must agree with these, never the other way round.
 """
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
+
+from halfsign.forms import coefficient
 
 
 def naive_mul(a: list[Fraction], b: list[Fraction], prec: int) -> list[Fraction]:
@@ -136,3 +141,85 @@ def grid_sign_changes(coeffs: list[Fraction], lo: Fraction, hi: Fraction, steps:
                 count += 1
             last = s
     return count
+
+
+def character_sum_extract(seq: list, spec) -> list[float]:
+    """Floating-point cross-check of progression_extract: the orthogonality
+    filter via the mod-q characters, prefactor 1/n.
+
+    Discrete logs are taken to the smallest primitive root g mod q, found
+    by trying g = 2, 3, ... until its powers cover every unit.  The n
+    distinct restrictions to the subgroup <p> of the mod-q characters are
+    enumerated by solving j * log(p) = c * (q-1)/n (mod q-1) for
+    c = 0..n-1; averaging epsilon_j(p^m) conj(epsilon_j(h)) over them
+    weights index m by approximately [m = d (mod n)].  Indices whose weight
+    is near 1 are kept, as floats.
+    """
+    order = spec.q - 1
+    for g in range(2, spec.q):
+        log, x = {}, 1
+        for e in range(order):
+            log[x] = e
+            x = x * g % spec.q
+        if len(log) == order:
+            break
+    n = spec.n
+    log_p = log[spec.p % spec.q]
+    log_h = log[spec.h % spec.q]
+    step = order // n  # gcd(log_p, order), since p has order n
+    lp = log_p // step
+    lp_inv = pow(lp, -1, n)
+    js = [(c * lp_inv) % n for c in range(n)]
+    out: list[float] = []
+    for m in range(len(seq)):
+        weight = 0j
+        for j in js:
+            e = (j * (m * log_p - log_h)) % order
+            weight += cmath.exp(2j * cmath.pi * e / order)
+        weight /= n
+        if abs(weight) > 0.5:
+            out.append(float(seq[m]) * weight.real)
+    return out
+
+
+def naive_twisted_row(form, t: int, p: int) -> list:
+    """[chi(p)^m a(t p^(2m))] for m = 0, 1, ... while t p^(2m) <= prec,
+    each term read on its own through forms.coefficient."""
+    row = []
+    while t * p ** (2 * len(row)) <= form.prec:
+        m = len(row)
+        row.append(form.chi(p) ** m * coefficient(form, t, p**m))
+    return row
+
+
+def naive_eigen_consistency(form, p: int, trace, t_set: list[int], m_max: int):
+    """(residuals, skipped) of the eigen recurrence by the per-(t, m) loop:
+    every b_m = chi(p)^m a(t p^(2m)) is read on its own, every (t, m) tests
+    t p^(2m+2) <= prec, and chi1(p) is the Legendre symbol
+    ((-1)^k N^2 t | p) by Euler's criterion (p is odd, since 4 | N)."""
+    k, N = form.k, form.level
+    norm = p ** (2 * k - 1)
+    residuals: dict = {}
+    skipped: list = []
+
+    def b(t: int, m: int):
+        return form.chi(p) ** m * coefficient(form, t, p**m)
+
+    for t in t_set:
+        if t > form.prec:
+            skipped.append((t, 0))
+            continue
+        a_t = coefficient(form, t, 1)
+        for m in range(m_max + 1):
+            if m == 0 and a_t == 0:
+                continue
+            if t * p ** (2 * m + 2) > form.prec:
+                skipped.append((t, m))
+                break
+            if m == 0:
+                c1 = legendre_euler((-1) ** k * N * N * t, p)
+                residual = trace * a_t - b(t, 1) - c1 * p ** (k - 1) * a_t
+            else:
+                residual = trace * b(t, m) - b(t, m + 1) - norm * b(t, m - 1)
+            residuals[(t, m)] = residual
+    return residuals, tuple(skipped)

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from halfsign.arith import is_squarefree, primes_up_to
-from halfsign.characters import ProgressionSpec, character_sum_extract, progression_extract
+from halfsign.characters import ProgressionSpec, progression_extract
 from halfsign.cli import random_instance, run
 from halfsign.flagship import build_flagship, flagship_form, load_fixture, ramanujan_delta
 from halfsign.forms import coefficient
@@ -33,7 +33,7 @@ from halfsign.hecke import (
 from halfsign.qseries import eta_power
 from halfsign.shimura import TwistCharacters, crosscheck_lift, lift_coefficients
 from halfsign.signscan import scan, twisted_sequence
-from naive_oracle import naive_eta_product
+from naive_oracle import character_sum_extract, naive_eta_product
 
 
 def _report(number: int, title: str, ok: bool) -> None:

@@ -9,13 +9,12 @@ from halfsign.arith import multiplicative_order, primes_up_to
 from halfsign.characters import (
     CharacterTable,
     ProgressionSpec,
-    character_sum_extract,
     index_of,
     order_of,
     progression_extract,
 )
 from halfsign.errors import NotInSubgroup, OutOfRange, SamePrime
-from naive_oracle import naive_progression
+from naive_oracle import character_sum_extract, naive_progression
 
 
 def test_order_of_examples():

@@ -255,6 +255,20 @@ def test_characters_dump(tmp_path):
     assert len(table["value_exponents"]) == 6
 
 
+def test_characters_rejects_q_above_1000(tmp_path, capsys):
+    out = tmp_path / "chars.json"
+    assert run(["characters", "--q", "1009", "--out", str(out)]) == 2
+    assert "--q must be at most 1000, got 1009" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("q", [101, 997])
+def test_characters_accepts_primes_up_to_1000(q, tmp_path):
+    out = tmp_path / "chars.json"
+    assert run(["characters", "--q", str(q), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["group_order"] == q - 1
+
+
 def test_reports_are_deterministic(form_path, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["scan", "--form", str(form_path), "--t", "1", "--mode", "odd",

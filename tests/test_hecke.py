@@ -1,10 +1,13 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from halfsign.arith import is_squarefree, primes_up_to
-from halfsign.errors import NotCoprime, PrecisionExceeded, ZeroBase
+from halfsign.errors import NotCoprime, NotSquarefree, PrecisionExceeded, ZeroBase
 from halfsign.forms import FormDescriptor, HalfIntegralForm, RealCharacter, coefficient
 from halfsign.hecke import (
     deligne_check,
@@ -12,9 +15,16 @@ from halfsign.hecke import (
     extract_trace,
     multiplicativity_check,
     satake_data,
+    twisted_row,
 )
 from halfsign.qseries import TruncatedSeries
 from halfsign.signscan import twisted_sequence
+from naive_oracle import (
+    kronecker_bottom_two,
+    legendre_euler,
+    naive_eigen_consistency,
+    naive_twisted_row,
+)
 
 
 def synthetic_form(trace=10, k=2, p=3, depth=3, a_t=1):
@@ -102,6 +112,127 @@ def test_eigen_consistency_raises_when_nothing_checkable():
     form = synthetic_form(trace=10, depth=2)  # prec 81
     with pytest.raises(PrecisionExceeded):
         eigen_consistency(form, 11, 10, [1], 4)  # 11^2 = 121 > 81
+
+
+def test_twisted_row_synthetic_and_horizon():
+    form = synthetic_form(trace=10, depth=3)  # prec 3^6
+    assert twisted_row(form, 1, 3) == twisted_sequence(1, Fraction(10), 1, 3, 2, 3)
+    assert len(twisted_row(form, 1, 5)) == 3  # 5^4 <= 729 < 5^6
+    assert twisted_row(form, 2, 29) == [form.series.coeffs[2]]  # horizon 0
+    assert twisted_row(form, 730, 3) == []  # t > prec
+
+
+def test_twisted_row_carries_the_character_sign():
+    chi = RealCharacter(4, {1: 1, 3: -1})
+    coeffs = [Fraction(0)] + [Fraction(1)] * 100
+    form = HalfIntegralForm(FormDescriptor(level=4, k=2, character=chi),
+                            TruncatedSeries(100, tuple(coeffs)))
+    assert twisted_row(form, 1, 3) == [1, -1, 1]  # chi(3) = -1
+    assert twisted_row(form, 1, 5) == [1, 1]
+
+
+def test_twisted_row_rejects_bad_arguments(flagship):
+    with pytest.raises(ValueError):
+        twisted_row(flagship, 1, 9)
+    with pytest.raises(NotCoprime):
+        twisted_row(flagship, 1, 2)
+    with pytest.raises(NotSquarefree):
+        twisted_row(flagship, 4, 3)
+    with pytest.raises(ValueError):
+        twisted_row(flagship, 0, 3)
+
+
+def test_eigen_consistency_depth_zero_and_zero_base():
+    form = synthetic_form(trace=10, depth=3)
+    report = eigen_consistency(form, 3, 10, [1], 0)
+    assert set(report.residuals) == {(1, 0)} and report.skipped == ()
+    silent = synthetic_form(a_t=0, depth=3)  # a(1) = 0: no base relation
+    report = eigen_consistency(silent, 3, 10, [1, 730], 4)
+    assert set(report.residuals) == {(1, 1), (1, 2)}
+    assert report.skipped == ((1, 3), (730, 0))
+
+
+# Real characters mod N, as products of the quadratic characters mod 4, 8,
+# 3, 5 and 7 that divide N; the empty product is the trivial character.
+_LEVELS = (4, 8, 12, 20, 28, 40)
+_QUADRATIC = {
+    4: lambda n: 1 if n % 4 == 1 else -1,
+    8: kronecker_bottom_two,
+    3: lambda n: legendre_euler(n, 3),
+    5: lambda n: legendre_euler(n, 5),
+    7: lambda n: legendre_euler(n, 7),
+}
+
+
+@st.composite
+def row_cases(draw):
+    """Plain parameters of a synthetic form (level, character factors, k,
+    prec, coefficient seed) and a prime p coprime to the level."""
+    level = draw(st.sampled_from(_LEVELS))
+    factors = draw(st.lists(st.sampled_from(sorted(m for m in _QUADRATIC if level % m == 0)),
+                            unique=True, max_size=2))
+    coprime = [p for p in primes_up_to(60) if level % p]
+    p = draw(st.sampled_from(coprime[:2]) | st.sampled_from(coprime))
+    # prec >= 3^6 often enough for rows of depth 3 and more
+    prec = draw(st.integers(1, 2500) | st.integers(729, 2500))
+    return {"level": level, "factors": sorted(factors), "k": draw(st.integers(2, 7)),
+            "prec": prec, "seed": draw(st.integers(0, 2**32)), "p": p}
+
+
+def _form_of(case):
+    """The synthetic form of a row case: a(0) = 0 and about a third of the
+    remaining coefficients zero, the rest random integers and fractions."""
+    level, prec = case["level"], case["prec"]
+    if case["factors"]:
+        units = [a for a in range(level) if math.gcd(a, level) == 1]
+        table = {a: math.prod(_QUADRATIC[m](a) for m in case["factors"]) for a in units}
+        chi = RealCharacter(level, table)
+    else:
+        chi = RealCharacter.trivial(level)
+    rng = random.Random(case["seed"])
+    coeffs = [0] + [rng.choice((0, rng.randint(-50, 50), Fraction(rng.randint(-50, 50), 7)))
+                    for _ in range(prec)]
+    series = TruncatedSeries.from_coeffs(coeffs)
+    return HalfIntegralForm(FormDescriptor(level=level, k=case["k"], character=chi), series)
+
+
+# often t small enough for several row steps, sometimes t > prec
+_SQUAREFREE = (st.integers(1, 3) | st.integers(1, 2600)).filter(is_squarefree)
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_cases(), _SQUAREFREE)
+@example({"level": 4, "factors": [4], "k": 2, "prec": 81, "seed": 0, "p": 3}, 1)
+@example({"level": 12, "factors": [3, 4], "k": 3, "prec": 50, "seed": 1, "p": 5}, 51)
+@example({"level": 8, "factors": [], "k": 2, "prec": 10, "seed": 2, "p": 59}, 10)
+def test_twisted_row_matches_per_index_reads(case, t):
+    form = _form_of(case)
+    row = twisted_row(form, t, case["p"])
+    assert row == naive_twisted_row(form, t, case["p"])
+    if row:
+        horizon = len(row) - 1
+        assert t * case["p"] ** (2 * horizon) <= form.prec < t * case["p"] ** (2 * horizon + 2)
+    else:
+        assert t > form.prec
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 4), row_cases(), st.lists(_SQUAREFREE, min_size=1, max_size=5),
+       st.fractions(-10**6, 10**6, max_denominator=20))
+@example(0, {"level": 4, "factors": [4], "k": 2, "prec": 200, "seed": 3, "p": 3},
+         [1, 2, 201], Fraction(10))
+@example(4, {"level": 12, "factors": [3], "k": 5, "prec": 2500, "seed": 4, "p": 5},
+         [1, 2, 3], Fraction(-7, 3))
+def test_eigen_consistency_matches_per_index_loop(m_max, case, t_set, trace):
+    form = _form_of(case)
+    residuals, skipped = naive_eigen_consistency(form, case["p"], trace, t_set, m_max)
+    if not residuals:
+        with pytest.raises(PrecisionExceeded):
+            eigen_consistency(form, case["p"], trace, t_set, m_max)
+        return
+    report = eigen_consistency(form, case["p"], trace, t_set, m_max)
+    assert report.residuals == residuals
+    assert report.skipped == skipped
 
 
 def test_satake_data_basics():
