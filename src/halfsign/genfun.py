@@ -10,9 +10,17 @@ Satake data, and exact real-root counting via Sturm sequences.
 
 Power series expansion clears denominators first: the recurrence runs on
 integers scaled by powers of the lcm L of the coefficient denominators
-(see _scaled_terms).  closed_form_checks compares these scaled integers
-with the expected terms by cross-multiplication; only expand builds
-Fractions, one per coefficient.
+(see expand), which builds Fractions only at the end, one per coefficient.
+
+closed_form_checks expands nothing on rational input.  It scales the
+sequence to integers once, T_m = Q b_m, and checks that num/den expands to
+it as the truncated-product residual
+
+    sum_(j <= min(m, deg D)) D_j T_(m-j) = Q N_m    for every m <= M,
+
+with N, D the num and den times the lcm of their denominators.  Since
+den(0) = 1, den is a unit among power series, so den * b = num mod X^(M+1)
+holds exactly when b_0..b_M are the first coefficients of num/den.
 
 All identity checking is done by cross-multiplication into polynomial
 identities; nothing in this module touches floating point.
@@ -221,8 +229,9 @@ class RationalGF:
                 num, _ = num.divmod(g)
                 den, _ = den.divmod(g)
             c = den.coeffs[0]
-            num = num.scale(Fraction(1, c))
-            den = den.scale(Fraction(1, c))
+            if c != 1:
+                num = num.scale(Fraction(1, c))
+                den = den.scale(Fraction(1, c))
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -242,47 +251,41 @@ class RationalGF:
         return self.num * other.den == other.num * self.den
 
 
-def _scaled_terms(gf: RationalGF, M: int) -> tuple[list[int], int]:
-    """Scaled integer terms e_0..e_M of num/den and the scale L, with
-    c_m = e_m / L^(m+1) the power-series coefficients.
+def _cleared(gf: RationalGF) -> tuple[list[int], list[int]]:
+    """num and den of gf times the lcm L of all their coefficient
+    denominators; den(0) = 1 makes the cleared den[0] equal to L."""
+    coeffs = gf.num.coeffs + gf.den.coeffs
+    L = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (L // c.denominator) for c in coeffs]
+    return ints[: len(gf.num.coeffs)], ints[len(gf.num.coeffs) :]
+
+
+def expand(gf: RationalGF, M: int) -> list[Rational]:
+    """First M+1 power-series coefficients of num/den, exactly.
 
     The recurrence den(0) c_m = num_m - sum_j den_j c_{m-j} (den(0) = 1
-    after normalization) runs on integers: with L the lcm of the
-    coefficient denominators, N_m = L num_m and D_j = L den_j, the scaled
-    terms e_m = L^(m+1) c_m obey
+    after normalization) runs on integers: with (N, D) = _cleared(gf) and
+    L = D_0 the clearing factor, the scaled terms e_m = L^(m+1) c_m obey
 
         e_m = L^m N_m - sum_(1 <= j <= deg den) D_j L^(j-1) e_(m-j).
 
-    With L = 1 this is the plain integer recurrence on c_m itself.
+    With L = 1 this is the plain integer recurrence on c_m, and the e_m are
+    returned as they are; otherwise each c_m = e_m / L^(m+1) becomes a
+    canonical number (int when integral, else a reduced Fraction), once.
     """
     if M < 0:
         raise ValueError("M must be nonnegative")
-    L = 1
-    for c in gf.num.coeffs + gf.den.coeffs:
-        L = math.lcm(L, c.denominator)
-    num = [c.numerator * (L // c.denominator) * L**m for m, c in enumerate(gf.num.coeffs)]
+    num, den = _cleared(gf)
+    L = den[0]
+    num = [c * L**m for m, c in enumerate(num)]
     # D_j L^(j-1) for j = 1..deg den, paired below with e_(m-1), e_(m-2), ...
-    den = [
-        c.numerator * (L // c.denominator) * L**j
-        for j, c in enumerate(gf.den.coeffs[1:])
-    ]
+    den = [c * L**j for j, c in enumerate(den[1:])]
     out: list[int] = []
     for m in range(M + 1):
         e = num[m] if m < len(num) else 0
         for d, prev in zip(den, reversed(out)):
             e -= d * prev
         out.append(e)
-    return out, L
-
-
-def expand(gf: RationalGF, M: int) -> list[Rational]:
-    """First M+1 power-series coefficients of num/den, exactly.
-
-    Each c_m = e_m / L^(m+1) of _scaled_terms becomes a canonical number
-    (int when integral, else a reduced Fraction) here, once; with L = 1
-    the e_m are returned as they are.
-    """
-    out, L = _scaled_terms(gf, M)
     if L == 1:
         return out
     scaled: list[Rational] = []
@@ -293,26 +296,28 @@ def expand(gf: RationalGF, M: int) -> list[Rational]:
     return scaled
 
 
-def _expands_to(gf: RationalGF, target: Sequence[Rational]) -> bool:
-    """Whether the first len(target) coefficients of num/den are target.
+def _expands_to(gf: RationalGF, scaled: Sequence[int], Q: int) -> bool:
+    """Whether the first len(scaled) coefficients of num/den are scaled[m]/Q.
 
-    An integral num/den expands to plain ints, compared with target as one
-    list.  Otherwise each scaled term of _scaled_terms is compared as
-    e_m den(t_m) == num(t_m) L^(m+1), with a running power of L: no
-    Fraction is built and no gcd taken.
+    With Q = 1 and an integral num/den, expand returns plain ints, compared
+    with scaled as one list.  Otherwise, with (N, D) = _cleared(gf), it
+    checks the residual sum_(j <= min(m, deg D)) D_j scaled[m-j] = Q N_m for
+    every m: den(0) = 1 makes this equivalent to the expansion, and no
+    Fraction or power of the denominators is built.
     """
-    M = len(target) - 1
-    if all(c.denominator == 1 for c in gf.num.coeffs + gf.den.coeffs):
-        # expand returns the e_m themselves here; going through it keeps
+    M = len(scaled) - 1
+    num, den = _cleared(gf)
+    if Q == 1 and den[0] == 1:
+        # a clearing factor of 1 means num/den is integral; expand
+        # returns the terms as they are, and going through it keeps
         # genfun.expand on the verify path that perfbench's tracer times
-        return expand(gf, M) == list(target)
-    out, L = _scaled_terms(gf, M)
-    power = 1
-    for e, t in zip(out, target):
-        power *= L
-        if e * t.denominator != t.numerator * power:
-            return False
-    return True
+        return expand(gf, M) == list(scaled)
+    residual = [Q * c for c in num[: M + 1]]
+    residual += [0] * (M + 1 - len(residual))
+    for j, d in enumerate(den):
+        if d:
+            residual[j:] = [r - d * t for r, t in zip(residual[j:], scaled)]
+    return not any(residual)
 
 
 def h_n_closed(lead: Rational, trace: Rational, chi1_p: int, p: int, k: int) -> RationalGF:
@@ -371,15 +376,26 @@ def closed_form_checks(
     Returns (closed_ok, split_ok, parity_ok): H = h_n_closed(b_0, ...)
     expands to seq; S0 + S1 = H for the split built from b_0 and b1; and
     S0, S1 expand to the even- and odd-index terms of seq, zero elsewhere.
+
+    seq is scaled to integers once, T_m = Q b_m with Q the lcm of its
+    denominators; each expansion is the residual identity of _expands_to
+    against T or its even or odd part, and the split identity is
+    cross-multiplied on the cleared integer polynomials of _cleared.
     """
+    if not seq:
+        raise ValueError("seq must hold at least one term")
     h1 = h_n_closed(seq[0], trace, chi1_p, p, k)
     s0, s1 = s_split_closed(seq[0], b1, trace, chi1_p, p, k)
-    even = [b if m % 2 == 0 else 0 for m, b in enumerate(seq)]
-    odd = [b if m % 2 == 1 else 0 for m, b in enumerate(seq)]
-    parity_ok = _expands_to(s0, even) and _expands_to(s1, odd)
-    # S0 + S1 = H, cross-multiplied over the three denominators
-    split_ok = (s0.num * s1.den + s1.num * s0.den) * h1.den == h1.num * s0.den * s1.den
-    return _expands_to(h1, seq), split_ok, parity_ok
+    Q = math.lcm(*(b.denominator for b in seq))
+    scaled = [b.numerator * (Q // b.denominator) for b in seq]
+    even = [t if m % 2 == 0 else 0 for m, t in enumerate(scaled)]
+    odd = [t if m % 2 == 1 else 0 for m, t in enumerate(scaled)]
+    parity_ok = _expands_to(s0, even, Q) and _expands_to(s1, odd, Q)
+    # S0 + S1 = H, cross-multiplied over the three cleared denominators
+    cleared = (map(Polynomial.from_coeffs, _cleared(gf)) for gf in (s0, s1, h1))
+    (n0, d0), (n1, d1), (nh, dh) = cleared
+    split_ok = (n0 * d1 + n1 * d0) * dh == nh * d0 * d1
+    return _expands_to(h1, scaled, Q), split_ok, parity_ok
 
 
 def lucas_sequence(trace: Rational, norm: Rational, count: int) -> list[Rational]:

@@ -115,12 +115,14 @@ def crosscheck_lift(
     """Verify eigenvalue transfer to a normalized integral-weight eigenform.
 
     For every prime p <= p_max with p coprime to the level, asserts
-    A_t(p)/a(t) = B(p) where B are the supplied integral coefficients, and
-    A_t(p)/a(t) = extract_trace(form, t, p) * chi(p).  Primes whose indices
-    exceed the form's precision are reported as skipped.
+    A_t(p)/a(t) = B(p) where B are the supplied integral coefficients.
+    This is the whole check: A_t(p)/a(t) = a(t p^2)/a(t) + chi_{t,N}(p) p^(k-1)
+    also equals extract_trace(form, t, p) * chi(p) for every form, since
+    chi(p)^2 = 1 for p coprime to the level, so comparing with the trace
+    could never fail.  Primes whose indices exceed the form's precision are
+    reported as skipped.
     """
     from .arith import primes_up_to
-    from .hecke import extract_trace
 
     if isinstance(integral_form_coeffs, TruncatedSeries):
         integral = list(integral_form_coeffs.coeffs)
@@ -145,10 +147,8 @@ def crosscheck_lift(
             )
         # A_t(p) / a(t), the divisor sum at a prime
         lift_p = Fraction(coefficient(form, t, p), a_t) + twist.chi_tN(p) * p ** (form.k - 1)
-        trace = extract_trace(form, t, p)
-        ok = lift_p == integral[p] and lift_p == trace * form.chi(p)
         compared.append(p)
-        if not ok:
+        if lift_p != integral[p]:
             mismatches.append(p)
     return CrosscheckReport(
         t=t,

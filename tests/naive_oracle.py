@@ -89,6 +89,27 @@ def naive_expand(num: list[Fraction], den: list[Fraction], M: int) -> list[Fract
     return out
 
 
+def naive_closed_form_checks(seq: list, b1, trace, chi1_p: int, p: int, k: int):
+    """(closed_ok, split_ok, parity_ok) of the closed-form identity suite,
+    with every expansion run term by term in Fractions (naive_expand) and
+    compared with its target as a list, and S0 + S1 = H cross-multiplied
+    over the rational polynomials as they stand."""
+    from halfsign.genfun import h_n_closed, s_split_closed
+
+    h1 = h_n_closed(seq[0], trace, chi1_p, p, k)
+    s0, s1 = s_split_closed(seq[0], b1, trace, chi1_p, p, k)
+    M = len(seq) - 1
+
+    def expands_to(gf, target: list) -> bool:
+        return naive_expand(list(gf.num.coeffs), list(gf.den.coeffs), M) == target
+
+    even = [b if m % 2 == 0 else 0 for m, b in enumerate(seq)]
+    odd = [b if m % 2 == 1 else 0 for m, b in enumerate(seq)]
+    parity_ok = expands_to(s0, even) and expands_to(s1, odd)
+    split_ok = (s0.num * s1.den + s1.num * s0.den) * h1.den == h1.num * s0.den * s1.den
+    return expands_to(h1, list(seq)), split_ok, parity_ok
+
+
 def naive_progression(seq: list, q: int, h: int, p: int) -> list:
     """The entries seq[m] whose index satisfies p^m = h (mod q), by testing
     every index against the definition."""

@@ -116,6 +116,24 @@ def test_verify_flagship_file(form_path, tmp_path):
     assert report["checks"]["eigen_consistency"]["3"]["trace"] == "252"
 
 
+def test_verify_odd_weight_theta_cubed_form(tmp_path):
+    """theta(z)^3 eta(2z)^12 has k = 7, so chi1 = ((-1)^k N^2 t | .) takes
+    the minus sign the flagship's k = 6 never reaches."""
+    form, out = tmp_path / "theta3.json", tmp_path / "verify.json"
+    code = run(
+        ["expand", "--eta", "2:12", "--theta-power", "3", "--level", "4", "--k", "7",
+         "--prec", "3000", "--out", str(form)]
+    )
+    assert code == 0
+    code = run(["verify", "--form", str(form), "--p", "3", "5", "7", "11", "13", "--out", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["all_ok"] is True
+    traces = {p: entry["trace"] for p, entry in report["checks"]["eigen_consistency"].items()}
+    assert traces == {"3": "-1836", "5": "3990", "7": "-433432", "11": "1619772",
+                      "13": "-10878466"}
+
+
 def test_verify_detects_broken_form(broken_path, tmp_path):
     out = tmp_path / "verify_broken.json"
     code = run(

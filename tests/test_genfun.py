@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from halfsign.genfun import (
 )
 from halfsign.hecke import satake_data
 from halfsign.signscan import twisted_sequence
-from naive_oracle import grid_sign_changes, naive_expand
+from naive_oracle import grid_sign_changes, naive_closed_form_checks, naive_expand
 
 
 def P(*coeffs):
@@ -168,6 +169,44 @@ def test_closed_form_checks_reject_a_wrong_b1(case):
     assert closed_form_checks(seq, b1 + delta, *params[1:]) == (True, False, False)
 
 
+def test_closed_form_checks_reject_an_empty_sequence():
+    with pytest.raises(ValueError, match="seq must hold at least one term"):
+        closed_form_checks([], 1, 2, 1, 3, 2)
+
+
+@st.composite
+def closed_form_cases(draw):
+    """(seq, b1, trace, chi1_p, p, k) drawn as cli.random_instance draws them
+    (Deligne-bounded trace), integral or rational, with M from 0 to 120;
+    then left alone, or one term or b1 moved."""
+    k = draw(st.integers(2, 8))
+    p = draw(st.sampled_from(primes_up_to(50)))
+    chi1_p = draw(st.sampled_from((-1, 0, 1)))
+    integral = draw(st.booleans())
+    den = 1 if integral else draw(st.integers(1, 16))
+    bound = math.isqrt(4 * p ** (2 * k - 1) * den * den)
+    trace = Fraction(draw(st.integers(-bound, bound)), den)
+    a_t = Fraction(draw(st.integers(-99, 99)), 1 if integral else draw(st.integers(1, 20)))
+    M = draw(st.integers(0, 120))
+    seq = twisted_sequence(a_t, trace, chi1_p, p, k, M)
+    b1 = (trace - chi1_p * p ** (k - 1)) * a_t
+    change = draw(st.sampled_from(("none", "term", "b1")))
+    if change == "term":
+        seq[draw(st.integers(0, M))] += draw(_any_coeff.filter(bool))
+    elif change == "b1":
+        b1 += draw(_any_coeff.filter(bool))
+    return seq, b1, trace, chi1_p, p, k
+
+
+@settings(deadline=None)
+@given(closed_form_cases())
+@example(([3], -12, 5, 1, 3, 3))  # M = 0, integral
+@example(([Fraction(1, 2), Fraction(13, 6)], Fraction(13, 6), Fraction(7, 3), -1, 2, 2))
+@example(([0, 0, 0, 1], 0, 4, 0, 5, 2))  # a_t = 0, last term moved
+def test_closed_form_checks_match_the_fraction_oracle(case):
+    assert closed_form_checks(*case) == naive_closed_form_checks(*case)
+
+
 def test_expand_errors():
     gf = RationalGF.of([1], [1, -1])
     with pytest.raises(ValueError):
@@ -230,7 +269,9 @@ def expansion_targets(draw):
 def test_expands_to_agrees_with_comparing_the_expansion(case):
     num, den, target = case
     gf = RationalGF.of(num, den)
-    assert _expands_to(gf, target) == (expand(gf, len(target) - 1) == list(target))
+    Q = math.lcm(*(t.denominator for t in target))
+    scaled = [t.numerator * (Q // t.denominator) for t in target]
+    assert _expands_to(gf, scaled, Q) == (expand(gf, len(target) - 1) == list(target))
 
 
 def _cross_multiplied_sum(a, b):

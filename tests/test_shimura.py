@@ -117,6 +117,27 @@ def test_crosscheck_detects_perturbation(flagship, delta):
     assert report.mismatches == (7,)
 
 
+def test_crosscheck_reports_corrupted_form_coefficients(delta):
+    from halfsign.flagship import flagship_form
+    from halfsign.forms import HalfIntegralForm
+    from halfsign.qseries import TruncatedSeries
+
+    form = flagship_form(2500)
+    coeffs = list(form.series.coeffs)
+    coeffs[9] += 1
+    coeffs[25] -= 3
+    corrupted = HalfIntegralForm(form.descriptor, TruncatedSeries.from_coeffs(coeffs))
+    report = crosscheck_lift(corrupted, 1, delta, 13)
+    assert report.compared == (3, 5, 7, 11, 13)
+    assert report.mismatches == (3, 5)
+    # the trace read off the corrupted form agrees with its own lift value,
+    # so only the comparison with B(p) can see the corruption
+    for p in (3, 5):
+        lift_p = Fraction(coefficient(corrupted, 1, p), coefficient(corrupted, 1, 1))
+        lift_p += chi1(p, 1, form.k, form.level) * corrupted.chi(p) * p ** (form.k - 1)
+        assert extract_trace(corrupted, 1, p) * corrupted.chi(p) == lift_p
+
+
 def test_crosscheck_zero_base():
     from halfsign.forms import FormDescriptor, HalfIntegralForm, RealCharacter
     from halfsign.qseries import TruncatedSeries
