@@ -297,15 +297,16 @@ def cmd_characters(args) -> tuple[str, bool]:
     if args.q > 1000:
         raise ValueError(f"--q must be at most 1000, got {args.q}")
     table = characters_mod.CharacterTable.build(args.q)
+    units = sorted(table.log)
+    logs = [table.log[a] for a in units]
+    order = table.group_order
     payload = {
         "q": table.q,
         "generator": table.generator,
-        "group_order": table.group_order,
-        "log": {str(a): table.log[a] for a in sorted(table.log)},
-        "value_exponents": [
-            [table.value_exponent(j, a) for a in sorted(table.log)]
-            for j in range(table.group_order)
-        ],
+        "group_order": order,
+        "log": {str(a): e for a, e in zip(units, logs)},
+        # character j takes zeta^(j log a) at a: row j is value_exponent(j, .)
+        "value_exponents": [[j * e % order for e in logs] for j in range(order)],
     }
     return _json(payload), True
 

@@ -249,7 +249,8 @@ def load_form(path: str | Path) -> HalfIntegralForm:
     data, series = _read_coefficient_file(path)
     level = _header_int(data, "level")
     k = _header_int(data, "k")
-    if level % 4 != 0:
+    # FormDescriptor's condition, checked before a table mod 0 is ever built
+    if level < 4 or level % 4 != 0:
         raise InvalidLevel(f"level must be divisible by 4, got {level}")
     if k < 2:
         raise ParseError(f"k must be at least 2, got {k}")

@@ -120,7 +120,8 @@ def crosscheck_lift(
     also equals extract_trace(form, t, p) * chi(p) for every form, since
     chi(p)^2 = 1 for p coprime to the level, so comparing with the trace
     could never fail.  Primes whose indices exceed the form's precision are
-    reported as skipped.
+    reported as skipped; when that leaves no prime to compare, the check
+    has not run and PrecisionExceeded is raised instead of an empty pass.
     """
     from .arith import primes_up_to
 
@@ -150,6 +151,10 @@ def crosscheck_lift(
         compared.append(p)
         if lift_p != integral[p]:
             mismatches.append(p)
+    if not compared:
+        raise PrecisionExceeded(
+            f"no prime p <= {p_max} coprime to the level fits within precision {form.prec}"
+        )
     return CrosscheckReport(
         t=t,
         compared=tuple(compared),

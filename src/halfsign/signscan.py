@@ -18,7 +18,9 @@ trace is extremal or violated, the prime's signs come from the exact
 sequence instead, so every sign a scan reports is the exact one.
 
 Sign changes are zero-transparent: a change is a pair of indices i < j
-with b_i * b_j < 0 and every entry strictly between them zero.
+with b_i * b_j < 0 and every entry strictly between them zero.  A count
+keeps only how many changes there are and the j of the first one, never
+the pairs, so a report's size does not grow with nu.
 """
 
 from __future__ import annotations
@@ -192,7 +194,6 @@ class SignChangeCount:
 
     length: int
     change_count: int
-    change_positions: tuple[tuple[int, int], ...]
     first_change_index: int | None
     zero_count: int
 
@@ -200,43 +201,34 @@ class SignChangeCount:
 def count_sign_changes(seq: Sequence[Rational]) -> SignChangeCount:
     """Count zero-transparent sign changes.
 
-    Records each change as the index pair (i, j) of the two opposite-sign
-    entries; first_change_index is the index j at which the first change
-    completes.
+    A change is an index pair i < j of two opposite-sign entries with only
+    zeros between them.  Only the number of changes and first_change_index,
+    the j at which the first change completes, are kept, not the pairs.
     """
-    positions: list[tuple[int, int]] = []
-    zero_count = 0
-    last_idx: int | None = None
-    last_sign = 0
+    change_count = zero_count = last_sign = 0
+    first_change_index: int | None = None
     for idx, value in enumerate(seq):
         if value == 0:
             zero_count += 1
             continue
         sign = 1 if value > 0 else -1
-        if last_sign != 0 and sign != last_sign:
-            positions.append((last_idx, idx))
-        last_idx, last_sign = idx, sign
-    return SignChangeCount(
-        length=len(seq),
-        change_count=len(positions),
-        change_positions=tuple(positions),
-        first_change_index=positions[0][1] if positions else None,
-        zero_count=zero_count,
-    )
+        if sign == -last_sign:
+            change_count += 1
+            if first_change_index is None:
+                first_change_index = idx
+        last_sign = sign
+    return SignChangeCount(len(seq), change_count, first_change_index, zero_count)
 
 
 @dataclass(frozen=True)
-class SignChangeReport:
-    """Per-prime scan result for one subsequence mode."""
+class SignChangeReport(SignChangeCount):
+    """Per-prime scan result for one subsequence mode: the counts of the
+    filtered signs, with the prime, the twist index, the mode label and the
+    Deligne status."""
 
     p: int
     t: int
     mode: str
-    length: int
-    change_count: int
-    first_change_index: int | None
-    change_positions: tuple[tuple[int, int], ...]
-    zero_count: int
     deligne: str
 
 
@@ -303,17 +295,7 @@ def scan(
         c1 = chi1(p, t, form.k, form.level)
         signs = _twisted_signs(a_t, trace, c1, p, form.k, M)
         stats = count_sign_changes(subsequence(signs, selector))
-        reports.append(
-            SignChangeReport(
-                p=p,
-                t=t,
-                mode=selector.label if progression else mode,
-                length=stats.length,
-                change_count=stats.change_count,
-                first_change_index=stats.first_change_index,
-                change_positions=stats.change_positions,
-                zero_count=stats.zero_count,
-                deligne=hecke_mod.deligne_check(trace, p, form.k),
-            )
-        )
+        label = selector.label if progression else mode
+        deligne = hecke_mod.deligne_check(trace, p, form.k)
+        reports.append(SignChangeReport(**vars(stats), p=p, t=t, mode=label, deligne=deligne))
     return ScanReports(reports, skipped)

@@ -116,6 +116,17 @@ def naive_progression(seq: list, q: int, h: int, p: int) -> list:
     return [x for m, x in enumerate(seq) if pow(p, m, q) == h]
 
 
+def naive_sign_changes(seq: list) -> list[tuple[int, int]]:
+    """The zero-transparent sign changes of seq by the definition: every pair
+    i < j with seq[i] seq[j] < 0 and only zeros strictly between, by j."""
+    return [
+        (i, j)
+        for j in range(len(seq))
+        for i in range(j)
+        if seq[i] * seq[j] < 0 and all(x == 0 for x in seq[i + 1 : j])
+    ]
+
+
 def naive_is_multiplicative(modulus: int, table: dict[int, int]) -> bool:
     """Whether table[a b mod N] = table[a] table[b] for every pair of units."""
     return all(

@@ -156,6 +156,21 @@ def test_lift_crosscheck(form_path, tmp_path):
     assert report["crosscheck"]["ok"] is True
 
 
+def test_lift_that_compares_no_prime_exits_two(form_path, tmp_path, capsys):
+    out = tmp_path / "lift.json"
+    assert run(["lift", "--form", str(form_path), "--p-max", "1", "--out", str(out)]) == 2
+    assert "halfsign: error: PrecisionExceeded:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_form_of_level_zero_with_a_table_exits_two(tmp_path, capsys):
+    path = tmp_path / "level0.json"
+    form = {"level": 0, "k": 6, "character": {}, "prec": 2, "coeffs": ["0", "1", "0"]}
+    path.write_text(json.dumps(form))
+    assert run(["verify", "--form", str(path)]) == 2
+    assert "halfsign: error: InvalidLevel:" in capsys.readouterr().err
+
+
 def test_scan_csv_shape(form_path, tmp_path):
     out = tmp_path / "scan.csv"
     code = run(

@@ -300,6 +300,7 @@ def fuzz_path(tmp_path_factory):
 @example({**FIXTURE_HEAD, "character": {"1": float("inf"), "3": 1}})
 @example({**FIXTURE_HEAD, "level": 4 * 10**30})  # no unit of a huge level is ever listed
 @example({**FIXTURE_HEAD, "level": 4 * 10**30, "character": {"1": 1, "3": -1}})
+@example({"level": 0, "k": 6, "character": {}, "prec": 2, "coeffs": ["0", "1", "0"]})  # 1 % 0
 def test_load_form_raises_only_halfsign_errors_on_mutated_fixtures(fuzz_path, data):
     fuzz_path.write_text(json.dumps(data), encoding="utf-8")
     try:

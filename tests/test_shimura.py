@@ -138,6 +138,13 @@ def test_crosscheck_reports_corrupted_form_coefficients(delta):
         assert extract_trace(corrupted, 1, p) * corrupted.chi(p) == lift_p
 
 
+@pytest.mark.parametrize("p_max", [1, 2])
+def test_crosscheck_that_compares_no_prime_raises(flagship, delta, p_max):
+    # p = 2 divides the level, so neither bound leaves a prime to compare
+    with pytest.raises(PrecisionExceeded):
+        crosscheck_lift(flagship, 1, delta, p_max)
+
+
 def test_crosscheck_zero_base():
     from halfsign.forms import FormDescriptor, HalfIntegralForm, RealCharacter
     from halfsign.qseries import TruncatedSeries

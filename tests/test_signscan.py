@@ -25,6 +25,7 @@ from halfsign.signscan import (
     subsequence,
     twisted_sequence,
 )
+from naive_oracle import naive_sign_changes
 
 
 def F(*values):
@@ -88,11 +89,12 @@ def test_subsequence_parity_partition():
 
 
 def test_count_sign_changes_examples():
+    assert naive_sign_changes(F(1, -1)) == [(0, 1)]
     frag = count_sign_changes(F(1, -1))
-    assert frag.change_count == 1 and frag.change_positions == ((0, 1),)
+    assert frag.change_count == 1 and frag.first_change_index == 1
+    assert naive_sign_changes(F(1, 0, -2)) == [(0, 2)]
     frag = count_sign_changes(F(1, 0, -2))
-    assert frag.change_count == 1 and frag.change_positions == ((0, 2),)
-    assert frag.first_change_index == 2
+    assert frag.change_count == 1 and frag.first_change_index == 2
     frag = count_sign_changes(F(0, 0, 0))
     assert frag.change_count == 0 and frag.zero_count == 3
     assert frag.first_change_index is None
@@ -105,21 +107,39 @@ def test_count_sign_changes_scaling_and_flip():
         base = count_sign_changes(seq)
         scaled = count_sign_changes([Fraction(7, 3) * v for v in seq])
         flipped = count_sign_changes([-v for v in seq])
-        assert scaled == base
-        assert flipped.change_count == base.change_count
-        assert flipped.change_positions == base.change_positions
+        # negating every entry keeps each change, so every count is the same
+        assert scaled == base == flipped
+        assert naive_sign_changes([-v for v in seq]) == naive_sign_changes(seq)
+        assert base.change_count == len(naive_sign_changes(seq))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.just(0), st.integers(-3, 3), st.fractions(-5, 5)), max_size=60))
+@example([])
+@example([1, 0, -1])
+@example([0, 2, 0, 0, -1, 0, 3])
+def test_count_sign_changes_matches_the_naive_oracle(seq):
+    pairs = naive_sign_changes(seq)
+    count = count_sign_changes(seq)
+    assert count.length == len(seq)
+    assert count.change_count == len(pairs)
+    assert count.first_change_index == (pairs[0][1] if pairs else None)
+    assert count.zero_count == seq.count(0)
 
 
 def test_scan_flagship_full(flagship):
     reports = scan(flagship, 1, "full", 50, 200)
     assert [r.p for r in reports] == [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+    a_t = coefficient(flagship, 1, 1)
     for r in reports:
         assert r.length == 201
-        assert r.change_count >= 1
         assert r.deligne == "strict"
-        assert r.change_count == len(r.change_positions)
-        for i, j in r.change_positions:
-            assert i < j
+        c1 = chi1(r.p, 1, flagship.k, flagship.level)
+        seq = twisted_sequence(a_t, extract_trace(flagship, 1, r.p), c1, r.p, flagship.k, 200)
+        pairs = naive_sign_changes(seq)
+        assert r.change_count == len(pairs) >= 1
+        assert r.first_change_index == pairs[0][1]
+        assert r.zero_count == seq.count(0)
 
 
 def test_scan_modes_odd_even(flagship):
