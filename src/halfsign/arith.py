@@ -17,6 +17,8 @@ Rational = Union[int, Fraction]
 def exact(x: Rational) -> Rational:
     """The canonical exact form of x: an int when x is integral, else a
     Fraction.  Floats are rejected (exactness contract)."""
+    if type(x) is int:  # the common case, ahead of the ABC checks; not a bool
+        return x
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):

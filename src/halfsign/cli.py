@@ -81,8 +81,9 @@ def cmd_expand(args) -> tuple[str, bool]:
             "coeffs": [format_rational(c) for c in series.coeffs],
         }
         return _json(payload), True
-    from .forms import FormDescriptor, RealCharacter
+    from .forms import FormDescriptor, RealCharacter, _check_level
 
+    _check_level(args.level)
     descriptor = FormDescriptor(
         level=args.level, k=args.k, character=RealCharacter.trivial(args.level)
     )

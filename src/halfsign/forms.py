@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_PLAIN_INTEGERS_RE = re.compile(r"[0-9+,-]*")  # one character class: no backtracking stack
 
 
 def _unit_generators(modulus: int, units: list[int]) -> list[int]:
@@ -65,6 +66,8 @@ class RealCharacter:
     character, which never lists the units."""
 
     def __init__(self, modulus: int, table: dict[int, int] | None):
+        if modulus < 1:
+            raise BadCharacter(f"character modulus must be a positive integer, got {modulus}")
         self.modulus = modulus
         if table is None:  # the trivial character: chi(n) = 1 exactly when gcd(n, N) = 1
             self.table = None
@@ -103,6 +106,13 @@ class RealCharacter:
         return self.modulus == other.modulus and same_values
 
 
+def _check_level(level: int) -> None:
+    """FormDescriptor's level condition; callers that build a character mod
+    the level check it first, so a level below 1 reads as InvalidLevel."""
+    if level < 4 or level % 4 != 0:
+        raise InvalidLevel(f"level must be divisible by 4, got {level}")
+
+
 @dataclass(frozen=True)
 class FormDescriptor:
     """Level N (4 | N), integer k >= 2 (weight k + 1/2), real character chi."""
@@ -112,8 +122,7 @@ class FormDescriptor:
     character: RealCharacter
 
     def __post_init__(self) -> None:
-        if self.level < 4 or self.level % 4 != 0:
-            raise InvalidLevel(f"level must be divisible by 4, got {self.level}")
+        _check_level(self.level)
         if self.k < 2:
             raise ValueError(f"k must be at least 2, got {self.k}")
         if self.character.modulus != self.level:
@@ -241,7 +250,20 @@ def _read_coefficient_file(path: str | Path) -> tuple[dict, TruncatedSeries]:
     raw_coeffs = data.get("coeffs")
     if not isinstance(raw_coeffs, list) or len(raw_coeffs) != prec + 1:
         raise ParseError(f"expected {prec + 1} coefficient entries")
-    return data, TruncatedSeries(prec, tuple(parse_rational(c) for c in raw_coeffs))
+    return data, TruncatedSeries(prec, _parse_coefficients(raw_coeffs))
+
+
+def _parse_coefficients(entries: list) -> tuple[Rational, ...]:
+    """parse_rational of each entry.  The usual file, all ASCII integer
+    literals, is read in bulk by int(), which accepts exactly the same
+    literals over [0-9+-]; anything else falls back to the entry-by-entry
+    reading and its errors."""
+    try:
+        if _PLAIN_INTEGERS_RE.fullmatch(",".join(entries)):
+            return tuple(map(int, entries))
+    except (TypeError, ValueError):  # a non-str entry, or a literal such as "+-5"
+        pass
+    return tuple(parse_rational(c) for c in entries)
 
 
 def load_form(path: str | Path) -> HalfIntegralForm:
@@ -249,9 +271,7 @@ def load_form(path: str | Path) -> HalfIntegralForm:
     data, series = _read_coefficient_file(path)
     level = _header_int(data, "level")
     k = _header_int(data, "k")
-    # FormDescriptor's condition, checked before a table mod 0 is ever built
-    if level < 4 or level % 4 != 0:
-        raise InvalidLevel(f"level must be divisible by 4, got {level}")
+    _check_level(level)
     if k < 2:
         raise ParseError(f"k must be at least 2, got {k}")
     character = _character_from_json(level, data.get("character", "trivial"))

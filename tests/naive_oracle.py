@@ -14,7 +14,8 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 
-from halfsign.forms import coefficient
+from halfsign.forms import coefficient, parse_rational
+from halfsign.qseries import TruncatedSeries
 
 
 def naive_mul(a: list[Fraction], b: list[Fraction], prec: int) -> list[Fraction]:
@@ -255,3 +256,9 @@ def naive_eigen_consistency(form, p: int, trace, t_set: list[int], m_max: int):
                 residual = trace * b(t, m) - b(t, m + 1) - norm * b(t, m - 1)
             residuals[(t, m)] = residual
     return residuals, tuple(skipped)
+
+
+def naive_read_coefficients(entries: list) -> TruncatedSeries:
+    """The series of a coefficient file with these "coeffs" entries and prec
+    len(entries) - 1, read one entry at a time by parse_rational."""
+    return TruncatedSeries(len(entries) - 1, tuple(parse_rational(c) for c in entries))

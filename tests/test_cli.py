@@ -171,6 +171,13 @@ def test_verify_form_of_level_zero_with_a_table_exits_two(tmp_path, capsys):
     assert "halfsign: error: InvalidLevel:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("level", ["0", "-4"])
+def test_expand_at_a_level_below_one_exits_two(level, capsys):
+    assert run(["expand", "--eta", "2:12", "--theta-power", "1", "--level", level,
+                "--prec", "10"]) == 2
+    assert "InvalidLevel" in capsys.readouterr().err
+
+
 def test_scan_csv_shape(form_path, tmp_path):
     out = tmp_path / "scan.csv"
     code = run(

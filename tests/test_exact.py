@@ -9,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from halfsign import flagship as flagship_mod
-from halfsign.arith import primes_up_to
+from halfsign.arith import exact, primes_up_to
 from halfsign.flagship import flagship_form
 from halfsign.genfun import Polynomial, expand, h_n_closed
 from halfsign.hecke import deligne_check, extract_trace
@@ -84,3 +84,15 @@ def test_flagship_below_precision_49_is_gated_without_the_fixture(monkeypatch):
     assert form.prec == 48
     assert form.series.coeffs == fixture.series.coeffs[:49]
     assert calls == []
+
+
+def test_exact_returns_canonical_ints_and_fractions():
+    class Flag(int):
+        pass
+
+    for value, expected in ((7, 7), (True, 1), (Flag(3), 3), (Fraction(6, 3), 2)):
+        got = exact(value)
+        assert got == expected and type(got) is int
+    assert type(exact(Fraction(1, 2))) is Fraction
+    with pytest.raises(TypeError, match="float"):
+        exact(2.0)

@@ -1,13 +1,16 @@
 import json
+import re
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import halfsign.data
+from halfsign import forms
 from halfsign.arith import is_prime, is_squarefree, squarefree_decompose
 from halfsign.flagship import FIXTURE_NAME
 from halfsign.errors import (
@@ -31,7 +34,12 @@ from halfsign.forms import (
     save_form,
 )
 from halfsign.qseries import TruncatedSeries
-from naive_oracle import kronecker_bottom_two, legendre_euler, naive_is_multiplicative
+from naive_oracle import (
+    kronecker_bottom_two,
+    legendre_euler,
+    naive_is_multiplicative,
+    naive_read_coefficients,
+)
 
 
 def test_squarefree_decompose_examples():
@@ -191,6 +199,13 @@ def test_character_check_accepts_exactly_the_multiplicative_tables(case):
     assert accepted or kind != "character"
 
 
+@pytest.mark.parametrize("modulus", [0, -4])
+@pytest.mark.parametrize("table", [{}, None], ids=["table", "trivial"])
+def test_character_rejects_a_modulus_below_one(modulus, table):
+    with pytest.raises(BadCharacter, match="positive"):
+        RealCharacter(modulus, table)
+
+
 def test_quadratic_character_mod_4():
     chi = RealCharacter(4, {1: 1, 3: -1})
     assert chi(3) == -1 and chi(5) == 1 and chi(6) == 0
@@ -312,3 +327,35 @@ def test_load_form_raises_only_halfsign_errors_on_mutated_fixtures(fuzz_path, da
     assert (form.level, form.k, form.prec) == (data["level"], data["k"], data["prec"])
     if isinstance(data.get("character"), dict):
         assert all(type(v) is int for v in data["character"].values())
+
+
+# Coefficient literals: canonical integers, the other spellings parse_rational
+# accepts ("+5", "007", "-0", "5\n", Arabic-Indic "٣"), ones it rejects, and
+# non-str entries.
+_literals = st.one_of(
+    st.integers(-(10**30), 10**30).map(str),
+    st.sampled_from(("+5", "007", "-0", "5\n", " 5", "1_0", "٣", "3/4", "1/0", "+-5", "1,2", "")),
+    st.sampled_from((5, None, 1.5, ["1"])),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_literals, min_size=1, max_size=8))
+@example(["0", "1", "-24", "252"])
+@example(["0", "٣"])  # int() reads it too, but only the per-entry path may
+@example(["0", "+-5"])  # only [0-9+-] characters, yet not a literal
+def test_coefficient_file_reading_matches_the_per_entry_oracle(fuzz_path, entries):
+    fuzz_path.write_text(json.dumps({"prec": len(entries) - 1, "coeffs": entries}), encoding="utf-8")
+
+    def outcome(read):
+        try:
+            return read()
+        except Exception as exc:  # the same error, down to its message
+            return type(exc), str(exc)
+
+    expected = outcome(lambda: naive_read_coefficients(entries))
+    with mock.patch.object(forms, "parse_rational", wraps=forms.parse_rational) as per_entry:
+        assert outcome(lambda: forms._read_coefficient_file(fuzz_path)[1]) == expected
+    # a file of plain ASCII integer literals is read in bulk, anything else entry by entry
+    plain = all(isinstance(c, str) and re.fullmatch(r"[+-]?[0-9]+", c) for c in entries)
+    assert per_entry.called != plain

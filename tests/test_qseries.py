@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -221,7 +222,8 @@ _carrier_operand = st.one_of(
     st.integers(1, 30).map(lambda n: [0] * n),
     st.tuples(_signed_list, _bits).map(lambda pair: pair[0][:-1] + [-(2 ** pair[1])]),
 )
-_CARRIERS = (qseries._int_product, qseries._decimal_product)
+_CARRIERS = (qseries._int_product, qseries._decimal_product, qseries._sparse_product)
+_DENSE = [(-1) ** i * (i * i + 7) ** 3 for i in range(12)]
 
 
 @pytest.mark.parametrize("carrier", _CARRIERS, ids=lambda f: f.__name__)
@@ -232,6 +234,13 @@ _CARRIERS = (qseries._int_product, qseries._decimal_product)
 @example(xs=[2**5] * 32, ys=[2**5] * 32, square=True, n=63)
 @example(xs=[90], ys=[-90], square=False, n=1)
 @example(xs=[0], ys=[256], square=False, n=1)
+# shaped like the sparse factors: theta, Jacobi's E^3, all zeros, a negative
+# top coefficient, and n below the sparse operand's top index
+@example(xs=_DENSE, ys=[1, 2, 0, 0, 2, 0, 0, 0, 0, 2], square=False, n=21)
+@example(xs=_DENSE, ys=[1, -3, 0, 5, 0, 0, -7, 0, 0, 0, 9], square=False, n=22)
+@example(xs=_DENSE, ys=[0] * 9, square=False, n=20)
+@example(xs=_DENSE, ys=[3, 0, 0, 0, -(2**70)], square=False, n=16)
+@example(xs=_DENSE, ys=[1, 0, 0, 0, 0, 0, 0, 0, -5], square=False, n=4)
 def test_carrier_agrees_with_oracle(carrier, xs, ys, square, n):
     if square:
         ys = xs
@@ -254,6 +263,41 @@ def test_decimal_carrier_matches_int_carrier_at_transform_sizes():
         expected = qseries._int_product(a, b, bits, n)
         assert qseries._decimal_product(a, b, bits, n) == expected
         assert qseries._decimal_product(a, b, bits, 100) == expected[:100]
+
+
+@given(xs=_carrier_operand, ys=st.lists(st.integers(-50, 50), min_size=1, max_size=20),
+       n=st.integers(1, 25))
+@example(xs=[-(2**200)] * 3, ys=[1, 0, 0, 2], n=4)
+def test_sparse_sum_stays_within_n_limbs(xs, ys, n):
+    # each term (y_j X mod B^(n-j)) B^j lies in [0, B^n), so the sum handed to
+    # the decoder stays below (number of terms) B^n
+    width = (qseries._limb_bits(xs, ys) + 7) // 8
+    with mock.patch.object(qseries, "_unpack", lambda value, width, n: value):
+        total = qseries._sparse_product(xs, ys, 8 * width, n)
+    terms = sum(1 for c in ys[:n] if c)
+    assert 0 <= total < max(terms, 1) << (8 * width * n)
+
+
+def test_sparse_factors_take_the_sparse_carrier(monkeypatch):
+    # eta(z)^24 theta at 10^4: E^3 squared and the theta product are sparse,
+    # E^6 and E^12 squared are dense and large enough for decimals
+    calls = []
+    for name in ("_sparse_product", "_int_product", "_decimal_product"):
+        def spy(xs, ys, bits, n, real=getattr(qseries, name), name=name):
+            calls.append((name, len(ys) - ys.count(0), xs is ys))
+            return real(xs, ys, bits, n)
+
+        monkeypatch.setattr(qseries, name, spy)
+    expand_recipe(EtaRecipe(factors=((1, 24),), theta_power=1), 10_000)
+    assert [(name, square) for name, _, square in calls] == [
+        ("_sparse_product", True),
+        ("_decimal_product", True),
+        ("_decimal_product", True),
+        ("_sparse_product", False),
+    ]
+    assert (calls[0][1], calls[-1][1]) == (141, 101)  # E^3 and theta up to q^10^4
+    theta = theta_series(10**6).coeffs  # 1001 terms: decimals carry theta at 10^6
+    assert len(theta) - theta.count(0) > qseries._SPARSE_MAX_TERMS
 
 
 _SINGLE_FACTORS = ((1, 24), (2, 12), (3, 8), (4, 6), (6, 4), (8, 3), (12, 2), (24, 1))
