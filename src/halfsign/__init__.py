@@ -2,8 +2,11 @@
 Hecke eigenform coefficients.
 
 Modules:
+  arith       primes, squarefree parts, Kronecker symbol, exact rationals
+  errors      the HalfsignError hierarchy
   qseries     exact truncated q-expansions, eta/theta products
   forms       half-integral form model, squarefree indexing, JSON I/O
+  flagship    the verified eta(2z)^12 theta(z) form and eta(z)^24
   hecke       eigenvalue extraction, recurrence consistency, Satake data
   shimura     twist characters and lift coefficients
   genfun      rational generating functions, Lucas/Sturm machinery
@@ -17,7 +20,6 @@ from .characters import CharacterTable, ProgressionSpec, index_of, order_of, pro
 from .errors import HalfsignError
 from .flagship import build_flagship, flagship_form, ramanujan_delta, verify_eigenform
 from .forms import (
-    FormDescriptor,
     HalfIntegralForm,
     RealCharacter,
     coefficient,
@@ -62,7 +64,6 @@ __all__ = [
     "flagship_form",
     "ramanujan_delta",
     "verify_eigenform",
-    "FormDescriptor",
     "HalfIntegralForm",
     "RealCharacter",
     "coefficient",

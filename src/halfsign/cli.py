@@ -32,7 +32,15 @@ from . import flagship as flagship_mod
 from . import genfun, hecke, shimura, signscan
 from .arith import primes_up_to
 from .errors import HalfsignError
-from .forms import HalfIntegralForm, form_to_dict, format_rational, load_form, load_series
+from .forms import (
+    HalfIntegralForm,
+    RealCharacter,
+    _check_level_and_k,
+    form_to_dict,
+    format_rational,
+    load_form,
+    load_series,
+)
 from .qseries import EtaRecipe, expand_recipe
 from .shimura import chi1
 
@@ -70,6 +78,8 @@ def _parse_eta(text: str) -> tuple[int, int]:
 
 
 def cmd_expand(args) -> tuple[str, bool]:
+    if not args.raw:  # the form's own checks, before the expansion rather than after it
+        _check_level_and_k(args.level, args.k)
     recipe = EtaRecipe(factors=tuple(args.eta or ()), theta_power=args.theta_power)
     series = expand_recipe(recipe, args.prec)
     if args.raw:
@@ -81,13 +91,7 @@ def cmd_expand(args) -> tuple[str, bool]:
             "coeffs": [format_rational(c) for c in series.coeffs],
         }
         return _json(payload), True
-    from .forms import FormDescriptor, RealCharacter, _check_level
-
-    _check_level(args.level)
-    descriptor = FormDescriptor(
-        level=args.level, k=args.k, character=RealCharacter.trivial(args.level)
-    )
-    form = HalfIntegralForm(descriptor, series)
+    form = HalfIntegralForm(args.level, args.k, RealCharacter.trivial(args.level), series)
     return _json(form_to_dict(form)), True
 
 
@@ -168,11 +172,11 @@ def cmd_lift(args) -> tuple[str, bool]:
         integral = load_series(args.integral)
     else:
         integral = flagship_mod.ramanujan_delta(max(args.p_max, 100))
-    lift = shimura.lift_coefficients(form, args.t, args.n_max)
+    values = shimura.lift_coefficients(form, args.t, args.n_max)
     report = shimura.crosscheck_lift(form, args.t, integral, args.p_max)
     payload = {
         "t": args.t,
-        "values": {str(n): format_rational(v) for n, v in lift.values.items()},
+        "values": {str(n): format_rational(v) for n, v in values.items()},
         "crosscheck": {
             "compared": list(report.compared),
             "mismatches": list(report.mismatches),

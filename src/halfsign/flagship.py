@@ -13,13 +13,14 @@ normalized Hecke eigenvalues are the classical tau values.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from importlib import resources
 
 from .errors import HalfsignError, PrecisionExceeded, ZeroBase
-from .forms import FormDescriptor, HalfIntegralForm, RealCharacter, load_form
+from .forms import HalfIntegralForm, RealCharacter, load_form
 from .hecke import base_indices, eigen_consistency, extract_trace
-from .qseries import EtaRecipe, TruncatedSeries, expand_recipe
+from .qseries import EtaRecipe, TruncatedSeries, eta_power, expand_recipe
 
 __all__ = [
     "FLAGSHIP_RECIPE",
@@ -47,10 +48,8 @@ VERIFY_M_MAX = 4
 def build_flagship(prec: int = DEFAULT_PREC) -> HalfIntegralForm:
     """Expand the flagship recipe at the given precision (no verification)."""
     series = expand_recipe(FLAGSHIP_RECIPE, prec)
-    descriptor = FormDescriptor(
-        level=FLAGSHIP_LEVEL, k=FLAGSHIP_K, character=RealCharacter.trivial(FLAGSHIP_LEVEL)
-    )
-    return HalfIntegralForm(descriptor, series)
+    chi = RealCharacter.trivial(FLAGSHIP_LEVEL)
+    return HalfIntegralForm(FLAGSHIP_LEVEL, FLAGSHIP_K, chi, series)
 
 
 def verify_eigenform(
@@ -85,7 +84,7 @@ def load_fixture() -> HalfIntegralForm:
 def _truncated(form: HalfIntegralForm, prec: int) -> HalfIntegralForm:
     if form.prec <= prec:
         return form
-    return HalfIntegralForm(form.descriptor, form.series.truncate(prec))
+    return dataclasses.replace(form, series=form.series.truncate(prec))
 
 
 @functools.lru_cache(maxsize=4)
@@ -111,6 +110,4 @@ def flagship_form(prec: int = DEFAULT_PREC) -> HalfIntegralForm:
 @functools.lru_cache(maxsize=4)
 def ramanujan_delta(prec: int = 100) -> TruncatedSeries:
     """eta(z)^24: the normalized weight-12 eigenform; coefficient n is tau(n)."""
-    from .qseries import eta_power
-
     return eta_power(1, 24, prec)

@@ -28,7 +28,6 @@ from .qseries import TruncatedSeries
 
 __all__ = [
     "RealCharacter",
-    "FormDescriptor",
     "HalfIntegralForm",
     "squarefree_decompose",
     "load_form",
@@ -107,58 +106,39 @@ class RealCharacter:
 
 
 def _check_level(level: int) -> None:
-    """FormDescriptor's level condition; callers that build a character mod
+    """HalfIntegralForm's level condition; callers that build a character mod
     the level check it first, so a level below 1 reads as InvalidLevel."""
     if level < 4 or level % 4 != 0:
         raise InvalidLevel(f"level must be divisible by 4, got {level}")
 
 
-@dataclass(frozen=True)
-class FormDescriptor:
-    """Level N (4 | N), integer k >= 2 (weight k + 1/2), real character chi."""
-
-    level: int
-    k: int
-    character: RealCharacter
-
-    def __post_init__(self) -> None:
-        _check_level(self.level)
-        if self.k < 2:
-            raise ValueError(f"k must be at least 2, got {self.k}")
-        if self.character.modulus != self.level:
-            raise BadCharacter(
-                f"character modulus {self.character.modulus} != level {self.level}"
-            )
+def _check_level_and_k(level: int, k: int) -> None:
+    """HalfIntegralForm's conditions on (level, k), in the order it checks them."""
+    _check_level(level)
+    if k < 2:
+        raise ValueError(f"k must be at least 2, got {k}")
 
 
 @dataclass(frozen=True)
 class HalfIntegralForm:
-    descriptor: FormDescriptor
+    """f in S_(k+1/2)(N, chi): level N (4 | N), integer k >= 2, a real
+    character chi mod N, and the coefficients a(n) with a(0) = 0."""
+
+    level: int
+    k: int
+    chi: RealCharacter
     series: TruncatedSeries
 
     def __post_init__(self) -> None:
+        _check_level_and_k(self.level, self.k)
+        if self.chi.modulus != self.level:
+            raise BadCharacter(f"character modulus {self.chi.modulus} != level {self.level}")
         if self.series.coeffs[0] != 0:
             raise NonCuspidal("constant coefficient of a cusp form must be zero")
 
     @property
     def prec(self) -> int:
         return self.series.prec
-
-    @property
-    def level(self) -> int:
-        return self.descriptor.level
-
-    @property
-    def k(self) -> int:
-        return self.descriptor.k
-
-    @property
-    def chi(self) -> RealCharacter:
-        return self.descriptor.character
-
-    def an(self, n: int) -> Rational:
-        """Raw coefficient a(n); errors past the precision."""
-        return self.series.coefficient(n)
 
 
 def coefficient(form: HalfIntegralForm, t: int, m: int) -> Rational:
@@ -175,28 +155,20 @@ def coefficient(form: HalfIntegralForm, t: int, m: int) -> Rational:
 
 # ---------------------------------------------------------------------------
 # serialization
-#
-# Form file format (UTF-8 JSON): an object with fields
-#   "level"      integer, divisible by 4
-#   "k"          integer >= 2 (the weight is k + 1/2)
-#   "character"  "trivial" or an object mapping unit residues (as strings)
-#                to 1 / -1
-#   "prec"       integer truncation order
-#   "coeffs"     array of strings, index = exponent, each an integer or
-#                "p/q" exact rational; index 0 must be "0"
-# An integer field or character value must be a JSON integer: a float such
-# as 4.0 or 4.9, or a boolean, is rejected rather than truncated.
 
 
 def parse_rational(text: str) -> Rational:
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise ParseError(f"malformed rational literal {text!r}")
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise ParseError(f"zero denominator in {text!r}")
-        return exact(Fraction(int(num), int(den)))
-    return int(text)
+    num, _, den = text.partition("/")
+    try:
+        value, divisor = int(num), int(den or 1)
+    except ValueError as exc:  # what the pattern leaves: CPython's int-string digit limit
+        digits = max(len(num.lstrip("+-")), len(den))
+        raise ParseError(f"integer literal of {digits} digits is over the digit limit") from exc
+    if divisor == 0:
+        raise ParseError(f"zero denominator in {text!r}")
+    return value if divisor == 1 else exact(Fraction(value, divisor))
 
 
 def format_rational(x: Rational) -> str:
@@ -261,24 +233,36 @@ def _parse_coefficients(entries: list) -> tuple[Rational, ...]:
     try:
         if _PLAIN_INTEGERS_RE.fullmatch(",".join(entries)):
             return tuple(map(int, entries))
-    except (TypeError, ValueError):  # a non-str entry, or a literal such as "+-5"
+    except (TypeError, ValueError):  # a non-str entry, "+-5", or a literal over the digit limit
         pass
     return tuple(parse_rational(c) for c in entries)
 
 
 def load_form(path: str | Path) -> HalfIntegralForm:
-    """Read and fully validate a half-integral form from a JSON file."""
+    """Read and fully validate a half-integral form from a JSON file.
+
+    The file is UTF-8 JSON: an object with fields
+      "level"      integer, divisible by 4
+      "k"          integer >= 2 (the weight is k + 1/2)
+      "character"  "trivial" (the default) or an object mapping unit
+                   residues (as decimal strings) to 1 / -1
+      "prec"       integer truncation order
+      "coeffs"     array of prec + 1 strings, index = exponent, each an
+                   integer or "p/q" exact rational; index 0 must be "0"
+    An integer field or character value must be a JSON integer: a float such
+    as 4.0 or 4.9, or a boolean, is rejected rather than truncated.  An
+    integer in "level", "k", "prec" or a coefficient (numerator and
+    denominator alike) longer than CPython's int-string limit, 4300 digits by
+    default, raises ParseError.
+    """
     data, series = _read_coefficient_file(path)
     level = _header_int(data, "level")
     k = _header_int(data, "k")
     _check_level(level)
     if k < 2:
         raise ParseError(f"k must be at least 2, got {k}")
-    character = _character_from_json(level, data.get("character", "trivial"))
-    if series.coeffs[0] != 0:
-        raise NonCuspidal("coefficient index 0 must be '0'")
-    descriptor = FormDescriptor(level=level, k=k, character=character)
-    return HalfIntegralForm(descriptor, series)
+    chi = _character_from_json(level, data.get("character", "trivial"))
+    return HalfIntegralForm(level, k, chi, series)
 
 
 def form_to_dict(form: HalfIntegralForm) -> dict:

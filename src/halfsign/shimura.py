@@ -17,15 +17,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import Rational, exact, is_squarefree, kronecker
-from .errors import MissingCoefficient, NotSquarefree, PrecisionExceeded, ZeroBase
+from .arith import Rational, exact, kronecker, primes_up_to
+from .errors import MissingCoefficient, PrecisionExceeded, ZeroBase
 from .forms import HalfIntegralForm, coefficient
 from .qseries import TruncatedSeries
 
 __all__ = [
     "chi1",
-    "TwistCharacters",
-    "LiftSeries",
     "lift_coefficients",
     "crosscheck_lift",
     "CrosscheckReport",
@@ -40,58 +38,25 @@ def chi1(m: int, t: int, k: int, N: int) -> int:
     return kronecker(top, m)
 
 
-@dataclass(frozen=True)
-class TwistCharacters:
-    """chi1 and chi_{t,N} = chi * chi1 for a fixed squarefree twist index."""
-
-    t: int
-    k: int
-    N: int
-    chi: object  # RealCharacter
-
-    def __post_init__(self) -> None:
-        if not is_squarefree(self.t):
-            raise NotSquarefree(f"t = {self.t} is not squarefree")
-
-    def chi1(self, m: int) -> int:
-        return chi1(m, self.t, self.k, self.N)
-
-    def chi_tN(self, m: int) -> int:
-        return self.chi(m) * self.chi1(m)
-
-
-@dataclass(frozen=True)
-class LiftSeries:
-    """Lift coefficients A_t(n), keyed by n = 1..n_max."""
-
-    t: int
-    values: dict[int, Rational]
-
-    def __post_init__(self) -> None:
-        if 1 not in self.values:
-            raise ValueError("lift series must start at n = 1")
-
-
-def lift_coefficients(form: HalfIntegralForm, t: int, n_max: int) -> LiftSeries:
-    """Divisor-convolution lift coefficients A_t(n) for n = 1..n_max."""
+def lift_coefficients(form: HalfIntegralForm, t: int, n_max: int) -> dict[int, Rational]:
+    """Divisor-convolution lift coefficients {n: A_t(n)} for n = 1..n_max."""
     if n_max < 1:
         raise ValueError("n_max must be positive")
     if t * n_max * n_max > form.prec:
         raise PrecisionExceeded(
             f"A_t({n_max}) needs a({t * n_max * n_max}) beyond precision {form.prec}"
         )
-    twist = TwistCharacters(t=t, k=form.k, N=form.level, chi=form.chi)
     values: dict[int, Rational] = {}
     for n in range(1, n_max + 1):
         total = 0
         for d in range(1, n + 1):
             if n % d:
                 continue
-            w = twist.chi_tN(d)
+            w = form.chi(d) * chi1(d, t, form.k, form.level)  # chi_{t,N}(d)
             if w:
                 total += w * d ** (form.k - 1) * coefficient(form, t, n // d)
         values[n] = total
-    return LiftSeries(t=t, values=values)
+    return values
 
 
 @dataclass(frozen=True)
@@ -123,8 +88,6 @@ def crosscheck_lift(
     reported as skipped; when that leaves no prime to compare, the check
     has not run and PrecisionExceeded is raised instead of an empty pass.
     """
-    from .arith import primes_up_to
-
     if isinstance(integral_form_coeffs, TruncatedSeries):
         integral = list(integral_form_coeffs.coeffs)
     else:
@@ -132,7 +95,6 @@ def crosscheck_lift(
     a_t = coefficient(form, t, 1)
     if a_t == 0:
         raise ZeroBase(f"a({t}) = 0; cannot normalize the lift")
-    twist = TwistCharacters(t=t, k=form.k, N=form.level, chi=form.chi)
     compared: list[int] = []
     mismatches: list[int] = []
     skipped: list[int] = []
@@ -147,7 +109,8 @@ def crosscheck_lift(
                 f"comparison series stops before coefficient {p}"
             )
         # A_t(p) / a(t), the divisor sum at a prime
-        lift_p = Fraction(coefficient(form, t, p), a_t) + twist.chi_tN(p) * p ** (form.k - 1)
+        chi_tN = form.chi(p) * chi1(p, t, form.k, form.level)
+        lift_p = Fraction(coefficient(form, t, p), a_t) + chi_tN * p ** (form.k - 1)
         compared.append(p)
         if lift_p != integral[p]:
             mismatches.append(p)

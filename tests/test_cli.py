@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import halfsign
+from halfsign import cli
 from halfsign.cli import run
 
 
@@ -90,7 +91,7 @@ def test_expand_writes_loadable_form(form_path):
 
     form = load_form(form_path)
     assert form.prec == 2500
-    assert form.an(1) == 1
+    assert form.series.coefficient(1) == 1
 
 
 def test_expand_raw_delta(tmp_path):
@@ -176,6 +177,18 @@ def test_expand_at_a_level_below_one_exits_two(level, capsys):
     assert run(["expand", "--eta", "2:12", "--theta-power", "1", "--level", level,
                 "--prec", "10"]) == 2
     assert "InvalidLevel" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, error", [("--level", "6", "InvalidLevel"),
+                                               ("--k", "1", "ValueError")])
+def test_expand_checks_level_and_k_before_expanding(flag, value, error, monkeypatch, capsys):
+    def no_expansion(recipe, prec):
+        raise AssertionError("the recipe was expanded before the level and k checks")
+
+    monkeypatch.setattr(cli, "expand_recipe", no_expansion)
+    assert run(["expand", "--eta", "2:12", "--theta-power", "1", flag, value,
+                "--prec", "200000"]) == 2
+    assert f"halfsign: error: {error}:" in capsys.readouterr().err
 
 
 def test_scan_csv_shape(form_path, tmp_path):

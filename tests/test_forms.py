@@ -23,7 +23,6 @@ from halfsign.errors import (
     PrecisionExceeded,
 )
 from halfsign.forms import (
-    FormDescriptor,
     HalfIntegralForm,
     RealCharacter,
     coefficient,
@@ -72,7 +71,7 @@ def _write_form(tmp_path, **overrides):
 def test_load_form_valid(tmp_path):
     form = load_form(_write_form(tmp_path))
     assert form.prec == 6
-    assert form.an(4) == Fraction(1, 2)
+    assert form.series.coefficient(4) == Fraction(1, 2)
     assert form.chi(3) == 1 and form.chi(2) == 0
 
 
@@ -211,11 +210,22 @@ def test_quadratic_character_mod_4():
     assert chi(3) == -1 and chi(5) == 1 and chi(6) == 0
 
 
-def test_descriptor_validation():
-    with pytest.raises(InvalidLevel):
-        FormDescriptor(level=6, k=3, character=RealCharacter.trivial(6))
-    with pytest.raises(ValueError):
-        FormDescriptor(level=4, k=1, character=RealCharacter.trivial(4))
+# each case breaks its own condition and every later one, so the first
+# failing check decides the error
+@pytest.mark.parametrize(
+    "level, k, modulus, error, message",
+    [
+        (6, 1, 8, InvalidLevel, "divisible by 4"),
+        (4, 1, 8, ValueError, "k must be at least 2"),
+        (4, 3, 8, BadCharacter, "character modulus 8 != level 4"),
+        (4, 3, 4, NonCuspidal, "constant coefficient"),
+    ],
+    ids=["level", "k", "character-modulus", "cusp"],
+)
+def test_form_validation(level, k, modulus, error, message):
+    series = TruncatedSeries.from_coeffs([1, 1, 0])
+    with pytest.raises(error, match=message):
+        HalfIntegralForm(level, k, RealCharacter.trivial(modulus), series)
 
 
 def test_coefficient_accessor(flagship):
@@ -243,15 +253,24 @@ def test_rational_serialization_roundtrip():
 
 def test_save_load_roundtrip(tmp_path):
     chi = RealCharacter(4, {1: 1, 3: -1})
-    descriptor = FormDescriptor(level=4, k=3, character=chi)
     series = TruncatedSeries.from_coeffs([0, 1, Fraction(-5, 3), 2, 0])
-    form = HalfIntegralForm(descriptor, series)
+    form = HalfIntegralForm(4, 3, chi, series)
     path = tmp_path / "roundtrip.json"
     save_form(form, path)
     loaded = load_form(path)
     assert loaded.series == form.series
     assert loaded.level == 4 and loaded.k == 3
     assert loaded.chi(3) == -1
+
+
+@pytest.mark.parametrize("literal", ["7" * 5000, "1/" + "7" * 5000],
+                         ids=["numerator", "denominator"])
+@pytest.mark.parametrize("load", [load_form, load_series])
+def test_literal_over_the_digit_limit_is_a_parse_error(tmp_path, load, literal):
+    path = _write_form(tmp_path, coeffs=["0", literal, "0", "0", "0", "0", "0"])
+    with pytest.raises(ParseError, match="integer literal of 5000 digits") as info:
+        load(path)
+    assert "7" * 50 not in str(info.value)  # the count, not the literal
 
 
 def test_load_series_is_lenient(tmp_path):

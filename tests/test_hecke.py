@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from halfsign.arith import is_squarefree, primes_up_to
 from halfsign.errors import NotCoprime, NotSquarefree, PrecisionExceeded, ZeroBase
-from halfsign.forms import FormDescriptor, HalfIntegralForm, RealCharacter, coefficient
+from halfsign.forms import HalfIntegralForm, RealCharacter, coefficient
 from halfsign.hecke import (
     deligne_check,
     eigen_consistency,
@@ -38,8 +39,7 @@ def synthetic_form(trace=10, k=2, p=3, depth=3, a_t=1):
     coeffs = [Fraction(0)] * (prec + 1)
     for m, value in enumerate(seq):
         coeffs[p ** (2 * m)] = value  # chi trivial: b_m = a(p^(2m))
-    descriptor = FormDescriptor(level=4, k=k, character=RealCharacter.trivial(4))
-    return HalfIntegralForm(descriptor, TruncatedSeries(prec, tuple(coeffs)))
+    return HalfIntegralForm(4, k, RealCharacter.trivial(4), TruncatedSeries(prec, tuple(coeffs)))
 
 
 def test_extract_trace_inverts_synthetic_construction():
@@ -89,7 +89,7 @@ def test_eigen_consistency_detects_perturbation():
     form = synthetic_form(trace=10, depth=3)
     coeffs = list(form.series.coeffs)
     coeffs[81] += 1  # a(3^4), participating in rows m = 1 and m = 2
-    broken = HalfIntegralForm(form.descriptor, TruncatedSeries(form.prec, tuple(coeffs)))
+    broken = dataclasses.replace(form, series=TruncatedSeries(form.prec, tuple(coeffs)))
     report = eigen_consistency(broken, 3, 10, [1], 2)
     assert not report.consistent
     assert report.failures() == [(1, 1), (1, 2)]
@@ -125,8 +125,7 @@ def test_twisted_row_synthetic_and_horizon():
 def test_twisted_row_carries_the_character_sign():
     chi = RealCharacter(4, {1: 1, 3: -1})
     coeffs = [Fraction(0)] + [Fraction(1)] * 100
-    form = HalfIntegralForm(FormDescriptor(level=4, k=2, character=chi),
-                            TruncatedSeries(100, tuple(coeffs)))
+    form = HalfIntegralForm(4, 2, chi, TruncatedSeries(100, tuple(coeffs)))
     assert twisted_row(form, 1, 3) == [1, -1, 1]  # chi(3) = -1
     assert twisted_row(form, 1, 5) == [1, 1]
 
@@ -193,7 +192,7 @@ def _form_of(case):
     coeffs = [0] + [rng.choice((0, rng.randint(-50, 50), Fraction(rng.randint(-50, 50), 7)))
                     for _ in range(prec)]
     series = TruncatedSeries.from_coeffs(coeffs)
-    return HalfIntegralForm(FormDescriptor(level=level, k=case["k"], character=chi), series)
+    return HalfIntegralForm(level, case["k"], chi, series)
 
 
 # often t small enough for several row steps, sometimes t > prec

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from halfsign.arith import kronecker, primes_up_to
 from halfsign.errors import MissingCoefficient, PrecisionExceeded, ZeroBase
 from halfsign.forms import coefficient
 from halfsign.hecke import extract_trace
-from halfsign.shimura import TwistCharacters, chi1, crosscheck_lift, lift_coefficients
+from halfsign.shimura import chi1, crosscheck_lift, lift_coefficients
 from naive_oracle import kronecker_bottom_two, legendre_euler
 
 
@@ -68,34 +69,27 @@ def test_chi1_square_one_off_level():
                 assert chi1(p, t, k, N) == 0
 
 
-def test_twist_characters_combined(flagship):
-    twist = TwistCharacters(t=2, k=flagship.k, N=flagship.level, chi=flagship.chi)
-    for m in range(1, 50):
-        assert twist.chi_tN(m) == flagship.chi(m) * twist.chi1(m)
-
-
 def test_lift_single_divisor():
     from halfsign.flagship import flagship_form
 
     form = flagship_form(10000)
-    lift = lift_coefficients(form, 5, 1)
-    assert lift.values[1] == coefficient(form, 5, 1)
+    assert lift_coefficients(form, 5, 1) == {1: coefficient(form, 5, 1)}
 
 
 def test_lift_prime_value_formula(flagship):
-    twist = TwistCharacters(t=3, k=flagship.k, N=flagship.level, chi=flagship.chi)
     lift = lift_coefficients(flagship, 3, 7)
     for p in (3, 5, 7):
-        expected = coefficient(flagship, 3, p) + twist.chi_tN(p) * p ** (
+        chi_tN = flagship.chi(p) * chi1(p, 3, flagship.k, flagship.level)
+        expected = coefficient(flagship, 3, p) + chi_tN * p ** (
             flagship.k - 1
         ) * coefficient(flagship, 3, 1)
-        assert lift.values[p] == expected
+        assert lift[p] == expected
 
 
 def test_lift_flagship_t1_is_tau(flagship, delta):
     lift = lift_coefficients(flagship, 1, 30)
     for n in range(1, 31):
-        assert lift.values[n] == delta.coefficient(n)
+        assert lift[n] == delta.coefficient(n)
 
 
 def test_lift_precision_guard(flagship):
@@ -119,14 +113,13 @@ def test_crosscheck_detects_perturbation(flagship, delta):
 
 def test_crosscheck_reports_corrupted_form_coefficients(delta):
     from halfsign.flagship import flagship_form
-    from halfsign.forms import HalfIntegralForm
     from halfsign.qseries import TruncatedSeries
 
     form = flagship_form(2500)
     coeffs = list(form.series.coeffs)
     coeffs[9] += 1
     coeffs[25] -= 3
-    corrupted = HalfIntegralForm(form.descriptor, TruncatedSeries.from_coeffs(coeffs))
+    corrupted = dataclasses.replace(form, series=TruncatedSeries.from_coeffs(coeffs))
     report = crosscheck_lift(corrupted, 1, delta, 13)
     assert report.compared == (3, 5, 7, 11, 13)
     assert report.mismatches == (3, 5)
@@ -146,11 +139,11 @@ def test_crosscheck_that_compares_no_prime_raises(flagship, delta, p_max):
 
 
 def test_crosscheck_zero_base():
-    from halfsign.forms import FormDescriptor, HalfIntegralForm, RealCharacter
+    from halfsign.forms import HalfIntegralForm, RealCharacter
     from halfsign.qseries import TruncatedSeries
 
-    descriptor = FormDescriptor(level=4, k=2, character=RealCharacter.trivial(4))
-    silent = HalfIntegralForm(descriptor, TruncatedSeries.from_coeffs([0] * 50))
+    series = TruncatedSeries.from_coeffs([0] * 50)
+    silent = HalfIntegralForm(4, 2, RealCharacter.trivial(4), series)
     with pytest.raises(ZeroBase):
         crosscheck_lift(silent, 1, [Fraction(0)] * 10, 3)
 
@@ -169,4 +162,4 @@ def test_eigenvalue_transfer_identity(flagship):
         for p in (3, 5, 7):
             trace = extract_trace(flagship, t, p)
             lhs = trace * flagship.chi(p) * coefficient(flagship, t, 1)
-            assert lhs == lift.values[p]
+            assert lhs == lift[p]

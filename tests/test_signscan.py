@@ -186,11 +186,11 @@ def test_scan_reports_a_progression_starting_past_m_as_empty(flagship):
 
 
 def test_scan_zero_base():
-    from halfsign.forms import FormDescriptor, HalfIntegralForm, RealCharacter
+    from halfsign.forms import HalfIntegralForm, RealCharacter
     from halfsign.qseries import TruncatedSeries
 
-    descriptor = FormDescriptor(level=4, k=2, character=RealCharacter.trivial(4))
-    silent = HalfIntegralForm(descriptor, TruncatedSeries.from_coeffs([0] * 200))
+    series = TruncatedSeries.from_coeffs([0] * 200)
+    silent = HalfIntegralForm(4, 2, RealCharacter.trivial(4), series)
     with pytest.raises(ZeroBase):
         scan(silent, 1, "full", 10, 20)
 
