@@ -48,8 +48,55 @@ USAGE_ERROR = 2
 CHECK_FAILED = 1
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+# how a list whose items all have one of these types is joined in one call
+_JOINERS = {int: int.__repr__, str: _encode_str}
+
+
 def _json(payload: dict) -> str:
-    return json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    """The bytes of json.dumps(payload, indent=1, sort_keys=True) + "\n".
+
+    A list of only ints or only strs (the (q-1)^2 exponents of `characters`,
+    the coefficients of `expand`) is joined in one call instead of item by
+    item; dicts must have str keys.
+    """
+    out: list[str] = []
+    _render(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _render(value, newline: str, out: list[str]) -> None:
+    """Append value as json.dumps(value, indent=1, sort_keys=True) renders it
+    nested one level below `newline` ("\n" and the enclosing indent)."""
+    inner = newline + " "
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        opener = "{"
+        for key in sorted(value):
+            out.append(opener + inner + _encode_str(key) + ": ")
+            _render(value[key], inner, out)
+            opener = ","
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        kinds = set(map(type, value))
+        join = _JOINERS.get(kinds.pop()) if len(kinds) == 1 else None
+        if join is not None:
+            out.append("[" + inner + ("," + inner).join(map(join, value)) + newline + "]")
+            return
+        opener = "["
+        for item in value:
+            out.append(opener + inner)
+            _render(item, inner, out)
+            opener = ","
+        out.append(newline + "]")
+    else:
+        out.append(json.dumps(value))
 
 
 def _load_any_form(args) -> HalfIntegralForm:
@@ -210,9 +257,11 @@ def check_instance(inst: dict, terms: int, m_p: int) -> dict:
     """All closed-form identities for one parameter draw; exact comparisons."""
     k, p, chi1_p = inst["k"], inst["p"], inst["chi1_p"]
     trace, a_t = inst["trace"], inst["a_t"]
-    seq = signscan.twisted_sequence(a_t, trace, chi1_p, p, k, terms)
-    b1 = (trace - chi1_p * p ** (k - 1)) * a_t
-    closed_ok, split_ok, parity_ok = genfun.closed_form_checks(seq, b1, trace, chi1_p, p, k)
+    _, b1 = signscan.twisted_sequence(a_t, trace, chi1_p, p, k, 1)
+    row, s, v = signscan._scaled_twisted(a_t, trace, chi1_p, p, k, terms)
+    closed_ok, split_ok, parity_ok = genfun._scaled_closed_form_checks(
+        row, s, v, a_t, b1, trace, chi1_p, p, k
+    )
     local = hecke.satake_data(trace, p, k)
     deligne = hecke.deligne_check(trace, p, k)
     remark = genfun.remark_polynomial(local, m_p)

@@ -12,15 +12,19 @@ Power series expansion clears denominators first: the recurrence runs on
 integers scaled by powers of the lcm L of the coefficient denominators
 (see expand), which builds Fractions only at the end, one per coefficient.
 
-closed_form_checks expands nothing on rational input.  It scales the
-sequence to integers once, T_m = Q b_m, and checks that num/den expands to
-it as the truncated-product residual
+The closed-form suite expands nothing on rational input.  It reads the
+twisted sequence as the integer row of its recurrence, b_m = B_m / (s v^m)
+(signscan._scaled_twisted), and checks that num/den expands to it as the
+truncated-product residual
 
-    sum_(j <= min(m, deg D)) D_j T_(m-j) = Q N_m    for every m <= M,
+    sum_(j <= min(m, deg D)) D_j v^j B_(m-j) = s v^m N_m    for every m <= M,
 
-with N, D the num and den times the lcm of their denominators.  Since
-den(0) = 1, den is a unit among power series, so den * b = num mod X^(M+1)
-holds exactly when b_0..b_M are the first coefficients of num/den.
+with N, D the num and den times the lcm of their denominators; N has at
+most 4 terms, so the right side is 0 from m = 4 on.  Since den(0) = 1, den
+is a unit among power series, so den * b = num mod X^(M+1) holds exactly
+when b_0..b_M are the first coefficients of num/den.  closed_form_checks
+takes the sequence itself and hands the suite B_m = Q b_m, s = Q, v = 1,
+with Q the lcm of its denominators.
 
 All identity checking is done by cross-multiplication into polynomial
 identities; nothing in this module touches floating point.
@@ -150,10 +154,8 @@ class Polynomial:
 
 def _integer_primitive(poly: Polynomial) -> list[int]:
     """Scale a rational polynomial to a primitive integer coefficient list."""
-    lcm = 1
-    for c in poly.coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in poly.coeffs]
+    lcm = math.lcm(*(c.denominator for c in poly.coeffs))
+    ints = [c.numerator * (lcm // c.denominator) for c in poly.coeffs]
     content = 0
     for v in ints:
         content = math.gcd(content, abs(v))
@@ -296,27 +298,28 @@ def expand(gf: RationalGF, M: int) -> list[Rational]:
     return scaled
 
 
-def _expands_to(gf: RationalGF, scaled: Sequence[int], Q: int) -> bool:
-    """Whether the first len(scaled) coefficients of num/den are scaled[m]/Q.
+def _expands_to(gf: RationalGF, B: Sequence[int], s: int, v: int) -> bool:
+    """Whether the first len(B) coefficients of num/den are B[m] / (s v^m).
 
-    With Q = 1 and an integral num/den, expand returns plain ints, compared
-    with scaled as one list.  Otherwise, with (N, D) = _cleared(gf), it
-    checks the residual sum_(j <= min(m, deg D)) D_j scaled[m-j] = Q N_m for
-    every m: den(0) = 1 makes this equivalent to the expansion, and no
-    Fraction or power of the denominators is built.
+    With s = v = 1 and an integral num/den, expand returns plain ints,
+    compared with B as one list.  Otherwise, with (N, D) = _cleared(gf), it
+    checks the residual sum_(j <= min(m, deg D)) D_j v^j B[m-j] = s v^m N_m
+    for every m: den(0) = 1 makes this equivalent to the expansion, and no
+    Fraction is built.
     """
-    M = len(scaled) - 1
+    M = len(B) - 1
     num, den = _cleared(gf)
-    if Q == 1 and den[0] == 1:
+    if s == 1 and v == 1 and den[0] == 1:
         # a clearing factor of 1 means num/den is integral; expand
         # returns the terms as they are, and going through it keeps
         # genfun.expand on the verify path that perfbench's tracer times
-        return expand(gf, M) == list(scaled)
-    residual = [Q * c for c in num[: M + 1]]
+        return expand(gf, M) == list(B)
+    residual = [s * v**m * c for m, c in enumerate(num[: M + 1])]
     residual += [0] * (M + 1 - len(residual))
     for j, d in enumerate(den):
         if d:
-            residual[j:] = [r - d * t for r, t in zip(residual[j:], scaled)]
+            d *= v**j
+            residual[j:] = [r - d * b for r, b in zip(residual[j:], B)]
     return not any(residual)
 
 
@@ -378,24 +381,43 @@ def closed_form_checks(
     S0, S1 expand to the even- and odd-index terms of seq, zero elsewhere.
 
     seq is scaled to integers once, T_m = Q b_m with Q the lcm of its
-    denominators; each expansion is the residual identity of _expands_to
-    against T or its even or odd part, and the split identity is
-    cross-multiplied on the cleared integer polynomials of _cleared.
+    denominators, and checked as the row (T, Q, 1) by _scaled_closed_form_checks.
     """
     if not seq:
         raise ValueError("seq must hold at least one term")
-    h1 = h_n_closed(seq[0], trace, chi1_p, p, k)
-    s0, s1 = s_split_closed(seq[0], b1, trace, chi1_p, p, k)
     Q = math.lcm(*(b.denominator for b in seq))
     scaled = [b.numerator * (Q // b.denominator) for b in seq]
-    even = [t if m % 2 == 0 else 0 for m, t in enumerate(scaled)]
-    odd = [t if m % 2 == 1 else 0 for m, t in enumerate(scaled)]
-    parity_ok = _expands_to(s0, even, Q) and _expands_to(s1, odd, Q)
+    return _scaled_closed_form_checks(scaled, Q, 1, seq[0], b1, trace, chi1_p, p, k)
+
+
+def _scaled_closed_form_checks(
+    B: Sequence[int],
+    s: int,
+    v: int,
+    b0: Rational,
+    b1: Rational,
+    trace: Rational,
+    chi1_p: int,
+    p: int,
+    k: int,
+) -> tuple[bool, bool, bool]:
+    """closed_form_checks for the sequence b_m = B[m] / (s v^m), m = 0..M,
+    which starts with b0 (= B[0] / s); B is nonempty.
+
+    Each expansion is the residual identity of _expands_to against B or its
+    even or odd part, and the split identity is cross-multiplied on the
+    cleared integer polynomials of _cleared.
+    """
+    h1 = h_n_closed(b0, trace, chi1_p, p, k)
+    s0, s1 = s_split_closed(b0, b1, trace, chi1_p, p, k)
+    even = [b if m % 2 == 0 else 0 for m, b in enumerate(B)]
+    odd = [b if m % 2 == 1 else 0 for m, b in enumerate(B)]
+    parity_ok = _expands_to(s0, even, s, v) and _expands_to(s1, odd, s, v)
     # S0 + S1 = H, cross-multiplied over the three cleared denominators
     cleared = (map(Polynomial.from_coeffs, _cleared(gf)) for gf in (s0, s1, h1))
     (n0, d0), (n1, d1), (nh, dh) = cleared
     split_ok = (n0 * d1 + n1 * d0) * dh == nh * d0 * d1
-    return _expands_to(h1, scaled, Q), split_ok, parity_ok
+    return _expands_to(h1, B, s, v), split_ok, parity_ok
 
 
 def lucas_sequence(trace: Rational, norm: Rational, count: int) -> list[Rational]:

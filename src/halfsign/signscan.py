@@ -2,10 +2,11 @@
 
 The twisted sequence b_nu = a(t p^(2 nu))/chi(p^nu) obeys the order-two
 linear recurrence b_{nu+1} = trace * b_nu - p^(2k-1) * b_{nu-1}; only its
-first two terms come from the q-expansion.  twisted_sequence computes it
-exactly, and its terms grow to about nu (k - 1/2) log2(p) bits.  A rational
-a_t = r/s or trace = u/v is cleared first: the recurrence runs on the
-integers B_nu = s v^nu b_nu, and each b_nu becomes a Fraction once.
+first two terms come from the q-expansion.  Its terms grow to about
+nu (k - 1/2) log2(p) bits.  With a_t = r/s and trace = u/v, the recurrence
+runs on integers only: _scaled_twisted returns the row B_nu = s v^nu b_nu
+with s and v, which is all the closed-form suite of genfun needs, and
+twisted_sequence divides it out into one canonical number per term.
 
 A scan needs only signs.  Under strict Deligne, trace = 2 p^(k-1/2) cos(theta)
 with 0 < theta < pi, and c_nu = b_nu / (b_0 p^(nu(k-1/2))) obeys
@@ -49,6 +50,28 @@ __all__ = [
 ]
 
 
+def _scaled_twisted(
+    a_t: Rational, trace: Rational, chi1_p: int, p: int, k: int, M: int
+) -> tuple[list[int], int, int]:
+    """(B, s, v) with b_nu = B_nu / (s v^nu) for nu = 0..M, all integers.
+
+    With a_t = r/s and trace = u/v in lowest terms, B_0 = r,
+    B_1 = (u - chi1_p p^(k-1) v) r and B_(nu+1) = u B_nu - p^(2k-1) v^2 B_(nu-1).
+    The inputs are not validated; twisted_sequence does that.
+    """
+    a_t = exact(a_t)
+    trace = exact(trace)
+    r, s = a_t.numerator, a_t.denominator
+    u, v = trace.numerator, trace.denominator
+    step = p ** (2 * k - 1) * v * v
+    row = [r]
+    if M >= 1:
+        row.append((u - chi1_p * p ** (k - 1) * v) * r)
+    for _ in range(1, M):
+        row.append(u * row[-1] - step * row[-2])
+    return row, s, v
+
+
 def twisted_sequence(
     a_t: Rational,
     trace: Rational,
@@ -60,11 +83,8 @@ def twisted_sequence(
     """b_0..b_M with b_0 = a_t, b_1 = (trace - chi1_p p^(k-1)) a_t and the
     order-two recurrence above; all ints when a_t and trace are integral.
 
-    The recurrence runs on integers: with a_t = r/s and trace = u/v, the
-    scaled terms B_nu = s v^nu b_nu obey B_0 = r,
-    B_1 = (u - chi1_p p^(k-1) v) r and B_(nu+1) = u B_nu - p^(2k-1) v^2 B_(nu-1),
-    and each b_nu = B_nu / (s v^nu) is built once.  When s = v = 1 the
-    B_nu are the b_nu themselves.
+    The terms are the integer row of _scaled_twisted, each b_nu = B_nu / (s v^nu)
+    built once; when s = v = 1 the B_nu are the b_nu themselves.
     """
     if M < 0:
         raise ValueError("M must be nonnegative")
@@ -72,21 +92,12 @@ def twisted_sequence(
         raise ValueError("k must be at least 2")
     if chi1_p not in (-1, 0, 1):
         raise ValueError("chi1_p must be one of -1, 0, 1")
-    a_t = exact(a_t)
-    trace = exact(trace)
-    r, s = a_t.numerator, a_t.denominator
-    u, v = trace.numerator, trace.denominator
-    step = p ** (2 * k - 1) * v * v
-    seq = [r]
-    if M >= 1:
-        seq.append((u - chi1_p * p ** (k - 1) * v) * r)
-    for _ in range(1, M):
-        seq.append(u * seq[-1] - step * seq[-2])
+    row, s, v = _scaled_twisted(a_t, trace, chi1_p, p, k, M)
     if s == 1 and v == 1:
-        return seq
+        return row
     out: list[Rational] = []
     scale = s
-    for b in seq:
+    for b in row:
         out.append(exact(Fraction(b, scale)))
         scale *= v
     return out

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -8,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import halfsign
@@ -297,6 +298,34 @@ def test_genfun_check_accepts_zero_terms_and_m_p_one(tmp_path):
     argv = ["genfun-check", "--seed", "1", "--count", "3", "--terms", "0", "--m-p", "1"]
     assert run(argv + ["--out", str(out)]) == 0
     assert json.loads(out.read_text())["all_ok"] is True
+
+
+# sha256 of the `genfun-check --seed 0 --terms T` reports (100 instances) that
+# the suite gave on the Fraction twisted sequence, before it read the
+# recurrence's integer row
+@pytest.mark.parametrize("terms, digest", [
+    ("0", "d55a2313c0c7586e2fbc82540c7df7e67dcdd3a3799cd0b746d38abff7ad4926"),
+    ("1", "3805afebd7bfc173b92c8fbb6585fd3483947dcb63d325878cf59fb55a2187a4"),
+])
+def test_genfun_check_reports_at_zero_and_one_terms_are_unchanged(terms, digest, capsys):
+    assert run(["genfun-check", "--seed", "0", "--terms", terms]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+_json_scalars = st.none() | st.booleans() | st.integers() | st.text()
+_json_values = st.recursive(
+    _json_scalars | st.lists(st.integers()) | st.lists(st.text()),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(), inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@given(st.dictionaries(st.text(), _json_values))
+@example({})
+@example({"a": [], "b": {}, "c": [True, 1], "d": ["\u00e9", "\u2028", ""], "e": [[1, -2], [3]],
+          "f": [None, "x"], "g": [False], "\U0001d11e": {"z": [10**40, 0]}})
+def test_report_writer_matches_stdlib_json(payload):
+    assert cli._json(payload) == json.dumps(payload, indent=1, sort_keys=True) + "\n"
 
 
 def test_characters_dump(tmp_path):

@@ -13,6 +13,7 @@ from halfsign.genfun import (
     Polynomial,
     RationalGF,
     _expands_to,
+    _scaled_closed_form_checks,
     closed_form_checks,
     expand,
     h_n_closed,
@@ -23,7 +24,7 @@ from halfsign.genfun import (
     s_split_closed,
 )
 from halfsign.hecke import satake_data
-from halfsign.signscan import twisted_sequence
+from halfsign.signscan import _scaled_twisted, twisted_sequence
 from naive_oracle import grid_sign_changes, naive_closed_form_checks, naive_expand
 
 
@@ -175,10 +176,9 @@ def test_closed_form_checks_reject_an_empty_sequence():
 
 
 @st.composite
-def closed_form_cases(draw):
-    """(seq, b1, trace, chi1_p, p, k) drawn as cli.random_instance draws them
-    (Deligne-bounded trace), integral or rational, with M from 0 to 120;
-    then left alone, or one term or b1 moved."""
+def twisted_params(draw):
+    """(a_t, trace, chi1_p, p, k, M) drawn as cli.random_instance draws them
+    (Deligne-bounded trace), integral or rational, with M from 0 to 120."""
     k = draw(st.integers(2, 8))
     p = draw(st.sampled_from(primes_up_to(50)))
     chi1_p = draw(st.sampled_from((-1, 0, 1)))
@@ -187,7 +187,14 @@ def closed_form_cases(draw):
     bound = math.isqrt(4 * p ** (2 * k - 1) * den * den)
     trace = Fraction(draw(st.integers(-bound, bound)), den)
     a_t = Fraction(draw(st.integers(-99, 99)), 1 if integral else draw(st.integers(1, 20)))
-    M = draw(st.integers(0, 120))
+    return a_t, trace, chi1_p, p, k, draw(st.integers(0, 120))
+
+
+@st.composite
+def closed_form_cases(draw):
+    """(seq, b1, trace, chi1_p, p, k) from twisted_params, left alone or with
+    one term or b1 moved."""
+    a_t, trace, chi1_p, p, k, M = draw(twisted_params())
     seq = twisted_sequence(a_t, trace, chi1_p, p, k, M)
     b1 = (trace - chi1_p * p ** (k - 1)) * a_t
     change = draw(st.sampled_from(("none", "term", "b1")))
@@ -205,6 +212,26 @@ def closed_form_cases(draw):
 @example(([0, 0, 0, 1], 0, 4, 0, 5, 2))  # a_t = 0, last term moved
 def test_closed_form_checks_match_the_fraction_oracle(case):
     assert closed_form_checks(*case) == naive_closed_form_checks(*case)
+
+
+@settings(deadline=None)
+@given(twisted_params(), st.sampled_from(("none", "term", "b1")), st.data())
+@example((Fraction(3), Fraction(5), 1, 3, 3, 0), "none", None)  # M = 0, s = v = 1
+@example((Fraction(-7, 4), Fraction(11, 6), -1, 5, 2, 4), "none", None)
+def test_scaled_suite_on_the_recurrence_row_matches_the_fraction_oracle(params, change, data):
+    # the suite on (B, s, v) against the oracle on b_m = B_m / (s v^m)
+    a_t, trace, chi1_p, p, k, M = params
+    row, s, v = _scaled_twisted(a_t, trace, chi1_p, p, k, M)
+    b1 = (trace - chi1_p * p ** (k - 1)) * a_t
+    if change == "term":
+        row[data.draw(st.integers(0, M))] += data.draw(st.integers(-50, 50).filter(bool))
+    elif change == "b1":
+        b1 += data.draw(_any_coeff.filter(bool))
+    seq = [Fraction(b, s * v**m) for m, b in enumerate(row)]
+    got = _scaled_closed_form_checks(row, s, v, seq[0], b1, trace, chi1_p, p, k)
+    assert got == naive_closed_form_checks(seq, b1, trace, chi1_p, p, k)
+    if change == "none":
+        assert got == (True, True, True)
 
 
 def test_expand_errors():
@@ -259,19 +286,21 @@ def expansion_targets(draw):
     return num, den, target
 
 
-@given(expansion_targets())
-@example(([1, 2], [1, -1], [1, 3, 3]))  # L = 1
-@example(([1, 2], [1, -1], [1, 3, 4]))
-@example(([Fraction(1, 2)], [1, Fraction(-1, 3)], [Fraction(1, 2), Fraction(1, 6), Fraction(1, 18)]))
-@example(([Fraction(1, 2)], [1, Fraction(-1, 3)], [Fraction(1, 2), Fraction(1, 6), Fraction(1, 19)]))
-@example(([Fraction(1, 2), Fraction(1, 2)], [1, -1], [Fraction(1, 2), 1, 1]))  # int terms, L = 2
-@example(([Fraction(1, 2), Fraction(1, 2)], [1, -1], [Fraction(1, 2), 1, 2]))
-def test_expands_to_agrees_with_comparing_the_expansion(case):
+@given(expansion_targets(), st.integers(1, 4))
+@example(([1, 2], [1, -1], [1, 3, 3]), 1)  # L = 1
+@example(([1, 2], [1, -1], [1, 3, 4]), 1)
+@example(([1, 2], [1, -1], [1, 3, 3]), 3)  # L = 1 off the integral branch
+@example(([Fraction(1, 2)], [1, Fraction(-1, 3)], [Fraction(1, 2), Fraction(1, 6), Fraction(1, 18)]), 1)
+@example(([Fraction(1, 2)], [1, Fraction(-1, 3)], [Fraction(1, 2), Fraction(1, 6), Fraction(1, 19)]), 1)
+@example(([Fraction(1, 2), Fraction(1, 2)], [1, -1], [Fraction(1, 2), 1, 1]), 1)  # int terms, L = 2
+@example(([Fraction(1, 2), Fraction(1, 2)], [1, -1], [Fraction(1, 2), 1, 2]), 1)
+def test_expands_to_agrees_with_comparing_the_expansion(case, v):
+    # target read as the row B_m = s v^m target_m, with s the lcm of its denominators
     num, den, target = case
     gf = RationalGF.of(num, den)
-    Q = math.lcm(*(t.denominator for t in target))
-    scaled = [t.numerator * (Q // t.denominator) for t in target]
-    assert _expands_to(gf, scaled, Q) == (expand(gf, len(target) - 1) == list(target))
+    s = math.lcm(*(t.denominator for t in target))
+    row = [t.numerator * (s // t.denominator) * v**m for m, t in enumerate(target)]
+    assert _expands_to(gf, row, s, v) == (expand(gf, len(target) - 1) == list(target))
 
 
 def _cross_multiplied_sum(a, b):

@@ -298,6 +298,22 @@ def test_sparse_factors_take_the_sparse_carrier(monkeypatch):
     assert (calls[0][1], calls[-1][1]) == (141, 101)  # E^3 and theta up to q^10^4
     theta = theta_series(10**6).coeffs  # 1001 terms: decimals carry theta at 10^6
     assert len(theta) - theta.count(0) > qseries._SPARSE_MAX_TERMS
+    # eta(z)^24 at 100, as ramanujan_delta(100) builds it: E^3, E^6 and E^12
+    # have 14, 66 and 100 terms in 100 places, so all three squares are packed
+    calls.clear()
+    expand_recipe(EtaRecipe(factors=((1, 24),)), 100)
+    assert calls == [("_int_product", 14, True), ("_int_product", 66, True),
+                     ("_int_product", 100, True)]
+    # 250 nonzero terms: packed when dense, summed when they fill one place
+    # in 16, packed again one place short of that
+    calls.clear()
+    dense = [(-1) ** i * (i + 1) for i in range(250)]
+    spread = [0] * 4000
+    spread[::16] = dense
+    qseries._int_convolution(dense, dense, 498)
+    qseries._int_convolution(_DENSE * 400, spread, 3999)
+    qseries._int_convolution(_DENSE * 400, spread[:-1], 3998)
+    assert [name == "_sparse_product" for name, _, _ in calls] == [False, True, False]
 
 
 _SINGLE_FACTORS = ((1, 24), (2, 12), (3, 8), (4, 6), (6, 4), (8, 3), (12, 2), (24, 1))
