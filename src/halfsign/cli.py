@@ -54,49 +54,36 @@ _JOINERS = {int: int.__repr__, str: _encode_str}
 
 
 def _json(payload: dict) -> str:
-    """The bytes of json.dumps(payload, indent=1, sort_keys=True) + "\n".
+    """The bytes of json.dumps(payload, indent=1, sort_keys=True) + "\n"; keys are strs.
 
-    A list of only ints or only strs (the (q-1)^2 exponents of `characters`,
-    the coefficients of `expand`) is joined in one call instead of item by
-    item; dicts must have str keys.
+    Only top-level values are joined by hand, since every long list in the
+    reports is one (the (q-1)^2 exponents of `characters`, the coefficients of
+    `expand`); json.dumps renders all else.
     """
     out: list[str] = []
-    _render(payload, "\n", out)
-    out.append("\n")
+    for key in sorted(payload):
+        out.append(("," if out else "{") + "\n " + _encode_str(key) + ": ")
+        _render(payload[key], "\n ", out, rows=True)
+    out.append("\n}\n" if out else "{}\n")
     return "".join(out)
 
 
-def _render(value, newline: str, out: list[str]) -> None:
-    """Append value as json.dumps(value, indent=1, sort_keys=True) renders it
-    nested one level below `newline` ("\n" and the enclosing indent)."""
+def _render(value, newline: str, out: list[str], rows: bool = False) -> None:
+    """Append value as json.dumps nests it below `newline`: a nonempty list of
+    only ints or only strs is joined in one call, with `rows` also each row of a
+    list of lists, and the rest is dumped."""
+    kinds = set(map(type, value)) if type(value) is list else ()
+    kind = kinds.pop() if len(kinds) == 1 else None
     inner = newline + " "
-    if isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        opener = "{"
-        for key in sorted(value):
-            out.append(opener + inner + _encode_str(key) + ": ")
-            _render(value[key], inner, out)
-            opener = ","
-        out.append(newline + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        kinds = set(map(type, value))
-        join = _JOINERS.get(kinds.pop()) if len(kinds) == 1 else None
-        if join is not None:
-            out.append("[" + inner + ("," + inner).join(map(join, value)) + newline + "]")
-            return
-        opener = "["
-        for item in value:
-            out.append(opener + inner)
-            _render(item, inner, out)
-            opener = ","
+    if kind is list and rows:
+        for i, row in enumerate(value):
+            out.append(("," if i else "[") + inner)
+            _render(row, inner, out)
         out.append(newline + "]")
+    elif kind in _JOINERS:
+        out.append("[" + inner + ("," + inner).join(map(_JOINERS[kind], value)) + newline + "]")
     else:
-        out.append(json.dumps(value))
+        out.append(json.dumps(value, indent=1, sort_keys=True).replace("\n", newline))
 
 
 def _load_any_form(args) -> HalfIntegralForm:
@@ -215,11 +202,11 @@ def cmd_verify(args) -> tuple[str, bool]:
 
 def cmd_lift(args) -> tuple[str, bool]:
     form = _load_any_form(args)
-    if args.integral:
-        integral = load_series(args.integral)
-    else:
-        integral = flagship_mod.ramanujan_delta(max(args.p_max, 100))
-    values = shimura.lift_coefficients(form, args.t, args.n_max)
+    integral = load_series(args.integral) if args.integral else None
+    values = shimura.lift_coefficients(form, args.t, args.n_max)  # rejects t < 1
+    if integral is None:  # Delta up to the last prime that can be compared, t p^2 <= prec
+        last = min(args.p_max, isqrt(form.prec // args.t))
+        integral = flagship_mod.ramanujan_delta(max(100, last))
     report = shimura.crosscheck_lift(form, args.t, integral, args.p_max)
     payload = {
         "t": args.t,
@@ -260,7 +247,7 @@ def check_instance(inst: dict, terms: int, m_p: int) -> dict:
     _, b1 = signscan.twisted_sequence(a_t, trace, chi1_p, p, k, 1)
     row, s, v = signscan._scaled_twisted(a_t, trace, chi1_p, p, k, terms)
     closed_ok, split_ok, parity_ok = genfun._scaled_closed_form_checks(
-        row, s, v, a_t, b1, trace, chi1_p, p, k
+        row, s, v, b1, trace, chi1_p, p, k
     )
     local = hecke.satake_data(trace, p, k)
     deligne = hecke.deligne_check(trace, p, k)

@@ -104,6 +104,10 @@ class RealCharacter:
         same_values = (self.is_trivial and other.is_trivial) or self.table == other.table
         return self.modulus == other.modulus and same_values
 
+    def __hash__(self) -> int:
+        # equal characters have equal tables, or are both trivial with or without one
+        return hash((self.modulus, None if self.is_trivial else frozenset(self.table.items())))
+
 
 def _check_level(level: int) -> None:
     """HalfIntegralForm's level condition; callers that build a character mod

@@ -387,27 +387,27 @@ def closed_form_checks(
         raise ValueError("seq must hold at least one term")
     Q = math.lcm(*(b.denominator for b in seq))
     scaled = [b.numerator * (Q // b.denominator) for b in seq]
-    return _scaled_closed_form_checks(scaled, Q, 1, seq[0], b1, trace, chi1_p, p, k)
+    return _scaled_closed_form_checks(scaled, Q, 1, b1, trace, chi1_p, p, k)
 
 
 def _scaled_closed_form_checks(
     B: Sequence[int],
     s: int,
     v: int,
-    b0: Rational,
     b1: Rational,
     trace: Rational,
     chi1_p: int,
     p: int,
     k: int,
 ) -> tuple[bool, bool, bool]:
-    """closed_form_checks for the sequence b_m = B[m] / (s v^m), m = 0..M,
-    which starts with b0 (= B[0] / s); B is nonempty.
+    """closed_form_checks for the sequence b_m = B[m] / (s v^m), m = 0..M;
+    B is nonempty.
 
     Each expansion is the residual identity of _expands_to against B or its
     even or odd part, and the split identity is cross-multiplied on the
     cleared integer polynomials of _cleared.
     """
+    b0 = exact(Fraction(B[0], s))
     h1 = h_n_closed(b0, trace, chi1_p, p, k)
     s0, s1 = s_split_closed(b0, b1, trace, chi1_p, p, k)
     even = [b if m % 2 == 0 else 0 for m, b in enumerate(B)]

@@ -13,7 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import halfsign
+import halfsign.data
 from halfsign import cli
+from halfsign.flagship import FIXTURE_NAME
 from halfsign.cli import run
 
 
@@ -156,6 +158,22 @@ def test_lift_crosscheck(form_path, tmp_path):
     report = json.loads(out.read_text())
     assert report["values"]["3"] == "252"
     assert report["crosscheck"]["ok"] is True
+
+
+def test_lift_expands_delta_only_to_the_last_prime_it_can_compare(monkeypatch, capsys):
+    # at prec 10^4 and t = 1 no prime above 100 is compared; the digest is the
+    # report of the run that expanded Delta to p_max = 100000
+    asked = []
+    delta = cli.flagship_mod.ramanujan_delta
+    monkeypatch.setattr(cli.flagship_mod, "ramanujan_delta",
+                        lambda prec: asked.append(prec) or delta(prec))
+    fixture = Path(halfsign.data.__file__).with_name(FIXTURE_NAME)
+    assert run(["lift", "--form", str(fixture), "--p-max", "100000"]) == 0
+    assert asked == [100]
+    digest = "e09b6a112a370386fbd0ca266254d290688fdfcac4f609fd72be8ec19e3bb0d4"
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    assert run(["lift", "--form", str(fixture), "--t", "0"]) == 2
+    assert "ValueError" in capsys.readouterr().err
 
 
 def test_lift_that_compares_no_prime_exits_two(form_path, tmp_path, capsys):
@@ -324,6 +342,8 @@ _json_values = st.recursive(
 @example({})
 @example({"a": [], "b": {}, "c": [True, 1], "d": ["\u00e9", "\u2028", ""], "e": [[1, -2], [3]],
           "f": [None, "x"], "g": [False], "\U0001d11e": {"z": [10**40, 0]}})
+@example({"rows": [[], [1]], "mixed": [[1], 2], "tuple": (1, "a", (2,)), "bools": [True, False]})
+@example({"nested": {"long": list(range(-50, 50)), "rows": [["a"], ["b"]]}})
 def test_report_writer_matches_stdlib_json(payload):
     assert cli._json(payload) == json.dumps(payload, indent=1, sort_keys=True) + "\n"
 

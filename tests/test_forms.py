@@ -210,6 +210,18 @@ def test_quadratic_character_mod_4():
     assert chi(3) == -1 and chi(5) == 1 and chi(6) == 0
 
 
+def test_equal_characters_and_forms_hash_equal():
+    trivial, ones = RealCharacter.trivial(8), RealCharacter(8, {1: 1, 3: 1, 5: 1, 7: 1})
+    quadratic = RealCharacter(8, {1: 1, 3: -1, 5: -1, 7: 1})
+    assert trivial == ones and hash(trivial) == hash(ones)
+    assert quadratic == RealCharacter(8, dict(quadratic.table)) != trivial
+    assert hash(quadratic) == hash(RealCharacter(8, {7: 1, 5: -1, 3: -1, 1: 1}))
+    series = TruncatedSeries.from_coeffs([0, 1, 0, -2])
+    form, twin = (HalfIntegralForm(8, 3, chi, series) for chi in (trivial, ones))
+    assert form == twin and hash(form) == hash(twin)
+    assert len({form, twin, HalfIntegralForm(8, 3, quadratic, series)}) == 2
+
+
 # each case breaks its own condition and every later one, so the first
 # failing check decides the error
 @pytest.mark.parametrize(

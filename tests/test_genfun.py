@@ -228,7 +228,7 @@ def test_scaled_suite_on_the_recurrence_row_matches_the_fraction_oracle(params, 
     elif change == "b1":
         b1 += data.draw(_any_coeff.filter(bool))
     seq = [Fraction(b, s * v**m) for m, b in enumerate(row)]
-    got = _scaled_closed_form_checks(row, s, v, seq[0], b1, trace, chi1_p, p, k)
+    got = _scaled_closed_form_checks(row, s, v, b1, trace, chi1_p, p, k)
     assert got == naive_closed_form_checks(seq, b1, trace, chi1_p, p, k)
     if change == "none":
         assert got == (True, True, True)
