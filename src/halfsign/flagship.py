@@ -29,9 +29,13 @@ __all__ = [
     "DEFAULT_PREC",
     "build_flagship",
     "verify_eigenform",
+    "load_fixture",
     "flagship_form",
     "ramanujan_delta",
     "FIXTURE_NAME",
+    "VERIFY_PRIMES",
+    "VERIFY_T_MAX",
+    "VERIFY_M_MAX",
 ]
 
 FLAGSHIP_RECIPE = EtaRecipe(factors=((2, 12),), theta_power=1)
@@ -52,19 +56,15 @@ def build_flagship(prec: int = DEFAULT_PREC) -> HalfIntegralForm:
     return HalfIntegralForm(FLAGSHIP_LEVEL, FLAGSHIP_K, chi, series)
 
 
-def verify_eigenform(
-    form: HalfIntegralForm,
-    primes: tuple[int, ...] = VERIFY_PRIMES,
-    t_max: int = VERIFY_T_MAX,
-    m_max: int = VERIFY_M_MAX,
-) -> bool:
-    """Eigen-consistency gate: zero residuals at every prime in `primes`
-    over squarefree t <= t_max with a(t) != 0, recurrence depth m_max."""
+def verify_eigenform(form: HalfIntegralForm) -> bool:
+    """Eigen-consistency gate: zero residuals at every prime in VERIFY_PRIMES
+    over squarefree t <= VERIFY_T_MAX with a(t) != 0, recurrence depth
+    VERIFY_M_MAX."""
     try:
-        t_set = base_indices(form, t_max)
-        for p in primes:
+        t_set = base_indices(form, VERIFY_T_MAX)
+        for p in VERIFY_PRIMES:
             trace = extract_trace(form, t_set[0], p)
-            if not eigen_consistency(form, p, trace, t_set, m_max).consistent:
+            if not eigen_consistency(form, p, trace, t_set, VERIFY_M_MAX).consistent:
                 return False
     except (PrecisionExceeded, ZeroBase):
         return False

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .arith import Rational, exact, is_squarefree, squarefree_decompose
+from .arith import Rational, exact, is_squarefree
 from .errors import (
     BadCharacter,
     InvalidLevel,
@@ -29,11 +29,13 @@ from .qseries import TruncatedSeries
 __all__ = [
     "RealCharacter",
     "HalfIntegralForm",
-    "squarefree_decompose",
+    "coefficient",
+    "parse_rational",
+    "format_rational",
     "load_form",
+    "form_to_dict",
     "save_form",
     "load_series",
-    "coefficient",
 ]
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
@@ -61,16 +63,17 @@ def _unit_generators(modulus: int, units: list[int]) -> list[int]:
 class RealCharacter:
     """Real Dirichlet character mod N: +-1 on units, 0 off the units.
 
-    `table` maps each unit to its value; it is None for the trivial
-    character, which never lists the units."""
+    `table` maps each unit to its value.  The trivial character, given as
+    None or as an all-ones table, is stored as None and never lists the
+    units, so two characters are equal exactly when their moduli and
+    tables are."""
 
     def __init__(self, modulus: int, table: dict[int, int] | None):
         if modulus < 1:
             raise BadCharacter(f"character modulus must be a positive integer, got {modulus}")
         self.modulus = modulus
-        if table is None:  # the trivial character: chi(n) = 1 exactly when gcd(n, N) = 1
-            self.table = None
-            self.is_trivial = True
+        self.table = None  # the trivial character: chi(n) = 1 exactly when gcd(n, N) = 1
+        if table is None:
             return
         # a table covering the units has phi(N) entries, so listing stops one
         # unit past its size and costs O(len(table) N/phi(N)), not O(N)
@@ -86,8 +89,12 @@ class RealCharacter:
             for b in units:
                 if table[g * b % modulus] != table[g] * table[b]:
                     raise BadCharacter(f"table is not multiplicative at ({g}, {b}) mod {modulus}")
-        self.table = dict(table)
-        self.is_trivial = all(v == 1 for v in table.values())
+        if -1 in table.values():
+            self.table = dict(table)
+
+    @property
+    def is_trivial(self) -> bool:
+        return self.table is None
 
     @classmethod
     def trivial(cls, modulus: int) -> "RealCharacter":
@@ -101,12 +108,10 @@ class RealCharacter:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RealCharacter):
             return NotImplemented
-        same_values = (self.is_trivial and other.is_trivial) or self.table == other.table
-        return self.modulus == other.modulus and same_values
+        return (self.modulus, self.table) == (other.modulus, other.table)
 
     def __hash__(self) -> int:
-        # equal characters have equal tables, or are both trivial with or without one
-        return hash((self.modulus, None if self.is_trivial else frozenset(self.table.items())))
+        return hash((self.modulus, None if self.table is None else frozenset(self.table.items())))
 
 
 def _check_level(level: int) -> None:

@@ -8,6 +8,11 @@ its even/odd split S0, S1 over the common degree-4 denominator, power
 series expansion, the Lucas-normalized companion polynomial of the local
 Satake data, and exact real-root counting via Sturm sequences.
 
+The polynomial gcd and the Sturm sequence read one remainder sequence
+(_remainder_sequence): primitive integer pseudo-remainders, each scaled by a
+positive factor and negated.  Sturm's theorem needs both the signs and the
+negation; the gcd is its last entry, up to sign.
+
 Power series expansion clears denominators first: the recurrence runs on
 integers scaled by powers of the lcm L of the coefficient denominators
 (see expand), which builds Fractions only at the end, one per coefficient.
@@ -44,10 +49,12 @@ from .hecke import HeckeLocalData
 __all__ = [
     "Polynomial",
     "RationalGF",
+    "poly_gcd",
     "h_n_closed",
     "s_split_closed",
     "closed_form_checks",
     "expand",
+    "lucas_sequence",
     "remark_polynomial",
     "real_root_count",
     "sturm_chain",
@@ -58,9 +65,10 @@ __all__ = [
 class Polynomial:
     """Dense polynomial over the rationals, coefficients in ascending degree.
 
-    Coefficients are canonical exact numbers (arith.exact: int when
-    integral, else Fraction).  Trailing zeros are stripped; the zero
-    polynomial has an empty coefficient tuple and degree -1.
+    The constructor takes any iterable of coefficients and stores them as a
+    tuple of canonical exact numbers (arith.exact: int when integral, else
+    Fraction).  Trailing zeros are stripped; the zero polynomial has an empty
+    coefficient tuple and degree -1.
     """
 
     coeffs: tuple[Rational, ...]
@@ -74,10 +82,6 @@ class Polynomial:
     @classmethod
     def of(cls, *coeffs: Rational) -> "Polynomial":
         return cls(coeffs)
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable[Rational]) -> "Polynomial":
-        return cls(tuple(coeffs))
 
     @property
     def degree(self) -> int:
@@ -112,9 +116,6 @@ class Polynomial:
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.is_zero or other.is_zero:
@@ -156,55 +157,53 @@ def _integer_primitive(poly: Polynomial) -> list[int]:
     """Scale a rational polynomial to a primitive integer coefficient list."""
     lcm = math.lcm(*(c.denominator for c in poly.coeffs))
     ints = [c.numerator * (lcm // c.denominator) for c in poly.coeffs]
-    content = 0
-    for v in ints:
-        content = math.gcd(content, abs(v))
-    return [v // content for v in ints] if content else ints
+    content = math.gcd(*ints) or 1
+    return [v // content for v in ints]
+
+
+def _remainder_sequence(f: list[int], g: list[int]) -> list[list[int]]:
+    """f, g, then -rem(f, g), -rem(g, -rem(f, g)), ... down to the last
+    nonzero remainder, each scaled to a primitive integer list by a positive
+    factor.
+
+    f and g are integer coefficient lists in ascending degree; the empty list
+    is the zero polynomial, and a g of higher degree than f makes the first
+    remainder -f.  Each remainder is a pseudo-remainder: before every
+    elimination step the partial remainder is multiplied by |lc(g)|, never
+    by a negative number.  The last entry is a multiple of gcd(f, g), and
+    with g = f' the list is the Sturm sequence of f up to positive factors,
+    which keep every sign.
+    """
+    seq = [f]
+    while g:
+        seq.append(g)
+        if g[-1] < 0:  # rem(f, -g) = rem(f, g)
+            g = [-v for v in g]
+        lead, d = g[-1], len(g) - 1
+        rem = list(f)
+        for i in range(len(rem) - 1, d - 1, -1):
+            c = rem[i]
+            if c:
+                rem = [v * lead for v in rem]
+                for j, b in enumerate(g):
+                    rem[i - d + j] -= c * b
+        while rem and rem[-1] == 0:
+            rem.pop()
+        content = math.gcd(*rem)
+        f, g = seq[-1], [-v // content for v in rem]
+    return seq
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Greatest common divisor, computed by a content-normalized
-    (primitive) pseudo-remainder sequence on integer polynomials.
+    """Greatest common divisor: the last entry of the primitive remainder
+    sequence of a and b, made positive.
 
     Result is primitive with positive leading coefficient; gcd(0, 0) = 0.
     """
-    if a.is_zero:
-        u = b
-    elif b.is_zero:
-        u = a
-    else:
-        fa = _integer_primitive(a)
-        fb = _integer_primitive(b)
-        if len(fa) < len(fb):
-            fa, fb = fb, fa
-        while fb:
-            # pseudo-remainder: lc(fb)^(deg gap + 1) * fa mod fb, then
-            # divide out the content
-            lead = fb[-1]
-            rem = list(fa)
-            d = len(fb) - 1
-            for i in range(len(rem) - 1, d - 1, -1):
-                if rem[i] == 0:
-                    continue
-                c = rem[i]
-                rem = [v * lead for v in rem]
-                for j, bv in enumerate(fb):
-                    rem[i - d + j] -= c * bv
-            while rem and rem[-1] == 0:
-                rem.pop()
-            content = 0
-            for v in rem:
-                content = math.gcd(content, abs(v))
-            if content:
-                rem = [v // content for v in rem]
-            fa, fb = fb, rem
-        u = Polynomial(tuple(fa))
-    if u.is_zero:
-        return u
-    ints = _integer_primitive(u)
-    if ints[-1] < 0:
-        ints = [-v for v in ints]
-    return Polynomial(tuple(ints))
+    g = _remainder_sequence(_integer_primitive(a), _integer_primitive(b))[-1]
+    if g and g[-1] < 0:
+        g = [-v for v in g]
+    return Polynomial(g)
 
 
 @dataclass(frozen=True)
@@ -239,7 +238,7 @@ class RationalGF:
 
     @classmethod
     def of(cls, num: Iterable[Rational], den: Iterable[Rational]) -> "RationalGF":
-        return cls(Polynomial.from_coeffs(num), Polynomial.from_coeffs(den))
+        return cls(Polynomial(num), Polynomial(den))
 
     def __add__(self, other: "RationalGF") -> "RationalGF":
         if self.den == other.den:
@@ -247,10 +246,6 @@ class RationalGF:
         return RationalGF(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
-
-    def cross_equal(self, other: "RationalGF") -> bool:
-        """Equality as rational functions, by cross-multiplied polynomial identity."""
-        return self.num * other.den == other.num * self.den
 
 
 def _cleared(gf: RationalGF) -> tuple[list[int], list[int]]:
@@ -414,7 +409,7 @@ def _scaled_closed_form_checks(
     odd = [b if m % 2 == 1 else 0 for m, b in enumerate(B)]
     parity_ok = _expands_to(s0, even, s, v) and _expands_to(s1, odd, s, v)
     # S0 + S1 = H, cross-multiplied over the three cleared denominators
-    cleared = (map(Polynomial.from_coeffs, _cleared(gf)) for gf in (s0, s1, h1))
+    cleared = (map(Polynomial, _cleared(gf)) for gf in (s0, s1, h1))
     (n0, d0), (n1, d1), (nh, dh) = cleared
     split_ok = (n0 * d1 + n1 * d0) * dh == nh * d0 * d1
     return _expands_to(h1, B, s, v), split_ok, parity_ok
@@ -451,17 +446,14 @@ def remark_polynomial(local: HeckeLocalData, m_p: int) -> Polynomial:
 
 
 def sturm_chain(poly: Polynomial) -> list[Polynomial]:
-    """Sturm sequence of a nonzero polynomial: poly, poly', then negated
-    remainders down to a multiple of gcd(poly, poly').  Squarefree input is
-    not required: the drop in sign variations between two points that are
-    not roots still counts the distinct roots between them."""
-    chain = [poly, poly.derivative()]
-    while not chain[-1].is_zero and chain[-1].degree >= 1:
-        _, rem = chain[-2].divmod(chain[-1])
-        if rem.is_zero:
-            break
-        chain.append(-rem)
-    return [c for c in chain if not c.is_zero]
+    """Sturm sequence of a nonzero polynomial: poly, poly', then positive
+    multiples of the negated remainders, primitive integer polynomials, down
+    to a multiple of gcd(poly, poly').  Squarefree input is not required: the
+    drop in sign variations between two points that are not roots still
+    counts the distinct roots between them."""
+    derivative = poly.derivative()
+    rest = _remainder_sequence(_integer_primitive(poly), _integer_primitive(derivative))[2:]
+    return [c for c in (poly, derivative) if not c.is_zero] + [Polynomial(r) for r in rest]
 
 
 def _sign_variations(signs: Sequence[int]) -> int:

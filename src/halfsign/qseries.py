@@ -96,9 +96,10 @@ class TruncatedSeries:
 class EtaRecipe:
     """Product prod eta(d*z)^r over factors, times theta(z)^theta_power.
 
-    The sum of d*r over all factors must be divisible by 24 so the leading
-    exponent is integral.  Only positive eta exponents are supported; a
-    quotient would need Laurent bookkeeping this package does not do.
+    Each factor's d*r must be divisible by 24, so that every eta power, and
+    hence the product, has an integral leading exponent.  Only positive eta
+    exponents are supported; a quotient would need Laurent bookkeeping this
+    package does not do.
     """
 
     factors: tuple[tuple[int, int], ...]
@@ -111,13 +112,10 @@ class EtaRecipe:
                 raise ValueError(f"eta scale must be positive, got {d}")
             if r < 1:
                 raise ValueError(f"eta exponent must be positive, got {r}")
+            if d * r % 24 != 0:
+                raise NonIntegralOffset(f"eta factor {d}:{r} has d*r = {d * r}, not divisible by 24")
         if self.theta_power < 0:
             raise ValueError("theta power must be nonnegative")
-        total = sum(d * r for d, r in self.factors)
-        if total % 24 != 0:
-            raise NonIntegralOffset(
-                f"sum of d*r over factors is {total}, not divisible by 24"
-            )
 
 
 # ---------------------------------------------------------------------------

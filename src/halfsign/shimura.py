@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .arith import Rational, exact, kronecker, primes_up_to
+from .arith import Rational, kronecker, primes_up_to
 from .errors import MissingCoefficient, PrecisionExceeded, ZeroBase
 from .forms import HalfIntegralForm, coefficient
 from .qseries import TruncatedSeries
@@ -74,13 +73,13 @@ class CrosscheckReport:
 def crosscheck_lift(
     form: HalfIntegralForm,
     t: int,
-    integral_form_coeffs: Sequence[Rational] | TruncatedSeries,
+    integral_form_coeffs: TruncatedSeries,
     p_max: int,
 ) -> CrosscheckReport:
     """Verify eigenvalue transfer to a normalized integral-weight eigenform.
 
     For every prime p <= p_max with p coprime to the level, asserts
-    A_t(p)/a(t) = B(p) where B are the supplied integral coefficients.
+    A_t(p)/a(t) = B(p) where B is the series integral_form_coeffs.
     This is the whole check: A_t(p)/a(t) = a(t p^2)/a(t) + chi_{t,N}(p) p^(k-1)
     also equals extract_trace(form, t, p) * chi(p) for every form, since
     chi(p)^2 = 1 for p coprime to the level, so comparing with the trace
@@ -88,10 +87,6 @@ def crosscheck_lift(
     reported as skipped; when that leaves no prime to compare, the check
     has not run and PrecisionExceeded is raised instead of an empty pass.
     """
-    if isinstance(integral_form_coeffs, TruncatedSeries):
-        integral = list(integral_form_coeffs.coeffs)
-    else:
-        integral = [exact(c) for c in integral_form_coeffs]
     a_t = coefficient(form, t, 1)
     if a_t == 0:
         raise ZeroBase(f"a({t}) = 0; cannot normalize the lift")
@@ -104,7 +99,7 @@ def crosscheck_lift(
         if t * p * p > form.prec:
             skipped.append(p)
             continue
-        if p >= len(integral):
+        if p > integral_form_coeffs.prec:
             raise MissingCoefficient(
                 f"comparison series stops before coefficient {p}"
             )
@@ -112,7 +107,7 @@ def crosscheck_lift(
         chi_tN = form.chi(p) * chi1(p, t, form.k, form.level)
         lift_p = Fraction(coefficient(form, t, p), a_t) + chi_tN * p ** (form.k - 1)
         compared.append(p)
-        if lift_p != integral[p]:
+        if lift_p != integral_form_coeffs.coeffs[p]:
             mismatches.append(p)
     if not compared:
         raise PrecisionExceeded(

@@ -73,7 +73,7 @@ def test_criterion_2_split_identities():
         b1 = (trace - c1 * p ** (k - 1)) * a_t
         s0, s1 = s_split_closed(a_t, b1, trace, c1, p, k)
         h1 = h_n_closed(a_t, trace, c1, p, k)
-        ok &= (s0 + s1).cross_equal(h1)
+        ok &= s0 + s1 == h1
         seq = twisted_sequence(a_t, trace, c1, p, k, 100)
         s0x, s1x = expand(s0, 100), expand(s1, 100)
         ok &= all(s0x[m] == (seq[m] if m % 2 == 0 else 0) for m in range(101))

@@ -22,6 +22,7 @@ from halfsign.genfun import (
     real_root_count,
     remark_polynomial,
     s_split_closed,
+    sturm_chain,
 )
 from halfsign.hecke import satake_data
 from halfsign.signscan import _scaled_twisted, twisted_sequence
@@ -110,7 +111,7 @@ def test_s_split_values_and_identity():
         assert expand(s0, 0) == [a_t]
         assert expand(s1, 1)[0] == 0
         h1 = h_n_closed(a_t, trace, c1, p, k)
-        assert (s0 + s1).cross_equal(h1)
+        assert s0 + s1 == h1
         seq = twisted_sequence(a_t, trace, c1, p, k, 50)
         s0x, s1x = expand(s0, 50), expand(s1, 50)
         for m in range(51):
@@ -364,12 +365,12 @@ def test_remark_polynomial_rationalization_identity():
             q_coeffs[0] += 1
             q_coeffs[m_p - 1] -= u[m_p]
             q_coeffs[m_p] += norm * u[m_p - 1]
-            q = Polynomial.from_coeffs(q_coeffs)
+            q = Polynomial(q_coeffs)
             literal = [Fraction(0)] * (m_p + 1)
             literal[0] += alpha - beta
             literal[m_p - 1] += beta**m_p - alpha**m_p
             literal[m_p] += beta * alpha**m_p - alpha * beta**m_p
-            assert Polynomial.from_coeffs(literal) == q.scale(alpha - beta)
+            assert Polynomial(literal) == q.scale(alpha - beta)
             if (alpha, beta) == (4, 2):
                 # genuine Satake data: trace 6, norm 8 = 2^(2*2-1)
                 assert remark_polynomial(satake_data(6, 2, 2), m_p) == q
@@ -402,7 +403,7 @@ def test_real_root_count_vs_grid_lower_bound():
         coeffs = [Fraction(rng.randint(-9, 9)) for _ in range(3)] + [
             Fraction(rng.choice([c for c in range(-9, 10) if c]))
         ]
-        poly = Polynomial.from_coeffs(coeffs)
+        poly = Polynomial(coeffs)
         grid = grid_sign_changes(list(poly.coeffs), Fraction(-20), Fraction(20), 400)
         assert grid <= real_root_count(poly)
 
@@ -426,3 +427,37 @@ def test_real_root_count_matches_sympy_distinct_real_roots(scale, factors):
     x = sympy.Symbol("x")
     coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(poly.coeffs)]
     assert real_root_count(poly) == len(set(sympy.real_roots(sympy.Poly(coeffs, x))))
+
+
+_int_poly = st.lists(st.integers(-9, 9), max_size=5).map(Polynomial)
+
+
+@settings(deadline=None)  # sympy's first call is slow
+@given(_int_poly, _int_poly, _int_poly)
+@example(P(-2, 0, 1), P(3, 1), P(1, 1))  # no common root: the gcd is 1
+@example(P(0, 0, 1), P(), P(-1, -1))  # gcd(X^2, 0), scaled by -(X + 1)
+def test_remainder_sequence_gives_sympy_gcd_and_integral_sturm_remainders(f, g, h):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    a, b = f * h, g * h
+
+    def to_sympy(poly):
+        return sympy.Poly(list(reversed(poly.coeffs)) or [0], x)
+
+    gcd = to_sympy(a).gcd(to_sympy(b))
+    if not gcd.is_zero:
+        gcd = gcd.primitive()[1]
+        gcd = -gcd if gcd.LC() < 0 else gcd
+    assert poly_gcd(a, b) == P(*(int(c) for c in reversed(gcd.all_coeffs())))
+    if a.is_zero:
+        return
+    chain = sturm_chain(a)
+    for i in range(2, len(chain)):
+        assert all(type(c) is int for c in chain[i].coeffs)
+        assert math.gcd(*chain[i].coeffs) == 1
+        # a positive multiple of -rem(chain[i-2], chain[i-1])
+        negated = -chain[i - 2].divmod(chain[i - 1])[1]
+        ratio = Fraction(negated.leading) / chain[i].leading
+        assert ratio > 0 and chain[i].scale(ratio) == negated
+    if len(chain) > 1:
+        assert chain[-2].divmod(chain[-1])[1].is_zero

@@ -125,10 +125,10 @@ def test_expand_recipe_empty_is_one():
 def test_recipe_invariant_checked_at_construction():
     with pytest.raises(NonIntegralOffset):
         EtaRecipe(factors=((1, 12), (1, 11)), theta_power=0)
-    # per-factor failure propagates even when the total offset is integral
-    recipe = EtaRecipe(factors=((1, 12), (3, 4)), theta_power=0)
-    with pytest.raises(NonIntegralOffset):
-        expand_recipe(recipe, 10)
+    # each factor is checked, and named, even when the total offset is integral
+    for factors, name in ((((1, 12), (3, 4)), "1:12"), (((1, 8), (2, 8)), "1:8")):
+        with pytest.raises(NonIntegralOffset, match=f"eta factor {name} "):
+            EtaRecipe(factors=factors, theta_power=0)
 
 
 def _random_series(rng, prec, rational=True):

@@ -7,6 +7,7 @@ from halfsign.arith import kronecker, primes_up_to
 from halfsign.errors import MissingCoefficient, PrecisionExceeded, ZeroBase
 from halfsign.forms import coefficient
 from halfsign.hecke import extract_trace
+from halfsign.qseries import TruncatedSeries
 from halfsign.shimura import chi1, crosscheck_lift, lift_coefficients
 from naive_oracle import kronecker_bottom_two, legendre_euler
 
@@ -107,13 +108,12 @@ def test_crosscheck_flagship_vs_delta(flagship, delta):
 def test_crosscheck_detects_perturbation(flagship, delta):
     coeffs = list(delta.coeffs)
     coeffs[7] += 1
-    report = crosscheck_lift(flagship, 1, coeffs, 20)
+    report = crosscheck_lift(flagship, 1, TruncatedSeries.from_coeffs(coeffs), 20)
     assert report.mismatches == (7,)
 
 
 def test_crosscheck_reports_corrupted_form_coefficients(delta):
     from halfsign.flagship import flagship_form
-    from halfsign.qseries import TruncatedSeries
 
     form = flagship_form(2500)
     coeffs = list(form.series.coeffs)
@@ -140,17 +140,16 @@ def test_crosscheck_that_compares_no_prime_raises(flagship, delta, p_max):
 
 def test_crosscheck_zero_base():
     from halfsign.forms import HalfIntegralForm, RealCharacter
-    from halfsign.qseries import TruncatedSeries
 
     series = TruncatedSeries.from_coeffs([0] * 50)
     silent = HalfIntegralForm(4, 2, RealCharacter.trivial(4), series)
     with pytest.raises(ZeroBase):
-        crosscheck_lift(silent, 1, [Fraction(0)] * 10, 3)
+        crosscheck_lift(silent, 1, TruncatedSeries.from_coeffs([0] * 10), 3)
 
 
 def test_crosscheck_missing_coefficient(flagship):
     with pytest.raises(MissingCoefficient):
-        crosscheck_lift(flagship, 1, [Fraction(0), Fraction(1)], 10)
+        crosscheck_lift(flagship, 1, TruncatedSeries.from_coeffs([0, 1]), 10)
 
 
 def test_eigenvalue_transfer_identity(flagship):

@@ -1,0 +1,63 @@
+"""Static checks on the source of `halfsign`, read with `ast`: no floating
+point anywhere, and each module's __all__ lists exactly its public names."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import halfsign
+
+SOURCES = sorted(Path(halfsign.__file__).parent.glob("*.py"))
+
+
+def _float_uses(tree: ast.AST) -> list[str]:
+    """Float literals, the name `float`, and true divisions `/` and `/=`."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append(f"line {node.lineno}: literal {node.value!r}")
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.append(f"line {node.lineno}: name float")
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append(f"line {node.lineno}: true division")
+    return found
+
+
+def test_the_float_detector_sees_each_kind_of_use():
+    tree = ast.parse("a = 0.5\nb = float(a)\nc = a / 2\nc /= 3\nd = a // 2 + 7 % 3 + 1j")
+    assert sorted(use.split(":")[0] for use in _float_uses(tree)) == [
+        "line 1", "line 2", "line 3", "line 4", "line 5",
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_source_has_no_floating_point(path):
+    assert _float_uses(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def _all_and_public_names(tree: ast.Module) -> tuple[list[str] | None, set[str]]:
+    exported, public = None, set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        if names == ["__all__"]:
+            exported = list(ast.literal_eval(node.value))
+        else:
+            public.update(name for name in names if not name.startswith("_"))
+    return exported, public
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda path: path.name
+)
+def test_each_all_lists_the_modules_own_public_names(path):
+    exported, public = _all_and_public_names(ast.parse(path.read_text(encoding="utf-8")))
+    if exported is not None:
+        assert len(exported) == len(set(exported))
+        assert set(exported) == public
