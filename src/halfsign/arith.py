@@ -3,13 +3,14 @@
 Everything is exact integer arithmetic; these are the primitives the rest
 of the package leans on.  `exact` is the package's one number rule: every
 value is an int when integral and a Fraction otherwise, never a float.
+`clear_denominators` is the one place a list of them is scaled to integers.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -24,6 +25,18 @@ def exact(x: Rational) -> Rational:
     if isinstance(x, int):
         return int(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+
+
+def clear_denominators(coeffs: Sequence[Rational]) -> tuple[int, list[int]]:
+    """(L, [L*c for c in coeffs]) with L the lcm of the denominators, 1 for no
+    coefficients; a coefficient that is not an int or a Fraction is a TypeError."""
+    try:
+        L = math.lcm(*{c.denominator for c in coeffs})
+    except AttributeError:
+        raise TypeError("coefficients must be exact: int or Fraction") from None
+    if L == 1:  # the common integer case skips a multiply per coefficient
+        return 1, [c.numerator for c in coeffs]
+    return L, [c.numerator * (L // c.denominator) for c in coeffs]
 
 
 def primes_up_to(n: int) -> list[int]:

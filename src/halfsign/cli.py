@@ -251,7 +251,7 @@ def check_instance(inst: dict, terms: int, m_p: int) -> dict:
     )
     local = hecke.satake_data(trace, p, k)
     deligne = hecke.deligne_check(trace, p, k)
-    remark = genfun.remark_polynomial(local, m_p)
+    remark = genfun.remark_polynomial(local.trace, local.norm, m_p)
     remark_ok = m_p < 2 or remark(0) == 1
     roots_ok = True
     if local.root_kind == "complex_pair" and m_p == 2:

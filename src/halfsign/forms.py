@@ -228,6 +228,8 @@ def _read_coefficient_file(path: str | Path) -> tuple[dict, TruncatedSeries]:
     if not isinstance(data, dict):
         raise ParseError("form file must contain a JSON object")
     prec = _header_int(data, "prec")
+    if prec < 1:
+        raise ParseError(f"prec must be at least 1, got {prec}")
     raw_coeffs = data.get("coeffs")
     if not isinstance(raw_coeffs, list) or len(raw_coeffs) != prec + 1:
         raise ParseError(f"expected {prec + 1} coefficient entries")
@@ -255,7 +257,7 @@ def load_form(path: str | Path) -> HalfIntegralForm:
       "k"          integer >= 2 (the weight is k + 1/2)
       "character"  "trivial" (the default) or an object mapping unit
                    residues (as decimal strings) to 1 / -1
-      "prec"       integer truncation order
+      "prec"       integer truncation order, at least 1
       "coeffs"     array of prec + 1 strings, index = exponent, each an
                    integer or "p/q" exact rational; index 0 must be "0"
     An integer field or character value must be a JSON integer: a float such

@@ -32,7 +32,10 @@ takes the sequence itself and hands the suite B_m = Q b_m, s = Q, v = 1,
 with Q the lcm of its denominators.
 
 All identity checking is done by cross-multiplication into polynomial
-identities; nothing in this module touches floating point.
+identities; nothing in this module touches floating point.  Every
+denominator is cleared by arith.clear_denominators.  The module is a leaf:
+it imports only arith and errors from the package, and takes the Satake data
+as the plain pair (trace, norm).
 """
 
 from __future__ import annotations
@@ -42,9 +45,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .arith import Rational, exact
+from .arith import Rational, clear_denominators, exact
 from .errors import NotExpandable, ZeroPolynomial
-from .hecke import HeckeLocalData
 
 __all__ = [
     "Polynomial",
@@ -155,8 +157,7 @@ class Polynomial:
 
 def _integer_primitive(poly: Polynomial) -> list[int]:
     """Scale a rational polynomial to a primitive integer coefficient list."""
-    lcm = math.lcm(*(c.denominator for c in poly.coeffs))
-    ints = [c.numerator * (lcm // c.denominator) for c in poly.coeffs]
+    _, ints = clear_denominators(poly.coeffs)
     content = math.gcd(*ints) or 1
     return [v // content for v in ints]
 
@@ -251,9 +252,7 @@ class RationalGF:
 def _cleared(gf: RationalGF) -> tuple[list[int], list[int]]:
     """num and den of gf times the lcm L of all their coefficient
     denominators; den(0) = 1 makes the cleared den[0] equal to L."""
-    coeffs = gf.num.coeffs + gf.den.coeffs
-    L = math.lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (L // c.denominator) for c in coeffs]
+    _, ints = clear_denominators(gf.num.coeffs + gf.den.coeffs)
     return ints[: len(gf.num.coeffs)], ints[len(gf.num.coeffs) :]
 
 
@@ -380,8 +379,7 @@ def closed_form_checks(
     """
     if not seq:
         raise ValueError("seq must hold at least one term")
-    Q = math.lcm(*(b.denominator for b in seq))
-    scaled = [b.numerator * (Q // b.denominator) for b in seq]
+    Q, scaled = clear_denominators(seq)
     return _scaled_closed_form_checks(scaled, Q, 1, b1, trace, chi1_p, p, k)
 
 
@@ -427,21 +425,23 @@ def lucas_sequence(trace: Rational, norm: Rational, count: int) -> list[Rational
     return values[: count + 1]
 
 
-def remark_polynomial(local: HeckeLocalData, m_p: int) -> Polynomial:
-    """Rationalized companion Q(X) = norm u_{m_p - 1} X^m_p - u_{m_p} X^(m_p - 1) + 1.
+def remark_polynomial(trace: Rational, norm: int, m_p: int) -> Polynomial:
+    """Rationalized companion Q(X) = norm u_{m_p - 1} X^m_p - u_{m_p} X^(m_p - 1) + 1,
+    with u the lucas_sequence of (trace, norm).
 
     The polynomial (beta alpha^m - alpha beta^m) X^m + (beta^m - alpha^m) X^(m-1)
-    + (alpha - beta) built from the Satake roots factors as (alpha - beta) Q(X),
-    so its real zeros coincide with the real zeros of Q.  For m_p = 1 the
-    polynomial vanishes identically.
+    + (alpha - beta) built from the Satake roots alpha, beta of
+    X^2 - trace X + norm factors as (alpha - beta) Q(X), so its real zeros
+    coincide with the real zeros of Q.  For m_p = 1 the polynomial vanishes
+    identically.
     """
     if m_p < 1:
         raise ValueError("m_p must be at least 1")
-    u = lucas_sequence(local.trace, local.norm, m_p)
+    u = lucas_sequence(trace, norm, m_p)
     coeffs = [0] * (m_p + 1)
     coeffs[0] = 1
     coeffs[m_p - 1] -= u[m_p]
-    coeffs[m_p] += local.norm * u[m_p - 1]
+    coeffs[m_p] += norm * u[m_p - 1]
     return Polynomial(tuple(coeffs))
 
 

@@ -16,7 +16,8 @@ chi(p) satisfies
 so extract_trace reads tau_p off b_0 and b_1, and eigen_consistency checks
 the recurrence along the row up to depth min(m_max, H - 1).  Satake data is
 carried as the exact pair (trace, norm = p^(2k-1)); the roots alpha, beta of
-X^2 - trace*X + norm are never materialized as radicals or floats.
+X^2 - trace*X + norm are never materialized as radicals or floats; their
+kind is read from _deligne, the one comparison of trace^2 with 4 norm.
 """
 
 from __future__ import annotations
@@ -52,14 +53,10 @@ class HeckeLocalData:
     norm: int
 
     @property
-    def disc(self) -> Rational:
-        return self.trace * self.trace - 4 * self.norm
-
-    @property
     def root_kind(self) -> str:
-        """real_distinct, real_double or complex_pair, by the sign of disc."""
-        disc = self.disc
-        return "real_distinct" if disc > 0 else "real_double" if disc == 0 else "complex_pair"
+        """The roots of X^2 - trace*X + norm, by the sign of trace^2 - 4 norm."""
+        kinds = {"strict": "complex_pair", "extremal": "real_double", "violated": "real_distinct"}
+        return kinds[_deligne(self.trace, self.norm)]
 
 
 def satake_data(trace: Rational, p: int, k: int) -> HeckeLocalData:
@@ -78,12 +75,15 @@ def deligne_check(trace: Rational, p: int, k: int) -> str:
     (the trace is then +-2 p^(k-1/2), forcing sqrt(p) into the eigenvalue
     field), and "violated" beyond the bound.
     """
-    trace = exact(trace)
-    bound = 4 * p ** (2 * k - 1)
+    return _deligne(exact(trace), p ** (2 * k - 1))
+
+
+def _deligne(trace: Rational, norm: int) -> str:
+    """strict, extremal or violated as trace^2 is below, at or above 4 norm."""
     square = trace * trace
-    if square < bound:
+    if square < 4 * norm:
         return "strict"
-    if square == bound:
+    if square == 4 * norm:
         return "extremal"
     return "violated"
 

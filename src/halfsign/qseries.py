@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .arith import Rational, exact
+from .arith import Rational, clear_denominators, exact
 from .errors import NonIntegralOffset, PrecisionExceeded
 
 __all__ = [
@@ -106,7 +106,10 @@ class EtaRecipe:
     theta_power: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "factors", tuple((int(d), int(r)) for d, r in self.factors))
+        object.__setattr__(self, "factors", tuple((d, r) for d, r in self.factors))
+        for x in (*itertools.chain(*self.factors), self.theta_power):
+            if type(x) is not int:  # a float is not truncated, nor a bool read as 0 or 1
+                raise ValueError(f"eta recipe entries must be integers, got {x!r}")
         for d, r in self.factors:
             if d < 1:
                 raise ValueError(f"eta scale must be positive, got {d}")
@@ -299,23 +302,11 @@ def _int_convolution(xs: Sequence[int], ys: Sequence[int], n_out: int) -> list[i
     return out + [0] * (n_out + 1 - n)
 
 
-def _scaled_numerators(coeffs: Sequence[Rational]) -> tuple[int, list[int]]:
-    """(d, [d*c for c in coeffs]) with d the lcm of the denominators; a
-    coefficient that is not an int or a Fraction is a TypeError."""
-    try:
-        den = math.lcm(*{c.denominator for c in coeffs})
-    except AttributeError:
-        raise TypeError("series coefficients must be exact: int or Fraction") from None
-    if den == 1:  # the common integer case skips a multiply per coefficient
-        return 1, [c.numerator for c in coeffs]
-    return den, [c.numerator * (den // c.denominator) for c in coeffs]
-
-
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Exact Cauchy product truncated at min(a.prec, b.prec)."""
     prec = min(a.prec, b.prec)
-    da, xs = _scaled_numerators(a.coeffs[: prec + 1])
-    db, ys = (da, xs) if b is a else _scaled_numerators(b.coeffs[: prec + 1])
+    da, xs = clear_denominators(a.coeffs[: prec + 1])
+    db, ys = (da, xs) if b is a else clear_denominators(b.coeffs[: prec + 1])
     ints = _int_convolution(xs, ys, prec)
     den = da * db
     if den == 1:

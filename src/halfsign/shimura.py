@@ -9,6 +9,8 @@ convolution
     A_t(n) = sum_{d | n} chi_{t,N}(d) d^(k-1) a(t (n/d)^2),
 
 which at a prime n = p reduces to A_t(p) = a(t p^2) + chi_{t,N}(p) p^(k-1) a(t).
+The sum is written once, in _lift_coefficient: lift_coefficients reads it
+for every n and crosscheck_lift at each prime it compares.
 """
 
 from __future__ import annotations
@@ -45,17 +47,19 @@ def lift_coefficients(form: HalfIntegralForm, t: int, n_max: int) -> dict[int, R
         raise PrecisionExceeded(
             f"A_t({n_max}) needs a({t * n_max * n_max}) beyond precision {form.prec}"
         )
-    values: dict[int, Rational] = {}
-    for n in range(1, n_max + 1):
-        total = 0
-        for d in range(1, n + 1):
-            if n % d:
-                continue
-            w = form.chi(d) * chi1(d, t, form.k, form.level)  # chi_{t,N}(d)
-            if w:
-                total += w * d ** (form.k - 1) * coefficient(form, t, n // d)
-        values[n] = total
-    return values
+    return {n: _lift_coefficient(form, t, n) for n in range(1, n_max + 1)}
+
+
+def _lift_coefficient(form: HalfIntegralForm, t: int, n: int) -> Rational:
+    """A_t(n) = sum_{d | n} chi_{t,N}(d) d^(k-1) a(t (n/d)^2); t n^2 <= prec."""
+    total = 0
+    for d in range(1, n + 1):
+        if n % d:
+            continue
+        w = form.chi(d) * chi1(d, t, form.k, form.level)  # chi_{t,N}(d)
+        if w:
+            total += w * d ** (form.k - 1) * coefficient(form, t, n // d)
+    return total
 
 
 @dataclass(frozen=True)
@@ -79,13 +83,14 @@ def crosscheck_lift(
     """Verify eigenvalue transfer to a normalized integral-weight eigenform.
 
     For every prime p <= p_max with p coprime to the level, asserts
-    A_t(p)/a(t) = B(p) where B is the series integral_form_coeffs.
-    This is the whole check: A_t(p)/a(t) = a(t p^2)/a(t) + chi_{t,N}(p) p^(k-1)
-    also equals extract_trace(form, t, p) * chi(p) for every form, since
-    chi(p)^2 = 1 for p coprime to the level, so comparing with the trace
-    could never fail.  Primes whose indices exceed the form's precision are
-    reported as skipped; when that leaves no prime to compare, the check
-    has not run and PrecisionExceeded is raised instead of an empty pass.
+    A_t(p)/a(t) = B(p), with A_t(p) the divisor sum of lift_coefficients
+    and B the series integral_form_coeffs.  This is the whole check:
+    A_t(p)/a(t) = a(t p^2)/a(t) + chi_{t,N}(p) p^(k-1) also equals
+    extract_trace(form, t, p) * chi(p) for every form, since chi(p)^2 = 1
+    for p coprime to the level, so comparing with the trace could never
+    fail.  Primes whose indices exceed the form's precision are reported as
+    skipped; when that leaves no prime to compare, the check has not run
+    and PrecisionExceeded is raised instead of an empty pass.
     """
     a_t = coefficient(form, t, 1)
     if a_t == 0:
@@ -103,9 +108,7 @@ def crosscheck_lift(
             raise MissingCoefficient(
                 f"comparison series stops before coefficient {p}"
             )
-        # A_t(p) / a(t), the divisor sum at a prime
-        chi_tN = form.chi(p) * chi1(p, t, form.k, form.level)
-        lift_p = Fraction(coefficient(form, t, p), a_t) + chi_tN * p ** (form.k - 1)
+        lift_p = Fraction(_lift_coefficient(form, t, p), a_t)
         compared.append(p)
         if lift_p != integral_form_coeffs.coeffs[p]:
             mismatches.append(p)

@@ -15,8 +15,9 @@ size.  scan runs that recurrence in F-bit fixed-point integers with
 an exact running bound E_nu on the error, which grows linearly in nu, and
 takes sgn b_nu = sgn(b_0) sgn(C_nu) wherever |C_nu| > E_nu.  When a term is
 not certified (an exact zero, or an angle too close to 0 or pi), or the
-trace is extremal or violated, the prime's signs come from the exact
-sequence instead, so every sign a scan reports is the exact one.
+trace is extremal or violated, the prime's signs are read off the exact
+integer row B_nu of _scaled_twisted instead, which has the signs of b_nu,
+so every sign a scan reports is the exact one and no Fraction is built.
 
 Sign changes are zero-transparent: a change is a pair of indices i < j
 with b_i * b_j < 0 and every entry strictly between them zero.  A count
@@ -175,14 +176,15 @@ def _twisted_signs(
     twisted_sequence supplies b_0 and b_1 (and validates the inputs); the
     certified walk decides the rest.  Only when it cannot (a zero term, an
     angle too close to 0 or pi, an extremal or violated trace) does the
-    exact sequence run to length M.
+    exact recurrence run to length M, as the integer row B_nu = s v^nu b_nu
+    of _scaled_twisted: s and v are positive, so B_nu has the sign of b_nu.
     """
     seed = twisted_sequence(a_t, trace, chi1_p, p, k, min(M, 1))
     if M > 1:
         signs = _certified_signs(seed[0], seed[1], trace, p ** (2 * k - 1), M)
         if signs is not None:
             return signs
-        seed = twisted_sequence(a_t, trace, chi1_p, p, k, M)
+        seed, _, _ = _scaled_twisted(a_t, trace, chi1_p, p, k, M)
     return [(v > 0) - (v < 0) for v in seed]
 
 

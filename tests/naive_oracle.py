@@ -12,8 +12,10 @@ The library under test must agree with these, never the other way round.
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 
+from halfsign.errors import ParseError
 from halfsign.forms import coefficient, parse_rational
 from halfsign.qseries import TruncatedSeries
 
@@ -225,6 +227,31 @@ def naive_twisted_row(form, t: int, p: int) -> list:
     return row
 
 
+def naive_lift(form, t: int, n_max: int) -> dict:
+    """{n: A_t(n)} for n = 1..n_max, the divisor sum
+    sum_(d | n) chi(d) chi1(d) d^(k-1) a(t (n/d)^2) term by term: chi(d) is
+    read off the character table (1 on the units for the trivial one), and
+    chi1(d) = ((-1)^k N^2 t | d) is sympy's Kronecker symbol."""
+    from sympy.functions.combinatorial.numbers import kronecker_symbol
+
+    k, N, table = form.k, form.level, form.chi.table
+
+    def chi(d: int) -> int:
+        if math.gcd(d, N) != 1:
+            return 0
+        return 1 if table is None else table[d % N]
+
+    return {
+        n: sum(
+            chi(d) * int(kronecker_symbol((-1) ** k * N * N * t, d)) * d ** (k - 1)
+            * coefficient(form, t, n // d)
+            for d in range(1, n + 1)
+            if n % d == 0
+        )
+        for n in range(1, n_max + 1)
+    }
+
+
 def naive_eigen_consistency(form, p: int, trace, t_set: list[int], m_max: int):
     """(residuals, skipped) of the eigen recurrence by the per-(t, m) loop:
     every b_m = chi(p)^m a(t p^(2m)) is read on its own, every (t, m) tests
@@ -260,5 +287,8 @@ def naive_eigen_consistency(form, p: int, trace, t_set: list[int], m_max: int):
 
 def naive_read_coefficients(entries: list) -> TruncatedSeries:
     """The series of a coefficient file with these "coeffs" entries and prec
-    len(entries) - 1, read one entry at a time by parse_rational."""
+    len(entries) - 1, read one entry at a time by parse_rational; a prec
+    below 1 is a ParseError before any entry is read."""
+    if len(entries) < 2:
+        raise ParseError(f"prec must be at least 1, got {len(entries) - 1}")
     return TruncatedSeries(len(entries) - 1, tuple(parse_rational(c) for c in entries))

@@ -209,16 +209,15 @@ def test_criterion_8_deligne_logic(flagship):
         k = rng.randint(2, 7)
         trace = Fraction(rng.randint(-(10**8), 10**8), rng.randint(1, 60))
         local = satake_data(trace, p, k)
-        expected = (
-            "real_distinct" if local.disc > 0 else "real_double" if local.disc == 0 else "complex_pair"
-        )
+        disc = trace * trace - 4 * p ** (2 * k - 1)
+        expected = "real_distinct" if disc > 0 else "real_double" if disc == 0 else "complex_pair"
         ok &= local.root_kind == expected
     _report(8, "Deligne strict/violated classification and Satake root kinds", ok)
 
 
 def test_criterion_9_remark_machinery():
     local = satake_data(6, 2, 2)
-    q = remark_polynomial(local, 2)
+    q = remark_polynomial(local.trace, local.norm, 2)
     ok = q == Polynomial.of(1, -local.trace, local.norm)
     ok &= real_root_count(Polynomial.of(1, 0, 1)) == 0
     ok &= real_root_count(Polynomial.of(-2, 0, 1)) == 2
@@ -231,7 +230,7 @@ def test_criterion_9_remark_machinery():
         if data.root_kind != "complex_pair":
             continue
         seen += 1
-        ok &= real_root_count(remark_polynomial(data, 2)) == 0
+        ok &= real_root_count(remark_polynomial(data.trace, data.norm, 2)) == 0
     _report(9, "companion polynomial symbolics and Sturm real-root counts", ok)
 
 

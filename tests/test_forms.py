@@ -285,6 +285,14 @@ def test_literal_over_the_digit_limit_is_a_parse_error(tmp_path, load, literal):
     assert "7" * 50 not in str(info.value)  # the count, not the literal
 
 
+@pytest.mark.parametrize("prec", [0, -1])
+@pytest.mark.parametrize("load", [load_form, load_series])
+def test_prec_below_one_is_a_parse_error(tmp_path, load, prec):
+    path = _write_form(tmp_path, prec=prec, coeffs=["0"] * (prec + 1))
+    with pytest.raises(ParseError, match=f"prec must be at least 1, got {prec}"):
+        load(path)
+
+
 def test_load_series_is_lenient(tmp_path):
     path = tmp_path / "integral.json"
     path.write_text(
@@ -387,6 +395,7 @@ def test_coefficient_file_reading_matches_the_per_entry_oracle(fuzz_path, entrie
     expected = outcome(lambda: naive_read_coefficients(entries))
     with mock.patch.object(forms, "parse_rational", wraps=forms.parse_rational) as per_entry:
         assert outcome(lambda: forms._read_coefficient_file(fuzz_path)[1]) == expected
-    # a file of plain ASCII integer literals is read in bulk, anything else entry by entry
+    # a file of plain ASCII integer literals is read in bulk, anything else
+    # entry by entry; a single entry means prec 0, rejected before any is read
     plain = all(isinstance(c, str) and re.fullmatch(r"[+-]?[0-9]+", c) for c in entries)
-    assert per_entry.called != plain
+    assert per_entry.called == (not plain and len(entries) > 1)

@@ -336,12 +336,12 @@ def test_lucas_sequence_closed_form():
 
 def test_remark_polynomial_m1_vanishes():
     local = satake_data(6, 2, 2)
-    assert remark_polynomial(local, 1).is_zero
+    assert remark_polynomial(local.trace, local.norm, 1).is_zero
 
 
 def test_remark_polynomial_m2_symbolic():
     local = satake_data(6, 2, 2)
-    q = remark_polynomial(local, 2)
+    q = remark_polynomial(local.trace, local.norm, 2)
     assert q == P(1, -local.trace, local.norm)
 
 
@@ -351,7 +351,7 @@ def test_remark_polynomial_constant_term_one():
         inst = random_instance(rng)
         local = satake_data(inst["trace"], inst["p"], inst["k"])
         for m_p in range(2, 6):
-            assert remark_polynomial(local, m_p)(0) == 1
+            assert remark_polynomial(local.trace, local.norm, m_p)(0) == 1
 
 
 def test_remark_polynomial_rationalization_identity():
@@ -373,7 +373,7 @@ def test_remark_polynomial_rationalization_identity():
             assert Polynomial(literal) == q.scale(alpha - beta)
             if (alpha, beta) == (4, 2):
                 # genuine Satake data: trace 6, norm 8 = 2^(2*2-1)
-                assert remark_polynomial(satake_data(6, 2, 2), m_p) == q
+                assert remark_polynomial(6, 8, m_p) == q
 
 
 def test_real_root_count_examples():
@@ -394,7 +394,7 @@ def test_real_root_count_complex_pair_quadratic():
         if local.root_kind != "complex_pair":
             continue
         seen += 1
-        assert real_root_count(remark_polynomial(local, 2)) == 0
+        assert real_root_count(remark_polynomial(local.trace, local.norm, 2)) == 0
 
 
 def test_real_root_count_vs_grid_lower_bound():

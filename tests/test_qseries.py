@@ -131,6 +131,18 @@ def test_recipe_invariant_checked_at_construction():
             EtaRecipe(factors=factors, theta_power=0)
 
 
+@pytest.mark.parametrize("factors, theta_power, bad", [
+    (((2.9, 12),), 1, "2.9"),  # not truncated to the flagship's (2, 12)
+    (((2, 12.0),), 1, "12.0"),
+    (((True, 24),), 0, "True"),
+    (((2, 12),), 1.5, "1.5"),
+    (((2, 12),), True, "True"),
+])
+def test_recipe_rejects_entries_that_are_not_ints(factors, theta_power, bad):
+    with pytest.raises(ValueError, match=f"must be integers, got {bad}$"):
+        EtaRecipe(factors=factors, theta_power=theta_power)
+
+
 def _random_series(rng, prec, rational=True):
     if rational:
         vals = [Fraction(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(prec + 1)]

@@ -5,11 +5,11 @@ import pytest
 
 from halfsign.arith import kronecker, primes_up_to
 from halfsign.errors import MissingCoefficient, PrecisionExceeded, ZeroBase
-from halfsign.forms import coefficient
+from halfsign.forms import RealCharacter, coefficient
 from halfsign.hecke import extract_trace
 from halfsign.qseries import TruncatedSeries
 from halfsign.shimura import chi1, crosscheck_lift, lift_coefficients
-from naive_oracle import kronecker_bottom_two, legendre_euler
+from naive_oracle import kronecker_bottom_two, legendre_euler, naive_lift
 
 
 def test_kronecker_pins_bottom_two_and_minus_one():
@@ -129,6 +129,23 @@ def test_crosscheck_reports_corrupted_form_coefficients(delta):
         lift_p = Fraction(coefficient(corrupted, 1, p), coefficient(corrupted, 1, 1))
         lift_p += chi1(p, 1, form.k, form.level) * corrupted.chi(p) * p ** (form.k - 1)
         assert extract_trace(corrupted, 1, p) * corrupted.chi(p) == lift_p
+
+
+def test_lift_and_crosscheck_read_a_nontrivial_character(flagship):
+    # the flagship's series with chi_-4 for its trivial character: the divisor
+    # sum is defined for any character, and chi(d) = -1 at every d = 3 (mod 4)
+    form = dataclasses.replace(flagship, chi=RealCharacter(4, {1: 1, 3: -1}))
+    for t in (1, 3):
+        lift = lift_coefficients(form, t, 40)
+        assert lift == naive_lift(form, t, 40)
+        assert lift != lift_coefficients(flagship, t, 40)
+    # a comparison series of the naive A_1(p)/a(1) at primes passes, and
+    # every prime p = 3 (mod 4) is among those compared
+    a_1, naive, primes = coefficient(form, 1, 1), naive_lift(form, 1, 97), primes_up_to(97)
+    series = [Fraction(naive[n], a_1) if n in primes else 0 for n in range(98)]
+    report = crosscheck_lift(form, 1, TruncatedSeries.from_coeffs(series), 97)
+    assert report.ok
+    assert {p for p in primes if p % 4 == 3} <= set(report.compared)
 
 
 @pytest.mark.parametrize("p_max", [1, 2])

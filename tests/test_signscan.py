@@ -246,14 +246,16 @@ def test_scan_counts_equal_the_exact_recurrence_counts(flagship, flagship_signs,
 
 @contextlib.contextmanager
 def recorded_lengths():
-    """The M of every twisted_sequence call signscan makes inside the block."""
+    """The M of every run of the exact recurrence, _scaled_twisted, that
+    signscan makes inside the block; twisted_sequence runs it too."""
     lengths = []
+    run = signscan._scaled_twisted
 
     def recording(*args):
         lengths.append(args[-1])
-        return twisted_sequence(*args)
+        return run(*args)
 
-    with mock.patch.object(signscan, "twisted_sequence", recording):
+    with mock.patch.object(signscan, "_scaled_twisted", recording):
         yield lengths
 
 

@@ -1,5 +1,6 @@
 """Static checks on the source of `halfsign`, read with `ast`: no floating
-point anywhere, and each module's __all__ lists exactly its public names."""
+point anywhere, each module's __all__ lists exactly its public names, and
+`genfun` is a leaf that imports only `arith` and `errors` from the package."""
 
 import ast
 from pathlib import Path
@@ -34,6 +35,34 @@ def test_the_float_detector_sees_each_kind_of_use():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_source_has_no_floating_point(path):
     assert _float_uses(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def _package_imports(tree: ast.AST) -> set[str]:
+    """Modules of the package a module imports, spelled relative (".arith")
+    or absolute ("halfsign.arith", "halfsign")."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            modules = [base] if node.module else [base + alias.name for alias in node.names]
+        else:
+            continue
+        found.update(m for m in modules if m.startswith(".") or m.split(".")[0] == "halfsign")
+    return found
+
+
+def test_the_import_detector_sees_each_spelling():
+    tree = ast.parse(
+        "from .a import x\nfrom . import b\nimport halfsign.c\nfrom halfsign import d\nimport math"
+    )
+    assert _package_imports(tree) == {".a", ".b", "halfsign.c", "halfsign"}
+
+
+def test_genfun_imports_only_arith_and_errors_from_the_package():
+    path = Path(halfsign.__file__).with_name("genfun.py")
+    assert _package_imports(ast.parse(path.read_text(encoding="utf-8"))) == {".arith", ".errors"}
 
 
 def _all_and_public_names(tree: ast.Module) -> tuple[list[str] | None, set[str]]:
