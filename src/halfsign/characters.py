@@ -120,7 +120,8 @@ class CharacterTable:
         return (j * self.log[a]) % (self.q - 1)
 
 
-def progression_extract(seq: Sequence[Rational], spec: ProgressionSpec) -> list:
-    """The exact subsequence (seq[d + n*nu])_nu; empty when len(seq) <= d."""
-    return list(seq[spec.d::spec.n])
+def progression_extract(seq: Sequence[Rational], spec: ProgressionSpec) -> Sequence[Rational]:
+    """The exact subsequence (seq[d + n*nu])_nu, a slice of seq (a list for
+    a list, a range for a range); empty when len(seq) <= d."""
+    return seq[spec.d::spec.n]
 

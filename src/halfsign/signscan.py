@@ -8,16 +8,23 @@ runs on integers only: _scaled_twisted returns the row B_nu = s v^nu b_nu
 with s and v, which is all the closed-form suite of genfun needs, and
 twisted_sequence divides it out into one canonical number per term.
 
-A scan needs only signs.  Under strict Deligne, trace = 2 p^(k-1/2) cos(theta)
-with 0 < theta < pi, and c_nu = b_nu / (b_0 p^(nu(k-1/2))) obeys
-c_(nu+1) = 2 cos(theta) c_nu - c_(nu-1) and stays below 2/sin(theta) in
-size.  scan runs that recurrence in F-bit fixed-point integers with
-an exact running bound E_nu on the error, which grows linearly in nu, and
-takes sgn b_nu = sgn(b_0) sgn(C_nu) wherever |C_nu| > E_nu.  When a term is
-not certified (an exact zero, or an angle too close to 0 or pi), or the
-trace is extremal or violated, the prime's signs are read off the exact
-integer row B_nu of _scaled_twisted instead, which has the signs of b_nu,
-so every sign a scan reports is the exact one and no Fraction is built.
+A scan needs only the signs at the indices its mode keeps, d, d+n, ...,
+d+(L-1)n: subsequence(range(M + 1), mode) gives them (n = 1 in full mode,
+2 for odd and even, the order of p mod q for a progression).  With
+alpha, beta the roots of X^2 - trace X + N, N = p^(2k-1), every n-th term
+obeys b_(nu+n) = V_n b_nu - N^n b_(nu-n), V_n = alpha^n + beta^n, so the
+kept terms are again an order-two sequence, with local data (V_n, N^n)
+and start values b_d, b_(d+n).  Under strict Deligne,
+trace = 2 sqrt(N) cos(theta) with 0 < theta < pi, V_n = 2 N^(n/2) cos(n theta),
+and c_j = b_(d+jn) / (b_d N^(jn/2)) obeys c_(j+1) = 2 cos(n theta) c_j - c_(j-1).
+scan runs that recurrence once per prime, in F-bit fixed-point integers,
+over the L kept terms only, and then checks once that every |C_j| exceeds
+an exact bound E on the error; sgn b_(d+jn) = sgn(b_d) sgn(C_j).  When the
+walk cannot certify (b_d = 0, a zero term, sin(n theta) = 0 or n theta too
+close to 0 or pi), or the trace is extremal or violated, the prime's signs
+are read off the exact integer row B_nu of _scaled_twisted at the kept
+indices instead, which has the signs of b_nu, so every sign a scan reports
+is the exact one and no Fraction is built.
 
 Sign changes are zero-transparent: a change is a pair of indices i < j
 with b_i * b_j < 0 and every entry strictly between them zero.  A count
@@ -30,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import characters as characters_mod
 from . import hecke as hecke_mod
@@ -115,11 +122,26 @@ def _sine_bound(trace: Rational, norm: int) -> int | None:
     return isqrt(-(-four_nv2 // gap)) + 1
 
 
+def _lucas_v(trace: Rational, norm: int, n: int) -> Rational:
+    """V_n = alpha^n + beta^n for the roots of X^2 - trace X + norm (n >= 1).
+
+    V_0 = 2, V_1 = trace and V_(j+1) = trace V_j - norm V_(j-1), run on the
+    integers v^j V_j with trace = u/v, as _scaled_twisted runs b_nu.
+    """
+    u, v = trace.numerator, trace.denominator
+    step = norm * v * v
+    prev, cur = 2, u
+    for _ in range(1, n):
+        prev, cur = cur, u * cur - step * prev
+    return Fraction(cur, v**n)
+
+
 def _normalised_walk(
-    b0: Rational, b1: Rational, trace: Rational, norm: int, S: int, F: int, M: int
-) -> Iterator[tuple[int, int]]:
-    """Yield (C_nu, B_nu) for nu = 1..M, where C_nu is 2^F c_nu in fixed point,
-    c_nu = b_nu / (b_0 sqrt(norm)^nu), and |C_nu - 2^F c_nu| < B_nu / 2^F.
+    b0: Rational, b1: Rational, trace: Rational, norm: int, F: int, M: int
+) -> list[int]:
+    """[C_1, ..., C_M] (M >= 1), where C_nu is 2^F c_nu in fixed point and
+    c_nu = b_nu / (b_0 sqrt(norm)^nu) for the sequence b with
+    b_(nu+1) = trace b_nu - norm b_(nu-1).
 
     c_(nu+1) = x c_nu - c_(nu-1) with x = trace/sqrt(norm) = 2 cos(theta).
     C_1 and X are within 1 of 2^F c_1 and 2^F x, and each step floors
@@ -127,77 +149,93 @@ def _normalised_walk(
     e_(nu+1) = x e_nu - e_(nu-1) + delta_nu with |delta_nu| < 1 + |C_nu|/2^F
     and e_0 = 0.  Its solution sums e_1 and the delta_j against Chebyshev
     U_n(cos theta) = sin((n+1) theta)/sin(theta), each at most S in size, so
-    |e_nu| < E_nu = S (1 + sum_(1 <= j < nu) (1 + |C_j|/2^F)), which the
-    integer B_nu = 2^F E_nu holds exactly.  The caller supplies S from
-    _sine_bound; b_0 must be nonzero.
+    |e_nu| < E_nu = S (1 + sum_(1 <= j < nu) (1 + |C_j|/2^F)) for any
+    S >= 1/sin(theta) (_sine_bound).  b_0 must be nonzero.
     """
     r = Fraction(b1, b0)
     u, v = trace.numerator, trace.denominator
     c1 = isqrt((r.numerator * r.numerator << 2 * F) // (r.denominator * r.denominator * norm))
     x = isqrt((u * u << 2 * F) // (v * v * norm))
     C, X = (c1 if r > 0 else -c1), (x if u > 0 else -x)
-    one = prev = total = 1 << F
-    for _ in range(M):
-        yield C, S * total
-        total += one + abs(C)
+    prev = 1 << F
+    walk = [C]
+    append = walk.append
+    for _ in range(M - 1):
         prev, C = C, ((X * C) >> F) - prev
+        append(C)
+    return walk
 
 
 def _certified_signs(
     b0: Rational, b1: Rational, trace: Rational, norm: int, M: int
 ) -> list[int] | None:
-    """sgn b_0..sgn b_M from the normalised walk, or None when the trace is
-    not strict or some term is not certified (|C_nu| <= E_nu).
+    """sgn b_0..sgn b_M (M >= 1) for b_(nu+1) = trace b_nu - norm b_(nu-1),
+    from the normalised walk, or None when b_0 = 0, the trace is not strict
+    or the walk does not certify every term.
 
-    F = 48 + bitlen(M S (S+2)) leaves about 48 bits between 2^F |c_nu|,
-    which is below 2S, and the error bound E_M.
+    scan calls this on its kept terms b_d, b_(d+n), ... with the n-step
+    data (trace, norm) = (V_n, N^n), under which theta becomes n theta;
+    trace^2 < 4 norm then holds exactly when sin(n theta) != 0, and the
+    error proof of _normalised_walk applies as it stands.  The walk makes
+    no check per term.  E_nu grows with nu, so E_nu <= E_M for every
+    nu <= M, and the one integer comparison
+    min |C_nu| 2^F > 2^F E_M = S (M 2^F + sum_(1 <= j < M) |C_j|)
+    certifies every term: |C_nu| > E_M >= |e_nu| gives C_nu the sign of
+    c_nu.  It is stricter than |C_nu| > E_nu term by term, which can only
+    send a prime to the exact row.  F = 48 + bitlen(M S (S+2)) puts E_M
+    below 2^(F-48) while the |c_nu| stay below S + 1, so any term with
+    |c_nu| above about 2^-48 is certified.
     """
     S = _sine_bound(trace, norm)
-    if S is None:
+    if S is None or b0 == 0:
         return None
     F = 48 + (M * S * (S + 2)).bit_length()
+    walk = _normalised_walk(b0, b1, trace, norm, F, M)
+    if min(map(abs, walk)) << F <= S * ((M << F) + sum(map(abs, walk)) - abs(walk[-1])):
+        return None
     sign = 1 if b0 > 0 else -1
-    signs = [sign]
-    for C, B in _normalised_walk(b0, b1, trace, norm, S, F, M):
-        if C << F > B:
-            signs.append(sign)
-        elif -C << F > B:
-            signs.append(-sign)
-        else:
-            return None
-    return signs
+    return [sign] + [sign if C > 0 else -sign for C in walk]
 
 
 def _twisted_signs(
-    a_t: Rational, trace: Rational, chi1_p: int, p: int, k: int, M: int
+    a_t: Rational, trace: Rational, chi1_p: int, p: int, k: int, kept: Sequence[int]
 ) -> list[int]:
-    """The signs (-1, 0 or 1) of twisted_sequence(a_t, trace, chi1_p, p, k, M).
+    """The signs (-1, 0 or 1) of b_nu = twisted_sequence(a_t, trace, chi1_p,
+    p, k, ...)[nu] at the increasing, evenly spaced indices kept.
 
-    twisted_sequence supplies b_0 and b_1 (and validates the inputs); the
-    certified walk decides the rest.  Only when it cannot (a zero term, an
-    angle too close to 0 or pi, an extremal or violated trace) does the
-    exact recurrence run to length M, as the integer row B_nu = s v^nu b_nu
-    of _scaled_twisted: s and v are positive, so B_nu has the sign of b_nu.
+    twisted_sequence runs to kept[1] (and validates the inputs), for
+    b_d and b_(d+n) with d = kept[0] and n = kept[1] - d; the certified walk
+    on the n-step data (V_n, N^n) decides the rest.  Only when it cannot (a
+    zero term, an angle n theta too close to 0 or pi, an extremal or
+    violated trace) does the exact recurrence run to kept[-1], as the
+    integer row B_nu = s v^nu b_nu of _scaled_twisted: s and v are
+    positive, so B_nu has the sign of b_nu.
     """
-    seed = twisted_sequence(a_t, trace, chi1_p, p, k, min(M, 1))
-    if M > 1:
-        signs = _certified_signs(seed[0], seed[1], trace, p ** (2 * k - 1), M)
+    seed = twisted_sequence(a_t, trace, chi1_p, p, k, max(kept[:2], default=0))
+    if len(kept) > 2:
+        d, n = kept[0], kept[1] - kept[0]
+        norm = p ** (2 * k - 1)
+        V_n = _lucas_v(trace, norm, n)
+        signs = _certified_signs(seed[d], seed[d + n], V_n, norm**n, len(kept) - 1)
         if signs is not None:
             return signs
-        seed, _, _ = _scaled_twisted(a_t, trace, chi1_p, p, k, M)
-    return [(v > 0) - (v < 0) for v in seed]
+        seed, _, _ = _scaled_twisted(a_t, trace, chi1_p, p, k, kept[-1])
+    return [(seed[i] > 0) - (seed[i] < 0) for i in kept]
 
 
-def subsequence(seq: Sequence[Rational], mode: str | ProgressionSpec) -> list[Rational]:
-    """Index filter: full, odd (1,3,5,...), even (0,2,4,...), or a progression."""
+def subsequence(seq: Sequence[Rational], mode: str | ProgressionSpec) -> Sequence[Rational]:
+    """Index filter: full, odd (1,3,5,...), even (0,2,4,...), or a progression.
+
+    The result is a slice of seq: a new list for a list, a range for a range.
+    """
     if isinstance(mode, ProgressionSpec):
         return characters_mod.progression_extract(seq, mode)
     if mode == "full":
-        return list(seq)
+        return seq[:]
     if mode == "odd":
-        return list(seq[1::2])
+        return seq[1::2]
     if mode == "even":
-        return list(seq[0::2])
+        return seq[0::2]
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -264,14 +302,14 @@ def scan(
     """Sign-change reports for every admissible prime p <= p_max.
 
     For each prime coprime to the level: extract the twisted trace from
-    the q-expansion, decide the signs of b_0..b_M (certified fixed-point
-    signs, with the exact recurrence as the fallback; see the module
-    docstring), filter them by mode, and count sign changes.
+    the q-expansion, decide the signs of b_nu at the indices nu <= M that
+    the mode keeps (certified fixed-point signs, with the exact recurrence
+    as the fallback; see the module docstring), and count sign changes.
     mode is "full", "odd", "even", or a pair (q, h) with q prime and
-    1 < h < q for the progression p^nu = h (mod q); both are checked
-    before any prime is tried.  For a pair, primes for which h is not a
-    power of p mod q (or p = q) do not satisfy the progression hypotheses
-    and are left out, and a prime whose progression starts past index M
+    1 < h < q for the progression p^nu = h (mod q); both, and M >= 0, are
+    checked before any prime is tried.  For a pair, primes for which h is
+    not a power of p mod q (or p = q) do not satisfy the progression
+    hypotheses and are left out, and a prime whose progression starts past index M
     is reported with an empty subsequence.  Admissible primes whose trace
     needs a(t p^2) beyond the form's precision are listed in `skipped`
     instead of ending the scan.  Reports come back sorted by p.
@@ -288,6 +326,8 @@ def scan(
             raise OutOfRange(f"need 1 < h < q, got h = {h}, q = {q}")
     elif mode not in ("full", "odd", "even"):
         raise ValueError(f"unknown mode {mode!r}")
+    if M < 0:
+        raise ValueError("M must be nonnegative")
     reports: list[SignChangeReport] = []
     skipped: list[int] = []
     for p in primes_up_to(p_max):
@@ -306,8 +346,8 @@ def scan(
             continue
         trace = hecke_mod.extract_trace(form, t, p)
         c1 = chi1(p, t, form.k, form.level)
-        signs = _twisted_signs(a_t, trace, c1, p, form.k, M)
-        stats = count_sign_changes(subsequence(signs, selector))
+        kept = subsequence(range(M + 1), selector)
+        stats = count_sign_changes(_twisted_signs(a_t, trace, c1, p, form.k, kept))
         label = selector.label if progression else mode
         deligne = hecke_mod.deligne_check(trace, p, form.k)
         reports.append(SignChangeReport(**vars(stats), p=p, t=t, mode=label, deligne=deligne))

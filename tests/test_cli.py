@@ -269,6 +269,21 @@ def test_prec_applies_only_to_the_flagship(argv, form_path, capsys):
     assert "--prec applies only to --flagship" in captured.err
 
 
+@pytest.mark.parametrize("mode", [["full"], ["odd"], ["even"],
+                                  ["progression", "--q", "5", "--h", "2"],
+                                  ["progression", "--q", "31", "--h", "30"]])
+@pytest.mark.parametrize("p_max", ["1", "97"])
+def test_scan_rejects_a_negative_nu_max_before_any_prime(capsys, mode, p_max):
+    # p_max = 1 reaches no prime, so only a check made before the prime loop
+    # sees the bad nu_max
+    fixture = Path(halfsign.data.__file__).with_name(FIXTURE_NAME)
+    argv = ["scan", "--form", str(fixture), "--p-max", p_max, "--nu-max", "-1", "--mode", *mode]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "M must be nonnegative" in captured.err
+
+
 def test_scan_skips_primes_beyond_precision(capsys):
     # a(47^2) = a(2209) lies beyond precision 2000: p = 47 is named on
     # stderr and the reports for the smaller primes are kept

@@ -17,6 +17,8 @@ from halfsign.genfun import expand, h_n_closed
 from halfsign.hecke import extract_trace
 from halfsign.shimura import chi1
 from halfsign.signscan import (
+    _certified_signs,
+    _lucas_v,
     _normalised_walk,
     _sine_bound,
     _twisted_signs,
@@ -71,6 +73,9 @@ def test_subsequence_modes():
     assert subsequence(seq, "even") == F(10, 12)
     spec = ProgressionSpec.create(3, 2, 5)
     assert subsequence(F(1, 2, 3, 4, 5, 6, 7), spec) == F(2, 4, 6)
+    # on a range of indices the kept indices come back as a range
+    assert subsequence(range(8), "odd") == range(1, 8, 2)
+    assert subsequence(range(8), spec) == range(1, 8, 2)
     with pytest.raises(ValueError):
         subsequence(seq, "sideways")
 
@@ -229,16 +234,18 @@ def flagship_signs(flagship):
 @example(5000, "even")
 @example(5000, "progression")
 def test_scan_counts_equal_the_exact_recurrence_counts(flagship, flagship_signs, M, mode):
-    # the reference scan reads the prefix of the exact signs of b_0..b_5000,
-    # which are the signs of twisted_sequence(..., M) for every M <= 5000
+    # the reference scan filters the prefix of the exact signs of
+    # b_0..b_5000, which are the signs of twisted_sequence(..., M) for every
+    # M <= 5000, by its own selector, not by the kept indices it is handed
     if mode == "progression":
         mode = (5, 2)
     reports = scan(flagship, 1, mode, 97, M)
 
-    def exact_prefix(a_t, trace, chi1_p, p, k, length):
-        return flagship_signs[p][: length + 1]
+    def exact_kept(a_t, trace, chi1_p, p, k, kept):
+        selector = ProgressionSpec.create(*mode, p) if isinstance(mode, tuple) else mode
+        return subsequence(flagship_signs[p][: M + 1], selector)
 
-    with mock.patch.object(signscan, "_twisted_signs", exact_prefix):
+    with mock.patch.object(signscan, "_twisted_signs", exact_kept):
         expected = scan(flagship, 1, mode, 97, M)
     assert len(reports) >= 8
     assert reports == expected
@@ -288,10 +295,45 @@ def twisted_inputs(draw, strict=False):
     return a_t, trace, chi1_p, p, k
 
 
+@st.composite
+def twisted_cases(draw):
+    """twisted_inputs with a scan mode for their prime p: full, odd, even,
+    or a progression (q, h) with q <= 41 prime, q != p and h != 1 a power
+    of p mod q."""
+    inputs = draw(twisted_inputs())
+    p = inputs[3]
+    mode = draw(st.sampled_from(("full", "odd", "even", "progression")))
+    if mode != "progression":
+        return inputs, mode
+    q = draw(st.sampled_from([q for q in primes_up_to(41) if q != p and p % q != 1]))
+    h = draw(st.sampled_from(sorted({pow(p, e, q) for e in range(1, q)} - {1})))
+    return inputs, ProgressionSpec.create(q, h, p)
+
+
+def kept_exact_signs(inputs, M, selector):
+    return subsequence(exact_signs(*inputs, M), selector)
+
+
 @settings(max_examples=150, deadline=None)
-@given(twisted_inputs(), st.integers(0, 400))
-def test_certified_signs_equal_the_exact_signs(inputs, M):
-    assert _twisted_signs(*inputs, M) == exact_signs(*inputs, M)
+@given(twisted_cases(), st.integers(0, 400))
+# 3 theta is within 3e-5 of pi: ord_19(7) = 3 and cos(theta) near 44467 / (2 sqrt(7^11))
+@example(((5, 44467, 1, 7, 6), ProgressionSpec.create(19, 7, 7)), 400)
+@example(((-2, Fraction(88933, 2), -1, 7, 6), ProgressionSpec.create(19, 11, 7)), 400)
+# 2 theta is within 2e-11 of pi: trace 1 against 2 sqrt(97^11)
+@example(((3, 1, 1, 97, 6), "even"), 400)
+@example(((3, -1, -1, 97, 6), "odd"), 400)
+def test_certified_signs_equal_the_exact_signs(case, M):
+    inputs, selector = case
+    kept = subsequence(range(M + 1), selector)
+    assert _twisted_signs(*inputs, kept) == kept_exact_signs(inputs, M, selector)
+
+
+def assert_falls_back(inputs, mode, falls_back):
+    kept = subsequence(range(41), mode)
+    with recorded_lengths() as lengths:
+        signs = _twisted_signs(*inputs, kept)
+    assert signs == kept_exact_signs(inputs, 40, mode)
+    assert lengths == ([kept[1], kept[-1]] if falls_back else [kept[1]])
 
 
 @pytest.mark.parametrize("a_t, trace, chi1_p, p, k, falls_back", [
@@ -300,17 +342,67 @@ def test_certified_signs_equal_the_exact_signs(inputs, M):
     (-3, Fraction(1, 2), 1, 3, 2, False),  # strict, no zero: every term certified
 ])
 def test_uncertified_terms_fall_back_to_the_exact_recurrence(a_t, trace, chi1_p, p, k, falls_back):
-    with recorded_lengths() as lengths:
-        signs = _twisted_signs(a_t, trace, chi1_p, p, k, 40)
-    assert signs == exact_signs(a_t, trace, chi1_p, p, k, 40)
-    assert lengths == ([1, 40] if falls_back else [1])
+    assert_falls_back((a_t, trace, chi1_p, p, k), "full", falls_back)
+
+
+@pytest.mark.parametrize("a_t, trace, chi1_p, p, k, mode, falls_back", [
+    (1, 0, 1, 3, 2, "full", False),  # trace 0: theta = pi/2, every term certified
+    (1, 0, 1, 3, 2, "even", True),  # but n = 2: V_2^2 = 4 N^2, so sin(2 theta) = 0
+    (1, 0, 0, 3, 2, "odd", True),  # trace 0, chi1_p = 0 and d odd: b_d = b_1 = 0
+    (1, 6, 1, 2, 2, "even", True),  # violated: V_2^2 > 4 N^2 as well
+    (-3, Fraction(1, 2), 1, 3, 2, "odd", False),
+    (-3, Fraction(1, 2), 1, 3, 2, "even", False),
+])
+def test_n_step_walks_fall_back_exactly_when_they_cannot_certify(
+    a_t, trace, chi1_p, p, k, mode, falls_back
+):
+    assert_falls_back((a_t, trace, chi1_p, p, k), mode, falls_back)
 
 
 def test_flagship_scan_runs_the_exact_recurrence_to_two_terms_only(flagship):
-    with recorded_lengths() as lengths:
-        reports = scan(flagship, 1, "full", 97, 1250)
-    assert len(reports) == 24
-    assert lengths == [1] * 24
+    # the seed runs to the second kept index, d + n, and never on to M
+    for mode, primes in (("full", 24), ("odd", 24), ("even", 24), ((5, 2), 13), ((31, 30), 14),
+                         ((97, 5), 11)):
+        with recorded_lengths() as lengths:
+            reports = scan(flagship, 1, mode, 97, 1250)
+        seconds = []
+        for r in reports:
+            selector = ProgressionSpec.create(*mode, r.p) if isinstance(mode, tuple) else mode
+            seconds.append(subsequence(range(1251), selector)[1])
+        assert len(reports) == primes
+        assert lengths == seconds
+        assert max(lengths) < 2 * 97
+
+
+def test_one_check_against_e_m_certifies_the_whole_walk():
+    # trace 0 and norm 1 give S = 2; at M = 4, F = 48 + bitlen(4 * 2 * 4) = 54.
+    # With |C_1| = |C_2| = |C_3| = 2^F, 2^F E_4 = S (4 2^F + 3 2^F) = 14 2^F:
+    # C_4 = 10 clears S M = 8 but not E_4, and only C_4 = 15 is certified
+    S, M, F = 2, 4, 54
+    assert _sine_bound(0, 1) == S
+    one = 1 << F
+    for last, signs in ((10, None), (14, None), (15, [-1, -1, 1, -1, -1])):
+        calls = []
+
+        def walk(*args):
+            calls.append(args[-2:])
+            return [one, -one, one, last]
+
+        with mock.patch.object(signscan, "_normalised_walk", walk):
+            assert _certified_signs(-1, 1, 0, 1, M) == signs
+        assert calls == [(F, M)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(twisted_inputs(), st.integers(1, 12))
+def test_every_nth_term_obeys_the_n_step_recurrence(inputs, n):
+    # b_(nu+n) = V_n b_nu - N^n b_(nu-n), V_n = alpha^n + beta^n, N = p^(2k-1)
+    a_t, trace, chi1_p, p, k = inputs
+    norm = p ** (2 * k - 1)
+    seq = twisted_sequence(a_t, trace, chi1_p, p, k, 4 * n)
+    V = _lucas_v(trace, norm, n)
+    for nu in range(n, 3 * n + 1):
+        assert seq[nu + n] == V * seq[nu] - norm**n * seq[nu - n]
 
 
 @settings(max_examples=60, deadline=None)
@@ -321,12 +413,16 @@ def test_flagship_scan_runs_the_exact_recurrence_to_two_terms_only(flagship):
 @example((3, Fraction(13072811, 1000), 1, 5, 6), 4)
 def test_walk_error_stays_within_its_bound(inputs, F):
     # at even nu, 2^F c_nu = 2^F b_nu / (b_0 p^((2k-1) nu/2)) is rational, so
-    # |C_nu - 2^F c_nu| <= E_nu is checked exactly, at a deliberately small F
+    # |C_nu - 2^F c_nu| <= E_nu = S (nu + sum_(1 <= j < nu) |C_j| / 2^F) is
+    # checked exactly, at a deliberately small F
     a_t, trace, chi1_p, p, k = inputs
     norm = p ** (2 * k - 1)
     seq = twisted_sequence(a_t, trace, chi1_p, p, k, 200)
-    walk = list(_normalised_walk(seq[0], seq[1], trace, norm, _sine_bound(trace, norm), F, 200))
+    walk = _normalised_walk(seq[0], seq[1], trace, norm, F, 200)
+    assert len(walk) == 200
+    S = _sine_bound(trace, norm)
     for nu in range(2, 201, 2):
-        C, B = walk[nu - 1]  # E_nu = B / 2^F
+        C = walk[nu - 1]
+        bound = S * (nu + Fraction(sum(map(abs, walk[: nu - 1])), 2**F))
         error = C - Fraction(seq[nu] * 2**F) / (seq[0] * p ** ((2 * k - 1) * nu // 2))
-        assert abs(error) * 2**F <= B
+        assert abs(error) <= bound
