@@ -38,8 +38,7 @@ __all__ = [
     "load_series",
 ]
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
-_PLAIN_INTEGERS_RE = re.compile(r"[0-9+,-]*")  # one character class: no backtracking stack
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")  # ASCII digits only, matched in full
 
 
 def _unit_generators(modulus: int, units: list[int]) -> list[int]:
@@ -167,7 +166,7 @@ def coefficient(form: HalfIntegralForm, t: int, m: int) -> Rational:
 
 
 def parse_rational(text: str) -> Rational:
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ParseError(f"malformed rational literal {text!r}")
     num, _, den = text.partition("/")
     try:
@@ -242,7 +241,8 @@ def _parse_coefficients(entries: list) -> tuple[Rational, ...]:
     literals over [0-9+-]; anything else falls back to the entry-by-entry
     reading and its errors."""
     try:
-        if _PLAIN_INTEGERS_RE.fullmatch(",".join(entries)):
+        joined = ",".join(entries)
+        if joined.isascii() and not joined.encode().translate(None, b"0123456789+,-"):
             return tuple(map(int, entries))
     except (TypeError, ValueError):  # a non-str entry, "+-5", or a literal over the digit limit
         pass

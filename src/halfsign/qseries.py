@@ -10,18 +10,22 @@ E(q) = prod(1 - q^n), expanded at precision about prec/d.  When 3 | r the
 power starts from Jacobi's identity E^3 = sum_j (-1)^j (2j+1) q^(j(j+1)/2)
 and raises it to r/3, two products fewer than raising E itself, which the
 pentagonal number theorem gives; powers are taken by binary exponentiation.
-Every product is one exact Kronecker substitution: each operand packed
-into one signed big number, and the coefficients read back limb by limb,
-with limbs just wide enough for the l1-norm bound on the coefficients; a
-rational operand is first scaled to integers by the lcm of its denominators.
-A product with a sparse factor (theta, Jacobi's or the pentagonal series)
-sums shifted copies of the other operand, one per nonzero term.  Other
-large products are carried by `decimal`, whose libmpdec multiplies by
-number-theoretic transform, and small ones by native ints.
+A rational operand is first scaled to integers by the lcm of its
+denominators, and every product then takes one of four exact carriers.
+Two sparse operands, such as E^3 squared or theta times Jacobi's series,
+are multiplied term pair by term pair.  Every other product is one
+Kronecker substitution: each operand packed into one signed big number,
+and the coefficients read back limb by limb, with limbs just wide enough
+for the l1-norm bound on the coefficients.  A product with one sparse
+factor (theta, Jacobi's or the pentagonal series) sums shifted copies of
+the other operand, one per nonzero term.  Other large products are carried
+by `decimal`, whose libmpdec multiplies by number-theoretic transform, and
+small ones by native ints.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -125,6 +129,31 @@ class EtaRecipe:
 # multiplication
 
 
+# The term carrier does one Python multiply-add per pair of nonzero terms,
+# where every other carrier costs passes over all n limbs.  It takes a
+# product of tx by ty nonzero terms in n coefficients when the pairs per
+# coefficient, tx ty / n, are at most this.
+# Jacobi's, the pentagonal and the theta series have about 1.4, 1.6 and 1
+# sqrt(n) terms, so a product of two of them has 1 to 2.7 pairs per
+# coefficient at any prec, and a sparse times a dense series about sqrt(n).
+# Its time over that of the carrier the product takes otherwise, Jacobi's
+# series times random terms of 8 or 64 bits, median of 3-301 runs, CPython
+# 3.11.7, Intel Xeon:
+#               8-bit terms                      64-bit terms
+#     n    pairs/coeff 2    4    8   12   16         2    4    8   12   16
+#      100        0.25 0.41 0.75 1.10 0.75        0.18 0.32 0.64 0.59 1.04
+#     2000        0.22 0.37 0.70 0.99 1.26        0.15 0.27 0.49 0.79 0.98
+#     10^4        0.15 0.25 0.45 0.80 1.19        0.08 0.16 0.34 0.42 0.48
+#     10^5        0.14 0.23 0.48 0.63 1.00        0.07 0.20 0.24 0.41 0.42
+# The sparse products of suite-small's expands at prec 2000, before (packed
+# by the carriers below) and after, in ms: E^3 squared in eta(z)^24,
+# eta(2z)^12, eta(3z)^8 and eta(4z)^6 (1.98-2.69 pairs per coefficient)
+# 2.56 -> 0.66, 1.22 -> 0.32, 0.54 -> 0.22 and 0.51 -> 0.16; theta times
+# eta(24z), eta(8z)^3 and eta(12z)^2 (0.34-2.18) 1.77 -> 0.23, 2.07 -> 0.29
+# and 2.13 -> 0.58; theta times eta(6z)^4, eta(4z)^6 and eta(3z)^8
+# (5.3-7.4) 2.28 -> 1.27, 2.42 -> 1.59 and 2.41 -> 1.77.
+_TERM_PAIRS_PER_COEFF = 8
+
 # A dense product has two exact carriers.  libmpdec multiplies large
 # decimals by a number-theoretic transform, while CPython multiplies ints in
 # about n^1.58 time.  Packed operand size is limb bits times len(xs) + len(ys).
@@ -145,9 +174,7 @@ _DECIMAL_MIN_BITS = 250_000
 #     2000  equal 0.45  0.57  0.68  0.88  distinct 0.52  0.70  0.82  1.12
 #     10^4        0.46  0.57  0.71  0.96           0.52  0.66  0.88  1.20
 #     10^5           -     -  0.62  0.90              -     -  0.80  1.13
-# E^3 squared, both operands sparse: 13 against 17 ms at 10^4 (141 terms),
-# 132 against 83 ms at 5*10^4 (316 terms).  Theta at 10^6 (1001 terms) stays
-# on decimals.
+# Theta at 10^6 (1001 terms) stays on decimals.
 _SPARSE_MAX_TERMS = 250
 
 # Below that count the sparser operand must also be sparse, with at most one
@@ -227,46 +254,56 @@ def _int_product(xs: Sequence[int], ys: Sequence[int], bits: int, n: int) -> lis
     return _unpack(x * x if ys is xs else x * _pack(ys, width), width, n)
 
 
+def _term_product(xs: Sequence[int], ys: Sequence[int], n: int) -> list[int]:
+    """c_0..c_(n-1) of the product of xs and ys, one multiply-add per pair of
+    nonzero terms x_i y_j with i + j < n; nothing is packed."""
+    out = [0] * n
+    y_index = list(itertools.compress(range(n), ys))
+    y_terms = [(j, ys[j]) for j in y_index]
+    for i in itertools.compress(range(n), xs):
+        x = xs[i]
+        for j, y in y_terms[: bisect.bisect_left(y_index, n - i)]:
+            out[i + j] += x * y
+    return out
+
+
 def _sparse_product(xs: Sequence[int], ys: Sequence[int], bits: int, n: int) -> list[int]:
     """c_0..c_(n-1) of the product of xs and ys, as in _int_product, for ys
-    with few nonzero terms.  xs is packed once into X, and each y_j != 0
-    adds (y_j X mod B^(n-j)) B^j, which lies in [0, B^n); y_j X is formed
-    once per distinct y_j."""
+    with few nonzero terms.  xs is packed once into X; for each distinct
+    y_j != 0 the shifts X B^j of its terms are summed and multiplied by y_j
+    once.  The total, X Y, is masked once to its low n limbs."""
     width = (bits + 7) // 8
     step = 8 * width
     x = _pack(xs[:n], width)
-    mask = (1 << (step * n)) - 1
     acc = 0
     terms = sorted((c, step * j) for j, c in enumerate(ys[:n]) if c)
     for c, group in itertools.groupby(terms, key=operator.itemgetter(0)):
-        cx = c * x
-        for _, s in group:
-            acc += (cx & (mask >> s)) << s
-    return _unpack(acc, width, n)
+        acc += c * sum(x << s for _, s in group)
+    return _unpack(acc & ((1 << (step * n)) - 1), width, n)
 
 
 def _decimal_product(xs: Sequence[int], ys: Sequence[int], bits: int, n: int) -> list[int]:
     """c_0..c_(n-1) of the product of xs and ys, packed in exact decimals
-    with limbs of whole digits (bits from _limb_bits)."""
+    with limbs of whole digits (bits from _limb_bits).  Each operand is
+    written once, as the digits of the nonnegative v + 10^digits/2 per
+    limb, and the offsets are subtracted in one decimal operation."""
     mpd = _libmpdec
     digits = len(str(1 << bits))  # 10^digits > 2^bits
-    zero = "0" * digits
+    half = "5" + "0" * (digits - 1)
+    half_value = int(half)
     context = mpd.Context(
         prec=mpd.MAX_PREC, Emax=mpd.MAX_EMAX, Emin=mpd.MIN_EMIN,
         traps=[mpd.Inexact, mpd.Overflow, mpd.InvalidOperation],
     )
 
     def pack(vals: Sequence[int]):
-        pos = "".join(str(v).zfill(digits) if v > 0 else zero for v in reversed(vals))
-        neg = "".join(str(-v).zfill(digits) if v < 0 else zero for v in reversed(vals))
-        return context.subtract(mpd.Decimal(pos), mpd.Decimal(neg))
+        text = "".join(str(v + half_value).zfill(digits) for v in reversed(vals))
+        return context.subtract(mpd.Decimal(text), mpd.Decimal(half * len(vals)))
 
     x = pack(xs)
     product = context.multiply(x, x if ys is xs else pack(ys))
     limbs = len(xs) + len(ys) - 1
-    half = "5" + zero[1:]
     text = str(context.add(product, mpd.Decimal(half * limbs))).zfill(digits * limbs)
-    half_value = int(half)
     last = len(text) - digits  # limb 0 is the last `digits` characters
     return [
         int(text[i : i + digits]) - half_value for i in range(last, last - n * digits, -digits)
@@ -276,21 +313,28 @@ def _decimal_product(xs: Sequence[int], ys: Sequence[int], bits: int, n: int) ->
 def _int_convolution(xs: Sequence[int], ys: Sequence[int], n_out: int) -> list[int]:
     """Truncated convolution c_0..c_n_out of integer sequences, exactly.
 
-    Kronecker substitution with one signed product: each operand becomes
-    one integer X = sum x_i B^i, with a limb base B larger than twice every
-    |c_k|, so X*Y holds c_k in limb k (see _unpack).  There are three exact
-    carriers: when the sparser operand has at most _SPARSE_MAX_TERMS nonzero
-    terms, at most one in every _SPARSE_MIN_SPACING places, shifted copies
-    of the other are summed (_sparse_product); else the packed size picks
-    native ints or, from _DECIMAL_MIN_BITS on, exact decimals.  A squared
-    operand (xs is ys) is packed once.
+    There are four exact carriers.  When the two operands' counts of
+    nonzero terms multiply to at most _TERM_PAIRS_PER_COEFF times the n
+    coefficients wanted, each pair of nonzero terms is multiplied directly
+    (_term_product).  Every other product is a Kronecker substitution with
+    one signed product: each operand becomes one integer X = sum x_i B^i,
+    with a limb base B larger than twice every |c_k|, so X*Y holds c_k in
+    limb k (see _unpack).  When the sparser operand has at most
+    _SPARSE_MAX_TERMS nonzero terms, at most one in every
+    _SPARSE_MIN_SPACING places, shifted copies of the other are summed
+    (_sparse_product); else the packed size picks native ints or, from
+    _DECIMAL_MIN_BITS on, exact decimals.  A squared operand (xs is ys) is
+    packed once.
     """
     square = xs is ys
     xs = xs[: n_out + 1]
     ys = xs if square else ys[: n_out + 1]
-    bits = _limb_bits(xs, ys)
     n = min(len(xs) + len(ys) - 1, n_out + 1)
-    x_terms, terms = len(xs) - xs.count(0), len(ys) - ys.count(0)
+    x_terms = len(xs) - xs.count(0)
+    terms = x_terms if square else len(ys) - ys.count(0)
+    if x_terms * terms <= _TERM_PAIRS_PER_COEFF * n:
+        return _term_product(xs, ys, n) + [0] * (n_out + 1 - n)
+    bits = _limb_bits(xs, ys)
     if terms > x_terms:
         xs, ys, terms = ys, xs, x_terms  # ys is the sparser operand
     if terms <= _SPARSE_MAX_TERMS and terms * _SPARSE_MIN_SPACING <= len(ys):

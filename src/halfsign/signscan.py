@@ -18,8 +18,9 @@ and start values b_d, b_(d+n).  Under strict Deligne,
 trace = 2 sqrt(N) cos(theta) with 0 < theta < pi, V_n = 2 N^(n/2) cos(n theta),
 and c_j = b_(d+jn) / (b_d N^(jn/2)) obeys c_(j+1) = 2 cos(n theta) c_j - c_(j-1).
 scan runs that recurrence once per prime, in F-bit fixed-point integers,
-over the L kept terms only, and then checks once that every |C_j| exceeds
-an exact bound E on the error; sgn b_(d+jn) = sgn(b_d) sgn(C_j).  When the
+over the L kept terms only, in blocks of which it keeps only the signs and
+two running sums, and then checks once that every |C_j| exceeds an exact
+bound E on the error; sgn b_(d+jn) = sgn(b_d) sgn(C_j).  When the
 walk cannot certify (b_d = 0, a zero term, sin(n theta) = 0 or n theta too
 close to 0 or pi), or the trace is extremal or violated, the prime's signs
 are read off the exact integer row B_nu of _scaled_twisted at the kept
@@ -37,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import characters as characters_mod
 from . import hecke as hecke_mod
@@ -136,10 +137,16 @@ def _lucas_v(trace: Rational, norm: int, n: int) -> Rational:
     return Fraction(cur, v**n)
 
 
+# The walk hands its fixed-point terms over in blocks of this many, so a
+# scan holds one block of F-bit ints at a time, not all M of them.
+_WALK_BLOCK = 1 << 16
+
+
 def _normalised_walk(
     b0: Rational, b1: Rational, trace: Rational, norm: int, F: int, M: int
-) -> list[int]:
-    """[C_1, ..., C_M] (M >= 1), where C_nu is 2^F c_nu in fixed point and
+) -> Iterator[list[int]]:
+    """[C_1, ..., C_M] (M >= 1) in consecutive blocks of at most _WALK_BLOCK
+    terms, where C_nu is 2^F c_nu in fixed point and
     c_nu = b_nu / (b_0 sqrt(norm)^nu) for the sequence b with
     b_(nu+1) = trace b_nu - norm b_(nu-1).
 
@@ -158,12 +165,13 @@ def _normalised_walk(
     x = isqrt((u * u << 2 * F) // (v * v * norm))
     C, X = (c1 if r > 0 else -c1), (x if u > 0 else -x)
     prev = 1 << F
-    walk = [C]
-    append = walk.append
-    for _ in range(M - 1):
-        prev, C = C, ((X * C) >> F) - prev
-        append(C)
-    return walk
+    for start in range(0, M, _WALK_BLOCK):
+        block = []
+        append = block.append
+        for _ in range(min(M - start, _WALK_BLOCK)):
+            append(C)
+            prev, C = C, ((X * C) >> F) - prev
+        yield block
 
 
 def _certified_signs(
@@ -184,17 +192,25 @@ def _certified_signs(
     c_nu.  It is stricter than |C_nu| > E_nu term by term, which can only
     send a prime to the exact row.  F = 48 + bitlen(M S (S+2)) puts E_M
     below 2^(F-48) while the |c_nu| stay below S + 1, so any term with
-    |c_nu| above about 2^-48 is certified.
+    |c_nu| above about 2^-48 is certified.  Each block of the walk leaves
+    only its signs, its least |C_nu| and its sum of |C_nu| behind, so the
+    memory held is the signs and one block.
     """
     S = _sine_bound(trace, norm)
     if S is None or b0 == 0:
         return None
     F = 48 + (M * S * (S + 2)).bit_length()
-    walk = _normalised_walk(b0, b1, trace, norm, F, M)
-    if min(map(abs, walk)) << F <= S * ((M << F) + sum(map(abs, walk)) - abs(walk[-1])):
-        return None
     sign = 1 if b0 > 0 else -1
-    return [sign] + [sign if C > 0 else -sign for C in walk]
+    signs, lows, total = [sign], [], 0
+    for block in _normalised_walk(b0, b1, trace, norm, F, M):
+        lows.append(min(map(abs, block)))
+        total += sum(map(abs, block))
+        signs += [sign if C > 0 else -sign for C in block]
+        last = block[-1]
+        del block  # before the walk builds the next one
+    if min(lows) << F <= S * ((M << F) + total - abs(last)):
+        return None
+    return signs
 
 
 def _twisted_signs(

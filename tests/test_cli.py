@@ -191,6 +191,16 @@ def test_verify_form_of_level_zero_with_a_table_exits_two(tmp_path, capsys):
     assert "halfsign: error: InvalidLevel:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("literal", ["\u0661\u0662", "\uff11\uff12/\uff13", "12\n"],
+                         ids=["arabic-indic", "fullwidth", "newline"])
+def test_a_coefficient_int_reads_but_not_in_ascii_exits_two(tmp_path, capsys, literal):
+    path = tmp_path / "literal.json"
+    form = {"level": 4, "k": 6, "prec": 2, "coeffs": ["0", literal, "0"]}
+    path.write_text(json.dumps(form))
+    assert run(["verify", "--form", str(path)]) == 2
+    assert "halfsign: error: ParseError: malformed rational literal" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("level", ["0", "-4"])
 def test_expand_at_a_level_below_one_exits_two(level, capsys):
     assert run(["expand", "--eta", "2:12", "--theta-power", "1", "--level", level,

@@ -263,6 +263,21 @@ def test_rational_serialization_roundtrip():
         parse_rational("3/0")
 
 
+# Arabic-Indic 12, fullwidth 12/3, and 12 with a final newline: int() reads
+# each of them, but none is an ASCII literal
+_NON_ASCII_OR_TRAILING = ["\u0661\u0662", "\uff11\uff12/\uff13", "12\n"]
+
+
+@pytest.mark.parametrize("literal", _NON_ASCII_OR_TRAILING,
+                         ids=["arabic-indic", "fullwidth", "newline"])
+def test_only_ascii_digits_in_full_are_a_literal(tmp_path, literal):
+    with pytest.raises(ParseError, match="malformed rational literal"):
+        parse_rational(literal)
+    for load in (load_form, load_series):
+        with pytest.raises(ParseError, match="malformed rational literal"):
+            load(_write_form(tmp_path, coeffs=["0", literal, "0", "0", "0", "0", "0"]))
+
+
 def test_save_load_roundtrip(tmp_path):
     chi = RealCharacter(4, {1: 1, 3: -1})
     series = TruncatedSeries.from_coeffs([0, 1, Fraction(-5, 3), 2, 0])
@@ -369,8 +384,8 @@ def test_load_form_raises_only_halfsign_errors_on_mutated_fixtures(fuzz_path, da
 
 
 # Coefficient literals: canonical integers, the other spellings parse_rational
-# accepts ("+5", "007", "-0", "5\n", Arabic-Indic "٣"), ones it rejects, and
-# non-str entries.
+# accepts ("+5", "007", "-0"), ones it rejects (among them "5\n" and
+# Arabic-Indic "٣", which int() reads), and non-str entries.
 _literals = st.one_of(
     st.integers(-(10**30), 10**30).map(str),
     st.sampled_from(("+5", "007", "-0", "5\n", " 5", "1_0", "٣", "3/4", "1/0", "+-5", "1,2", "")),
@@ -381,7 +396,7 @@ _literals = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_literals, min_size=1, max_size=8))
 @example(["0", "1", "-24", "252"])
-@example(["0", "٣"])  # int() reads it too, but only the per-entry path may
+@example(["0", "٣"])  # int() reads it, but it is not an ASCII literal
 @example(["0", "+-5"])  # only [0-9+-] characters, yet not a literal
 def test_coefficient_file_reading_matches_the_per_entry_oracle(fuzz_path, entries):
     fuzz_path.write_text(json.dumps({"prec": len(entries) - 1, "coeffs": entries}), encoding="utf-8")

@@ -234,8 +234,11 @@ _carrier_operand = st.one_of(
     st.integers(1, 30).map(lambda n: [0] * n),
     st.tuples(_signed_list, _bits).map(lambda pair: pair[0][:-1] + [-(2 ** pair[1])]),
 )
-_CARRIERS = (qseries._int_product, qseries._decimal_product, qseries._sparse_product)
+_CARRIERS = (
+    qseries._int_product, qseries._decimal_product, qseries._sparse_product, qseries._term_product
+)
 _DENSE = [(-1) ** i * (i * i + 7) ** 3 for i in range(12)]
+_JACOBI = [1, -3, 0, 5, 0, 0, -7, 0, 0, 0, 9, 0, 0, 0, 0, -11]
 
 
 @pytest.mark.parametrize("carrier", _CARRIERS, ids=lambda f: f.__name__)
@@ -253,12 +256,21 @@ _DENSE = [(-1) ** i * (i * i + 7) ** 3 for i in range(12)]
 @example(xs=_DENSE, ys=[0] * 9, square=False, n=20)
 @example(xs=_DENSE, ys=[3, 0, 0, 0, -(2**70)], square=False, n=16)
 @example(xs=_DENSE, ys=[1, 0, 0, 0, 0, 0, 0, 0, -5], square=False, n=4)
+# two sparse operands: Jacobi's series squared, times theta, with a negative
+# top coefficient, and with n below both top indices
+@example(xs=_JACOBI, ys=_JACOBI, square=True, n=31)
+@example(xs=_JACOBI, ys=[1, 2, 0, 0, 2, 0, 0, 0, 0, 2], square=False, n=25)
+@example(xs=_JACOBI[:11] + [0, -(2**70)], ys=[3, 0, 0, 5, 0, 0, 0, -7], square=False, n=20)
+@example(xs=_JACOBI, ys=[0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, -9], square=False, n=9)
 def test_carrier_agrees_with_oracle(carrier, xs, ys, square, n):
     if square:
         ys = xs
     # any number of low coefficients, including fewer than either operand has
     n = min(n, len(xs) + len(ys) - 1)
-    got = carrier(xs, ys, qseries._limb_bits(xs, ys), n)
+    if carrier is qseries._term_product:  # packs nothing, so needs no limb width
+        got = carrier(xs, ys, n)
+    else:
+        got = carrier(xs, ys, qseries._limb_bits(xs, ys), n)
     assert got == naive_mul(xs, ys, n - 1)
     assert all(type(c) is int for c in got)
 
@@ -281,8 +293,8 @@ def test_decimal_carrier_matches_int_carrier_at_transform_sizes():
        n=st.integers(1, 25))
 @example(xs=[-(2**200)] * 3, ys=[1, 0, 0, 2], n=4)
 def test_sparse_sum_stays_within_n_limbs(xs, ys, n):
-    # each term (y_j X mod B^(n-j)) B^j lies in [0, B^n), so the sum handed to
-    # the decoder stays below (number of terms) B^n
+    # the untruncated sum X Y is masked once to its low n limbs, so the value
+    # handed to the decoder lies in [0, B^n), within the bound asserted here
     width = (qseries._limb_bits(xs, ys) + 7) // 8
     with mock.patch.object(qseries, "_unpack", lambda value, width, n: value):
         total = qseries._sparse_product(xs, ys, 8 * width, n)
@@ -291,18 +303,19 @@ def test_sparse_sum_stays_within_n_limbs(xs, ys, n):
 
 
 def test_sparse_factors_take_the_sparse_carrier(monkeypatch):
-    # eta(z)^24 theta at 10^4: E^3 squared and the theta product are sparse,
-    # E^6 and E^12 squared are dense and large enough for decimals
+    # eta(z)^24 theta at 10^4: E^3 squared has two sparse operands and is
+    # multiplied term pair by term pair, the theta product has one and is
+    # summed, and E^6 and E^12 squared are dense and large enough for decimals
     calls = []
-    for name in ("_sparse_product", "_int_product", "_decimal_product"):
-        def spy(xs, ys, bits, n, real=getattr(qseries, name), name=name):
+    for name in ("_term_product", "_sparse_product", "_int_product", "_decimal_product"):
+        def spy(xs, ys, *args, real=getattr(qseries, name), name=name):
             calls.append((name, len(ys) - ys.count(0), xs is ys))
-            return real(xs, ys, bits, n)
+            return real(xs, ys, *args)
 
         monkeypatch.setattr(qseries, name, spy)
     expand_recipe(EtaRecipe(factors=((1, 24),), theta_power=1), 10_000)
     assert [(name, square) for name, _, square in calls] == [
-        ("_sparse_product", True),
+        ("_term_product", True),
         ("_decimal_product", True),
         ("_decimal_product", True),
         ("_sparse_product", False),
@@ -310,11 +323,17 @@ def test_sparse_factors_take_the_sparse_carrier(monkeypatch):
     assert (calls[0][1], calls[-1][1]) == (141, 101)  # E^3 and theta up to q^10^4
     theta = theta_series(10**6).coeffs  # 1001 terms: decimals carry theta at 10^6
     assert len(theta) - theta.count(0) > qseries._SPARSE_MAX_TERMS
+    # eta(z)^24 at 10^5: E^3 has 447 terms, and only its square is term by term
+    calls.clear()
+    expand_recipe(EtaRecipe(factors=((1, 24),)), 100_000)
+    assert calls[0] == ("_term_product", 447, True)
+    assert [name for name, _, _ in calls[1:]] == ["_decimal_product", "_decimal_product"]
     # eta(z)^24 at 100, as ramanujan_delta(100) builds it: E^3, E^6 and E^12
-    # have 14, 66 and 100 terms in 100 places, so all three squares are packed
+    # have 14, 66 and 100 terms in 100 places, so the E^6 and E^12 squares are
+    # packed
     calls.clear()
     expand_recipe(EtaRecipe(factors=((1, 24),)), 100)
-    assert calls == [("_int_product", 14, True), ("_int_product", 66, True),
+    assert calls == [("_term_product", 14, True), ("_int_product", 66, True),
                      ("_int_product", 100, True)]
     # 250 nonzero terms: packed when dense, summed when they fill one place
     # in 16, packed again one place short of that

@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import random
 from fractions import Fraction
 from math import isqrt
@@ -377,20 +378,46 @@ def test_flagship_scan_runs_the_exact_recurrence_to_two_terms_only(flagship):
 def test_one_check_against_e_m_certifies_the_whole_walk():
     # trace 0 and norm 1 give S = 2; at M = 4, F = 48 + bitlen(4 * 2 * 4) = 54.
     # With |C_1| = |C_2| = |C_3| = 2^F, 2^F E_4 = S (4 2^F + 3 2^F) = 14 2^F:
-    # C_4 = 10 clears S M = 8 but not E_4, and only C_4 = 15 is certified
+    # C_4 = 10 clears S M = 8 but not E_4, and only C_4 = 15 is certified.
+    # With C_1 the small term instead, 2^F E_4 = (12 2^F + 2 C_1), so C_1 = 12
+    # is not certified and 13 is.  The walk's blocks of 4, 2, 3 or 1 terms
+    # give the same check: at 3 and 1 the last block is C_4 alone.
     S, M, F = 2, 4, 54
     assert _sine_bound(0, 1) == S
     one = 1 << F
-    for last, signs in ((10, None), (14, None), (15, [-1, -1, 1, -1, -1])):
+    for block, (terms, signs) in itertools.product((4, 2, 3, 1), (
+        ([one, -one, one, 10], None),
+        ([one, -one, one, 14], None),
+        ([one, -one, one, 15], [-1, -1, 1, -1, -1]),
+        ([12, -one, one, one], None),
+        ([13, -one, one, one], [-1, -1, 1, -1, -1]),
+    )):
         calls = []
 
         def walk(*args):
             calls.append(args[-2:])
-            return [one, -one, one, last]
+            return [terms[i : i + block] for i in range(0, M, block)]
 
         with mock.patch.object(signscan, "_normalised_walk", walk):
-            assert _certified_signs(-1, 1, 0, 1, M) == signs
+            assert _certified_signs(-1, 1, 0, 1, M) == signs, (block, terms)
         assert calls == [(F, M)]
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, 8, 40, 41])
+def test_walk_blocks_leave_the_signs_unchanged(block):
+    # trace 10 against 2 sqrt(3^3) = 10.39: theta is about 0.28, so the signs
+    # come in runs of about 11 and a block of 7 ends inside a run; 40 terms
+    # are 5 blocks of 8 (a boundary on the last term) or 13 of 3 and one of 1
+    inputs, M = (1, 10, 1, 3, 2), 40
+    seq = twisted_sequence(*inputs, 1)
+    whole = _certified_signs(seq[0], seq[1], 10, 27, M)
+    assert whole == exact_signs(*inputs, M)
+    with mock.patch.object(signscan, "_WALK_BLOCK", block):
+        assert _certified_signs(seq[0], seq[1], 10, 27, M) == whole
+        lengths = [len(b) for b in _normalised_walk(seq[0], seq[1], 10, 27, 60, M)]
+    assert lengths == [block] * (M // block) + ([M % block] if M % block else [])
+    if block == 7:
+        assert any(whole[j] == whole[j + 1] for j in range(block, M, block))
 
 
 @settings(max_examples=100, deadline=None)
@@ -418,7 +445,7 @@ def test_walk_error_stays_within_its_bound(inputs, F):
     a_t, trace, chi1_p, p, k = inputs
     norm = p ** (2 * k - 1)
     seq = twisted_sequence(a_t, trace, chi1_p, p, k, 200)
-    walk = _normalised_walk(seq[0], seq[1], trace, norm, F, 200)
+    walk = [C for block in _normalised_walk(seq[0], seq[1], trace, norm, F, 200) for C in block]
     assert len(walk) == 200
     S = _sine_bound(trace, norm)
     for nu in range(2, 201, 2):
