@@ -30,6 +30,8 @@ def exact(x: Rational) -> Rational:
 def clear_denominators(coeffs: Sequence[Rational]) -> tuple[int, list[int]]:
     """(L, [L*c for c in coeffs]) with L the lcm of the denominators, 1 for no
     coefficients; a coefficient that is not an int or a Fraction is a TypeError."""
+    if set(map(type, coeffs)) == {int}:  # all ints, bools excluded: nothing to clear
+        return 1, list(coeffs)
     try:
         L = math.lcm(*{c.denominator for c in coeffs})
     except AttributeError:

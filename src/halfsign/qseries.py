@@ -165,19 +165,21 @@ _TERM_PAIRS_PER_COEFF = 8
 # trade wins in between, so the threshold stays at 250k.
 _DECIMAL_MIN_BITS = 250_000
 
-# The sparse carrier costs a few passes over n limbs per nonzero term of the
-# sparser operand, so it wins below a term count that moves little with
-# prec.  Its time over the dense carrier's, eta(z)^24 times s terms spaced
-# like theta's (all equal) or Jacobi's (distinct), median of 5-7 runs,
-# CPython 3.11, Xeon:
-#            s = 100   150   200   300           100   150   200   300
-#     2000  equal 0.45  0.57  0.68  0.88  distinct 0.52  0.70  0.82  1.12
-#     10^4        0.46  0.57  0.71  0.96           0.52  0.66  0.88  1.20
-#     10^5           -     -  0.62  0.90              -     -  0.80  1.13
-# Theta at 10^6 (1001 terms) stays on decimals.
-_SPARSE_MAX_TERMS = 250
+# The sparse carrier costs a pass over n limbs per nonzero term of the
+# sparser operand and a multiply per distinct value, so it takes an operand
+# whose terms + 2 (distinct values) is at most _SPARSE_MAX_WEIGHT.  Its time
+# over the decimal carrier's, eta(z)^24 times s terms at floor(prec (i/s)^2),
+# all 2 (=) or (-1)^i (2i + 1) (!=), median of 7, CPython 3.11.7, Xeon:
+#           s =  60  100  150  200  250  300  350  400  450
+#     10^4  =  0.28 0.39 0.47 0.56 0.61 0.63 0.75 0.86 1.00
+#           != 0.46 0.70 0.93 1.18 1.43 1.63 1.78 2.12 2.32
+#     10^5  =                      0.51 0.63 0.65 0.74 0.80
+#           !=                     1.42 1.54 1.73 1.93 2.25
+# Both stop winning near weight 450; at prec 2000 and s <= 200 each ratio
+# is within 0.11 of 10^4's.  Theta at 10^6 (1001 terms) stays on decimals.
+_SPARSE_MAX_WEIGHT = 450
 
-# Below that count the sparser operand must also be sparse, with at most one
+# Below that weight the sparser operand must also be sparse, with at most one
 # nonzero term in _SPARSE_MIN_SPACING: a dense operand of 100 terms, such as
 # E^6 inside eta(z)^24 at prec 100, multiplies 2-3 times faster packed.  The
 # sparse carrier's time over the native-int carrier's, a random operand of
@@ -191,7 +193,8 @@ _SPARSE_MAX_TERMS = 250
 #     1000  0.84 1.01 1.40 1.85    -    -    0.44 0.67 1.05 1.30    -    -
 #     2000  0.86 1.11 1.60    -    -    -    0.49 0.81 1.56    -    -    -
 # Theta, E and E^3 have about sqrt(prec), 1.6 sqrt(prec) and 1.4 sqrt(prec)
-# nonzero terms, so they take the sparse carrier from prec 256, 660 and 500 on.
+# nonzero terms, so they take the sparse carrier from prec 256, 660 and 500
+# on, up to about 198k, 77k and 11k.
 _SPARSE_MIN_SPACING = 16
 
 # The C `decimal`.  Without it `decimal` falls back to pure Python, which is
@@ -319,9 +322,9 @@ def _int_convolution(xs: Sequence[int], ys: Sequence[int], n_out: int) -> list[i
     (_term_product).  Every other product is a Kronecker substitution with
     one signed product: each operand becomes one integer X = sum x_i B^i,
     with a limb base B larger than twice every |c_k|, so X*Y holds c_k in
-    limb k (see _unpack).  When the sparser operand has at most
-    _SPARSE_MAX_TERMS nonzero terms, at most one in every
-    _SPARSE_MIN_SPACING places, shifted copies of the other are summed
+    limb k (see _unpack).  When the sparser operand has at most one nonzero
+    term in every _SPARSE_MIN_SPACING places and a weight of at most
+    _SPARSE_MAX_WEIGHT, shifted copies of the other are summed
     (_sparse_product); else the packed size picks native ints or, from
     _DECIMAL_MIN_BITS on, exact decimals.  A squared operand (xs is ys) is
     packed once.
@@ -337,7 +340,7 @@ def _int_convolution(xs: Sequence[int], ys: Sequence[int], n_out: int) -> list[i
     bits = _limb_bits(xs, ys)
     if terms > x_terms:
         xs, ys, terms = ys, xs, x_terms  # ys is the sparser operand
-    if terms <= _SPARSE_MAX_TERMS and terms * _SPARSE_MIN_SPACING <= len(ys):
+    if terms * _SPARSE_MIN_SPACING <= len(ys) and terms + 2 * len(set(ys)) <= _SPARSE_MAX_WEIGHT:
         out = _sparse_product(xs, ys, bits, n)
     elif _libmpdec is not None and bits * (len(xs) + len(ys)) >= _DECIMAL_MIN_BITS:
         out = _decimal_product(xs, ys, bits, n)

@@ -8,24 +8,25 @@ runs on integers only: _scaled_twisted returns the row B_nu = s v^nu b_nu
 with s and v, which is all the closed-form suite of genfun needs, and
 twisted_sequence divides it out into one canonical number per term.
 
-A scan needs only the signs at the indices its mode keeps, d, d+n, ...,
-d+(L-1)n: subsequence(range(M + 1), mode) gives them (n = 1 in full mode,
-2 for odd and even, the order of p mod q for a progression).  With
-alpha, beta the roots of X^2 - trace X + N, N = p^(2k-1), every n-th term
-obeys b_(nu+n) = V_n b_nu - N^n b_(nu-n), V_n = alpha^n + beta^n, so the
-kept terms are again an order-two sequence, with local data (V_n, N^n)
-and start values b_d, b_(d+n).  Under strict Deligne,
-trace = 2 sqrt(N) cos(theta) with 0 < theta < pi, V_n = 2 N^(n/2) cos(n theta),
-and c_j = b_(d+jn) / (b_d N^(jn/2)) obeys c_(j+1) = 2 cos(n theta) c_j - c_(j-1).
-scan runs that recurrence once per prime, in F-bit fixed-point integers,
-over the L kept terms only, in blocks of which it keeps only the signs and
-two running sums, and then checks once that every |C_j| exceeds an exact
-bound E on the error; sgn b_(d+jn) = sgn(b_d) sgn(C_j).  When the
-walk cannot certify (b_d = 0, a zero term, sin(n theta) = 0 or n theta too
-close to 0 or pi), or the trace is extremal or violated, the prime's signs
-are read off the exact integer row B_nu of _scaled_twisted at the kept
-indices instead, which has the signs of b_nu, so every sign a scan reports
-is the exact one and no Fraction is built.
+A scan needs only the signs at the indices its mode keeps, d, d+n, ...:
+subsequence(range(M + 1), mode) gives them (n = 1 in full mode, 2 for odd
+and even, the order of p mod q for a progression).  Under strict Deligne,
+trace = 2 sqrt(N) cos(theta) with 0 < theta < pi and N = p^(2k-1), and
+
+    b_nu = b_0 N^(nu/2) R sin(nu theta + psi) / sin(theta),
+    R cos(psi) = b_1/(b_0 sqrt(N)) - cos(theta),  R sin(psi) = sin(theta)
+
+with R > 0 and 0 < psi < pi (for the flagship's b_1, R cos(psi) =
+cos(theta) - chi1(p) p^(-1/2)), so sgn b_nu = sgn b_0 (-1)^floor((psi + nu theta)/pi).
+scan reads Theta and Psi, within eps = 2 of 2^G theta/pi and 2^G psi/pi,
+off two integer arctans per prime; y_nu = Psi + nu Theta, one addition per
+kept term, is then within E = eps (M + 1) of 2^G (psi + nu theta)/pi.  When
+every y_nu mod 2^G lies strictly inside (E, 2^G - E), the prime is
+certified and its signs are the parities of floor(y_nu / 2^G).  Otherwise
+(b_0 = 0, a zero term, an extremal or violated trace, or an angle within
+about 2^-48 pi of a multiple of pi) its signs are read off the exact integer
+row B_nu of _scaled_twisted, which has the signs of b_nu, so every sign a
+scan reports is the exact one and no Fraction is built.
 
 Sign changes are zero-transparent: a change is a pair of indices i < j
 with b_i * b_j < 0 and every entry strictly between them zero.  A count
@@ -37,8 +38,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate, repeat
 from math import isqrt
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import characters as characters_mod
 from . import hecke as hecke_mod
@@ -112,105 +115,91 @@ def twisted_sequence(
     return out
 
 
-def _sine_bound(trace: Rational, norm: int) -> int | None:
-    """An integer S >= 1/sin(theta), where trace = 2 sqrt(norm) cos(theta);
-    None unless trace^2 < 4 norm (strict Deligne)."""
+_BLOCK = 1 << 16  # kept terms certified and read at a time
+
+
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum_(0 <= j < n) floor((a j + b)/m) for integers n >= 0, m >= 1, a, b >= 0.
+
+    Euclid's O(log m) reduction (the floor_sum of the AtCoder Library):
+    take out the whole parts of a/m and b/m, then count the same lattice
+    points below the line by rows instead of columns, with a and m swapped.
+    """
+    total = 0
+    while True:
+        total += a // m * (n * (n - 1) // 2) + b // m * n
+        a, b = a % m, b % m
+        top = a * n + b
+        if top < m:
+            return total
+        n, b, m, a = top // m, top % m, a, m
+
+
+def _arctan(a: int, b: int, W: int) -> int:
+    """2^W arctan(sqrt(a/b)) within 8W, for integers 0 <= a <= b, b >= 1, W >= 16.
+
+    x_0 = isqrt(4^W a // b) is within 1 of 2^W sqrt(a/b) <= 2^W.  Four
+    halvings x -> x/(1 + sqrt(1 + x^2)) = tan(arctan(x)/2), each within 1 in
+    fixed point, have slope at most 1/2, so 16 arctan(x_4) is within
+    1 + 2 + 4 + 8 + 16 = 31 of the target, and x_4 < 2^W/20.  The floored
+    powers P_(j+1) = P_j x_4^2 / 2^W of the alternating series x - x^3/3 + ...
+    then stay within 2 of 2^W x^(2j+1) and reach 0 by j = W/8 + 1, so the
+    series is within 2 W/8 + 1 and the result within 31 + 4W + 16 <= 8W.
+    """
+    x = isqrt((a << 2 * W) // b)
+    one = 1 << W
+    for _ in range(4):
+        x = (x << W) // (one + isqrt((one << W) + x * x))
+    x2, total, j = x * x >> W, 0, 1
+    while x:
+        total += x // j if j & 2 == 0 else -(x // j)
+        x, j = x * x2 >> W, j + 2
+    return total << 4
+
+
+@lru_cache
+def _pi(W: int) -> int:
+    """2^W pi within 160W (W >= 16), by Machin: pi = 16 arctan(1/5) - 4 arctan(1/239)."""
+    return 16 * _arctan(1, 25, W) - 4 * _arctan(1, 57121, W)
+
+
+def _half_turns(y2: int, x: int, G: int) -> int:
+    """2^G atan2(sqrt(y2), x) / pi within eps = 2, for integers y2 > 0, x, G >= 16.
+
+    atan2 is 0, pi/2 or pi plus or minus phi = arctan(t), 0 <= t <= 1, and
+    the multiples of pi are exact in these units.  With W = G + g bits,
+    Phi = _arctan is within 8W of 2^W phi and Pi = _pi(W) >= 3 2^W within
+    160W of 2^W pi, so with phi <= pi/4, 2^G Phi/Pi is within
+    2^G (8W + 160W/4)/Pi <= 16W/2^g of 2^G phi/pi.  g = 5 + bitlen(G)
+    makes that at most 1, and the floor adds less than 1 more.
+    """
+    W = G + 5 + G.bit_length()
+    if y2 <= x * x:
+        t = (_arctan(y2, x * x, W) << G) // _pi(W)
+        return t if x > 0 else (1 << G) - t
+    t = (_arctan(x * x, y2, W) << G) // _pi(W)
+    return (1 << G - 1) - t if x >= 0 else (1 << G - 1) + t
+
+
+def _phases(
+    b0: Rational, b1: Rational, trace: Rational, norm: int, G: int
+) -> tuple[int, int] | None:
+    """(Theta, Psi), each within eps = 2 of 2^G theta/pi and 2^G psi/pi for
+    the sequence with b_(nu+1) = trace b_nu - norm b_(nu-1), or None unless
+    trace^2 < 4 norm (strict Deligne) and b_0 != 0.
+
+    With trace = u/v and b_1/b_0 = r_n/r_d (r_d > 0), multiplying
+    cos(theta) and sin(theta) by 2 v sqrt(norm) gives u and sqrt(4 norm v^2 - u^2),
+    and R cos(psi), R sin(psi) by 2 v sqrt(norm) r_d gives 2 v r_n - u r_d
+    and r_d sqrt(4 norm v^2 - u^2).
+    """
     u, v = trace.numerator, trace.denominator
-    four_nv2 = 4 * norm * v * v
-    gap = four_nv2 - u * u
-    if gap <= 0:
+    gap = 4 * norm * v * v - u * u
+    if gap <= 0 or b0 == 0:
         return None
-    return isqrt(-(-four_nv2 // gap)) + 1
-
-
-def _lucas_v(trace: Rational, norm: int, n: int) -> Rational:
-    """V_n = alpha^n + beta^n for the roots of X^2 - trace X + norm (n >= 1).
-
-    V_0 = 2, V_1 = trace and V_(j+1) = trace V_j - norm V_(j-1), run on the
-    integers v^j V_j with trace = u/v, as _scaled_twisted runs b_nu.
-    """
-    u, v = trace.numerator, trace.denominator
-    step = norm * v * v
-    prev, cur = 2, u
-    for _ in range(1, n):
-        prev, cur = cur, u * cur - step * prev
-    return Fraction(cur, v**n)
-
-
-# The walk hands its fixed-point terms over in blocks of this many, so a
-# scan holds one block of F-bit ints at a time, not all M of them.
-_WALK_BLOCK = 1 << 16
-
-
-def _normalised_walk(
-    b0: Rational, b1: Rational, trace: Rational, norm: int, F: int, M: int
-) -> Iterator[list[int]]:
-    """[C_1, ..., C_M] (M >= 1) in consecutive blocks of at most _WALK_BLOCK
-    terms, where C_nu is 2^F c_nu in fixed point and
-    c_nu = b_nu / (b_0 sqrt(norm)^nu) for the sequence b with
-    b_(nu+1) = trace b_nu - norm b_(nu-1).
-
-    c_(nu+1) = x c_nu - c_(nu-1) with x = trace/sqrt(norm) = 2 cos(theta).
-    C_1 and X are within 1 of 2^F c_1 and 2^F x, and each step floors
-    X C_nu / 2^F, so the error e_nu = C_nu - 2^F c_nu obeys
-    e_(nu+1) = x e_nu - e_(nu-1) + delta_nu with |delta_nu| < 1 + |C_nu|/2^F
-    and e_0 = 0.  Its solution sums e_1 and the delta_j against Chebyshev
-    U_n(cos theta) = sin((n+1) theta)/sin(theta), each at most S in size, so
-    |e_nu| < E_nu = S (1 + sum_(1 <= j < nu) (1 + |C_j|/2^F)) for any
-    S >= 1/sin(theta) (_sine_bound).  b_0 must be nonzero.
-    """
     r = Fraction(b1, b0)
-    u, v = trace.numerator, trace.denominator
-    c1 = isqrt((r.numerator * r.numerator << 2 * F) // (r.denominator * r.denominator * norm))
-    x = isqrt((u * u << 2 * F) // (v * v * norm))
-    C, X = (c1 if r > 0 else -c1), (x if u > 0 else -x)
-    prev = 1 << F
-    for start in range(0, M, _WALK_BLOCK):
-        block = []
-        append = block.append
-        for _ in range(min(M - start, _WALK_BLOCK)):
-            append(C)
-            prev, C = C, ((X * C) >> F) - prev
-        yield block
-
-
-def _certified_signs(
-    b0: Rational, b1: Rational, trace: Rational, norm: int, M: int
-) -> list[int] | None:
-    """sgn b_0..sgn b_M (M >= 1) for b_(nu+1) = trace b_nu - norm b_(nu-1),
-    from the normalised walk, or None when b_0 = 0, the trace is not strict
-    or the walk does not certify every term.
-
-    scan calls this on its kept terms b_d, b_(d+n), ... with the n-step
-    data (trace, norm) = (V_n, N^n), under which theta becomes n theta;
-    trace^2 < 4 norm then holds exactly when sin(n theta) != 0, and the
-    error proof of _normalised_walk applies as it stands.  The walk makes
-    no check per term.  E_nu grows with nu, so E_nu <= E_M for every
-    nu <= M, and the one integer comparison
-    min |C_nu| 2^F > 2^F E_M = S (M 2^F + sum_(1 <= j < M) |C_j|)
-    certifies every term: |C_nu| > E_M >= |e_nu| gives C_nu the sign of
-    c_nu.  It is stricter than |C_nu| > E_nu term by term, which can only
-    send a prime to the exact row.  F = 48 + bitlen(M S (S+2)) puts E_M
-    below 2^(F-48) while the |c_nu| stay below S + 1, so any term with
-    |c_nu| above about 2^-48 is certified.  Each block of the walk leaves
-    only its signs, its least |C_nu| and its sum of |C_nu| behind, so the
-    memory held is the signs and one block.
-    """
-    S = _sine_bound(trace, norm)
-    if S is None or b0 == 0:
-        return None
-    F = 48 + (M * S * (S + 2)).bit_length()
-    sign = 1 if b0 > 0 else -1
-    signs, lows, total = [sign], [], 0
-    for block in _normalised_walk(b0, b1, trace, norm, F, M):
-        lows.append(min(map(abs, block)))
-        total += sum(map(abs, block))
-        signs += [sign if C > 0 else -sign for C in block]
-        last = block[-1]
-        del block  # before the walk builds the next one
-    if min(lows) << F <= S * ((M << F) + total - abs(last)):
-        return None
-    return signs
+    x = 2 * v * r.numerator - u * r.denominator
+    return _half_turns(gap, u, G), _half_turns(r.denominator**2 * gap, x, G)
 
 
 def _twisted_signs(
@@ -219,24 +208,40 @@ def _twisted_signs(
     """The signs (-1, 0 or 1) of b_nu = twisted_sequence(a_t, trace, chi1_p,
     p, k, ...)[nu] at the increasing, evenly spaced indices kept.
 
-    twisted_sequence runs to kept[1] (and validates the inputs), for
-    b_d and b_(d+n) with d = kept[0] and n = kept[1] - d; the certified walk
-    on the n-step data (V_n, N^n) decides the rest.  Only when it cannot (a
-    zero term, an angle n theta too close to 0 or pi, an extremal or
-    violated trace) does the exact recurrence run to kept[-1], as the
-    integer row B_nu = s v^nu b_nu of _scaled_twisted: s and v are
-    positive, so B_nu has the sign of b_nu.
+    twisted_sequence runs to index 1 (and validates the inputs), and
+    _phases gives Theta and Psi at G = 48 + bitlen(E) bits, E = eps (M + 1),
+    M = kept[-1].  y_nu runs from nu = kept[0] in steps of n Theta, shifted
+    down by E + 1 and kept mod 2^(G+1), which keeps bit G and the low bits.
+    So y_nu mod 2^G lies in (E, 2^G - E) exactly when adding 2E + 1 leaves
+    floor(y_nu / 2^G) unchanged, and as no floor can drop, two _floor_sum
+    calls check that for a block of _BLOCK terms at once.  When every block
+    passes, bit G of each shifted y_nu is the parity of
+    floor((psi + nu theta)/pi).  Otherwise the exact recurrence runs to M,
+    as the row B_nu = s v^nu b_nu of _scaled_twisted (s, v > 0).
     """
-    seed = twisted_sequence(a_t, trace, chi1_p, p, k, max(kept[:2], default=0))
-    if len(kept) > 2:
-        d, n = kept[0], kept[1] - kept[0]
-        norm = p ** (2 * k - 1)
-        V_n = _lucas_v(trace, norm, n)
-        signs = _certified_signs(seed[d], seed[d + n], V_n, norm**n, len(kept) - 1)
-        if signs is not None:
+    b0, b1 = twisted_sequence(a_t, trace, chi1_p, p, k, 1)
+    if not kept:
+        return []
+    E = 2 * (kept[-1] + 1)
+    G = 48 + E.bit_length()
+    phases = _phases(b0, b1, trace, p ** (2 * k - 1), G)
+    if phases is not None:
+        theta, psi = phases
+        one, wrap = 1 << G, 2 << G
+        step = theta * (kept[1] - kept[0] if len(kept) > 1 else 1) % wrap
+        y = (psi + kept[0] * theta - E - 1) % wrap
+        keep, flip = (1, -1) if b0 > 0 else (-1, 1)
+        signs: list[int] = []
+        for start in range(0, len(kept), _BLOCK):
+            m = min(_BLOCK, len(kept) - start)
+            if _floor_sum(m, one, step, y + 2 * E + 1) != _floor_sum(m, one, step, y):
+                break
+            signs += [flip if z & one else keep for z in accumulate(repeat(step, m - 1), initial=y)]
+            y = (y + m * step) % wrap
+        else:
             return signs
-        seed, _, _ = _scaled_twisted(a_t, trace, chi1_p, p, k, kept[-1])
-    return [(seed[i] > 0) - (seed[i] < 0) for i in kept]
+    row, _, _ = _scaled_twisted(a_t, trace, chi1_p, p, k, kept[-1])
+    return [(row[i] > 0) - (row[i] < 0) for i in kept]
 
 
 def subsequence(seq: Sequence[Rational], mode: str | ProgressionSpec) -> Sequence[Rational]:
@@ -319,7 +324,7 @@ def scan(
 
     For each prime coprime to the level: extract the twisted trace from
     the q-expansion, decide the signs of b_nu at the indices nu <= M that
-    the mode keeps (certified fixed-point signs, with the exact recurrence
+    the mode keeps (certified phase signs, with the exact recurrence
     as the fallback; see the module docstring), and count sign changes.
     mode is "full", "odd", "even", or a pair (q, h) with q prime and
     1 < h < q for the progression p^nu = h (mod q); both, and M >= 0, are

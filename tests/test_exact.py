@@ -9,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from halfsign import flagship as flagship_mod
-from halfsign.arith import exact, primes_up_to
+from halfsign.arith import clear_denominators, exact, primes_up_to
 from halfsign.flagship import flagship_form
 from halfsign.genfun import Polynomial, expand, h_n_closed
 from halfsign.hecke import deligne_check, extract_trace
@@ -96,3 +96,21 @@ def test_exact_returns_canonical_ints_and_fractions():
     assert type(exact(Fraction(1, 2))) is Fraction
     with pytest.raises(TypeError, match="float"):
         exact(2.0)
+
+
+@pytest.mark.parametrize("coeffs, expected", [
+    ([3, -4, 0], (1, [3, -4, 0])),  # all ints: returned as a new list
+    ([True, False, 2], (1, [1, 0, 2])),  # bools come back as ints
+    ([Fraction(1, 2), Fraction(-1, 3)], (6, [3, -2])),
+    ([1, Fraction(1, 4), 2], (4, [4, 1, 8])),  # mixed
+    ([], (1, [])),
+])
+def test_clear_denominators_scales_to_ints(coeffs, expected):
+    L, ints = clear_denominators(coeffs)
+    assert (L, ints) == expected and ints is not coeffs
+    assert all(type(c) is int for c in ints)
+
+
+def test_clear_denominators_rejects_floats():
+    with pytest.raises(TypeError, match="exact"):
+        clear_denominators([1, 2.0])

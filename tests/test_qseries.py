@@ -322,7 +322,7 @@ def test_sparse_factors_take_the_sparse_carrier(monkeypatch):
     ]
     assert (calls[0][1], calls[-1][1]) == (141, 101)  # E^3 and theta up to q^10^4
     theta = theta_series(10**6).coeffs  # 1001 terms: decimals carry theta at 10^6
-    assert len(theta) - theta.count(0) > qseries._SPARSE_MAX_TERMS
+    assert len(theta) - theta.count(0) > qseries._SPARSE_MAX_WEIGHT
     # eta(z)^24 at 10^5: E^3 has 447 terms, and only its square is term by term
     calls.clear()
     expand_recipe(EtaRecipe(factors=((1, 24),)), 100_000)
@@ -335,16 +335,29 @@ def test_sparse_factors_take_the_sparse_carrier(monkeypatch):
     expand_recipe(EtaRecipe(factors=((1, 24),)), 100)
     assert calls == [("_term_product", 14, True), ("_int_product", 66, True),
                      ("_int_product", 100, True)]
-    # 250 nonzero terms: packed when dense, summed when they fill one place
-    # in 16, packed again one place short of that
+    # 250 nonzero terms of two values: packed when dense, summed when they
+    # fill one place in 16, packed again one place short of that
     calls.clear()
-    dense = [(-1) ** i * (i + 1) for i in range(250)]
+    dense = [(-1) ** i for i in range(250)]
     spread = [0] * 4000
     spread[::16] = dense
     qseries._int_convolution(dense, dense, 498)
     qseries._int_convolution(_DENSE * 400, spread, 3999)
     qseries._int_convolution(_DENSE * 400, spread[:-1], 3998)
     assert [name == "_sparse_product" for name, _, _ in calls] == [False, True, False]
+    # the weight is the nonzero terms plus twice the distinct values: theta at
+    # 90,000 has 301 terms of 2, over the former limit of 250 terms, and is
+    # summed; 150 distinct terms weigh 452 and are packed, 149 weigh 449
+    calls.clear()
+    theta = list(theta_series(90_000).coeffs)
+    qseries._int_convolution((_DENSE * 7501)[:90_001], theta, 90_000)
+    for count in (150, 149):
+        spread = [0] * 16 * count
+        spread[::16] = range(1, count + 1)
+        qseries._int_convolution(_DENSE * 200, spread, len(spread) - 1)
+    assert [(name == "_sparse_product", terms) for name, terms, _ in calls] == [
+        (True, 301), (False, 150), (True, 149)
+    ]
 
 
 _SINGLE_FACTORS = ((1, 24), (2, 12), (3, 8), (4, 6), (6, 4), (8, 3), (12, 2), (24, 1))

@@ -1,5 +1,4 @@
 import contextlib
-import itertools
 import random
 from fractions import Fraction
 from math import isqrt
@@ -18,10 +17,8 @@ from halfsign.genfun import expand, h_n_closed
 from halfsign.hecke import extract_trace
 from halfsign.shimura import chi1
 from halfsign.signscan import (
-    _certified_signs,
-    _lucas_v,
-    _normalised_walk,
-    _sine_bound,
+    _floor_sum,
+    _phases,
     _twisted_signs,
     count_sign_changes,
     scan,
@@ -334,7 +331,7 @@ def assert_falls_back(inputs, mode, falls_back):
     with recorded_lengths() as lengths:
         signs = _twisted_signs(*inputs, kept)
     assert signs == kept_exact_signs(inputs, 40, mode)
-    assert lengths == ([kept[1], kept[-1]] if falls_back else [kept[1]])
+    assert lengths == ([1, kept[-1]] if falls_back else [1])
 
 
 @pytest.mark.parametrize("a_t, trace, chi1_p, p, k, falls_back", [
@@ -347,8 +344,10 @@ def test_uncertified_terms_fall_back_to_the_exact_recurrence(a_t, trace, chi1_p,
 
 
 @pytest.mark.parametrize("a_t, trace, chi1_p, p, k, mode, falls_back", [
-    (1, 0, 1, 3, 2, "full", False),  # trace 0: theta = pi/2, every term certified
-    (1, 0, 1, 3, 2, "even", True),  # but n = 2: V_2^2 = 4 N^2, so sin(2 theta) = 0
+    # trace 0: theta = pi/2 and psi = 2 pi/3, so psi + nu theta is never a
+    # multiple of pi and every mode is certified, even where n theta = pi
+    (1, 0, 1, 3, 2, "full", False),
+    (1, 0, 1, 3, 2, "even", False),
     (1, 0, 0, 3, 2, "odd", True),  # trace 0, chi1_p = 0 and d odd: b_d = b_1 = 0
     (1, 6, 1, 2, 2, "even", True),  # violated: V_2^2 > 4 N^2 as well
     (-3, Fraction(1, 2), 1, 3, 2, "odd", False),
@@ -361,95 +360,97 @@ def test_n_step_walks_fall_back_exactly_when_they_cannot_certify(
 
 
 def test_flagship_scan_runs_the_exact_recurrence_to_two_terms_only(flagship):
-    # the seed runs to the second kept index, d + n, and never on to M
+    # the seed runs to index 1, for b_0 and b_1, and never on to M
     for mode, primes in (("full", 24), ("odd", 24), ("even", 24), ((5, 2), 13), ((31, 30), 14),
                          ((97, 5), 11)):
         with recorded_lengths() as lengths:
             reports = scan(flagship, 1, mode, 97, 1250)
-        seconds = []
-        for r in reports:
-            selector = ProgressionSpec.create(*mode, r.p) if isinstance(mode, tuple) else mode
-            seconds.append(subsequence(range(1251), selector)[1])
         assert len(reports) == primes
-        assert lengths == seconds
-        assert max(lengths) < 2 * 97
+        assert lengths == [1] * primes
 
 
-def test_one_check_against_e_m_certifies_the_whole_walk():
-    # trace 0 and norm 1 give S = 2; at M = 4, F = 48 + bitlen(4 * 2 * 4) = 54.
-    # With |C_1| = |C_2| = |C_3| = 2^F, 2^F E_4 = S (4 2^F + 3 2^F) = 14 2^F:
-    # C_4 = 10 clears S M = 8 but not E_4, and only C_4 = 15 is certified.
-    # With C_1 the small term instead, 2^F E_4 = (12 2^F + 2 C_1), so C_1 = 12
-    # is not certified and 13 is.  The walk's blocks of 4, 2, 3 or 1 terms
-    # give the same check: at 3 and 1 the last block is C_4 alone.
-    S, M, F = 2, 4, 54
-    assert _sine_bound(0, 1) == S
-    one = 1 << F
-    for block, (terms, signs) in itertools.product((4, 2, 3, 1), (
-        ([one, -one, one, 10], None),
-        ([one, -one, one, 14], None),
-        ([one, -one, one, 15], [-1, -1, 1, -1, -1]),
-        ([12, -one, one, one], None),
-        ([13, -one, one, one], [-1, -1, 1, -1, -1]),
-    )):
-        calls = []
-
-        def walk(*args):
-            calls.append(args[-2:])
-            return [terms[i : i + block] for i in range(0, M, block)]
-
-        with mock.patch.object(signscan, "_normalised_walk", walk):
-            assert _certified_signs(-1, 1, 0, 1, M) == signs, (block, terms)
-        assert calls == [(F, M)]
+def test_exact_zeros_at_rational_angles_fall_back():
+    # theta = pi/4 (p = 2, trace 2^k) or pi/6 (p = 3, trace 3^k), and
+    # chi1_p = 0 makes psi = theta: b_nu = 0 whenever (nu + 1) theta is a
+    # multiple of pi, where y_nu is only within E of a multiple of 2^G.  Those
+    # nu are odd, so the even indices alone are certified.
+    for p, k in ((2, 2), (2, 7), (3, 2), (3, 6)):
+        for trace in (p**k, -(p**k)):
+            inputs = (1, trace, 0, p, k)
+            for mode in ("full", "odd", "even"):
+                zeros = 0 in kept_exact_signs(inputs, 40, mode)
+                assert zeros == (mode != "even")
+                assert_falls_back(inputs, mode, zeros)
 
 
 @pytest.mark.parametrize("block", [1, 3, 7, 8, 40, 41])
 def test_walk_blocks_leave_the_signs_unchanged(block):
     # trace 10 against 2 sqrt(3^3) = 10.39: theta is about 0.28, so the signs
-    # come in runs of about 11 and a block of 7 ends inside a run; 40 terms
-    # are 5 blocks of 8 (a boundary on the last term) or 13 of 3 and one of 1
-    inputs, M = (1, 10, 1, 3, 2), 40
-    seq = twisted_sequence(*inputs, 1)
-    whole = _certified_signs(seq[0], seq[1], 10, 27, M)
+    # come in runs of about 11 and a block of 7 ends inside a run; the 40
+    # kept terms are 5 blocks of 8 or one of 40 (a boundary on the last
+    # term), 13 of 3 and one of 1, or one block of 40 when it holds 41
+    inputs, M = (1, 10, 1, 3, 2), 39
+    kept = range(M + 1)
+    whole = _twisted_signs(*inputs, kept)
     assert whole == exact_signs(*inputs, M)
-    with mock.patch.object(signscan, "_WALK_BLOCK", block):
-        assert _certified_signs(seq[0], seq[1], 10, 27, M) == whole
-        lengths = [len(b) for b in _normalised_walk(seq[0], seq[1], 10, 27, 60, M)]
-    assert lengths == [block] * (M // block) + ([M % block] if M % block else [])
+    blocks = []
+
+    def floor_sum(n, *args):
+        blocks.append(n)
+        return _floor_sum(n, *args)
+
+    with mock.patch.object(signscan, "_BLOCK", block), \
+            mock.patch.object(signscan, "_floor_sum", floor_sum), recorded_lengths() as lengths:
+        assert _twisted_signs(*inputs, kept) == whole
+    assert lengths == [1]  # certified in every block, no exact fallback
+    size = min(block, M + 1)
+    assert blocks[::2] == blocks[1::2] == [size] * (40 // size) + ([40 % size] if 40 % size else [])
     if block == 7:
-        assert any(whole[j] == whole[j + 1] for j in range(block, M, block))
+        assert any(whole[j - 1] == whole[j] for j in range(block, M + 1, block))
 
 
-@settings(max_examples=100, deadline=None)
-@given(twisted_inputs(), st.integers(1, 12))
-def test_every_nth_term_obeys_the_n_step_recurrence(inputs, n):
-    # b_(nu+n) = V_n b_nu - N^n b_(nu-n), V_n = alpha^n + beta^n, N = p^(2k-1)
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 40), st.integers(1, 10**6), st.integers(0, 10**9), st.integers(0, 10**9))
+@example(0, 1, 0, 0)
+@example(5, 2**64, 2**64 - 1, 2**65 + 3)
+def test_floor_sum_matches_the_sum_of_floors(n, m, a, b):
+    assert _floor_sum(n, m, a, b) == sum((a * j + b) // m for j in range(n))
+
+
+# trace edge / 10^12 against 2 sqrt(97^11): theta is about 3e-12, psi is
+# within 1e-11 of 0 as well, and the negated trace puts both near pi
+_NEAR_ZERO = Fraction(isqrt(4 * 97**11 * 10**24), 10**12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(twisted_inputs(strict=True), st.integers(16, 160))
+@example((3, _NEAR_ZERO, 1, 97, 6), 58)
+@example((3, -_NEAR_ZERO, 1, 97, 6), 58)
+@example((-2, _NEAR_ZERO, -1, 97, 6), 16)
+@example((-2, -_NEAR_ZERO, 0, 97, 6), 160)
+def test_phases_are_within_eps_of_the_angles(inputs, G):
+    # cos(theta) = trace / (2 p^(k - 1/2)) and
+    # R cos(psi) = cos(theta) - chi1_p p^(-1/2), R sin(psi) = sin(theta), at 3G
+    # bits, with the differences formed in exact integers first
+    mpmath = pytest.importorskip("mpmath")
     a_t, trace, chi1_p, p, k = inputs
     norm = p ** (2 * k - 1)
-    seq = twisted_sequence(a_t, trace, chi1_p, p, k, 4 * n)
-    V = _lucas_v(trace, norm, n)
-    for nu in range(n, 3 * n + 1):
-        assert seq[nu + n] == V * seq[nu] - norm**n * seq[nu - n]
+    b0, b1 = twisted_sequence(a_t, trace, chi1_p, p, k, 1)
+    theta_g, psi_g = _phases(b0, b1, trace, norm, G)
+    u, v = exact(trace).numerator, exact(trace).denominator
+    with mpmath.workprec(3 * G):
+        scale = 2 * v * mpmath.sqrt(norm)
+        sin = mpmath.sqrt(4 * norm * v * v - u * u) / scale
+        theta = mpmath.atan2(sin, u / scale)
+        psi = mpmath.atan2(sin, (u - 2 * v * chi1_p * p ** (k - 1)) / scale)
+        assert abs(theta_g - theta * 2**G / mpmath.pi) <= 2
+        assert abs(psi_g - psi * 2**G / mpmath.pi) <= 2
+        if abs(trace) == _NEAR_ZERO:
+            assert min(theta, mpmath.pi - theta) < 1e-11 and min(psi, mpmath.pi - psi) < 1e-11
 
 
-@settings(max_examples=60, deadline=None)
-@given(twisted_inputs(strict=True), st.integers(1, 16))
-# inputs where the error at nu = 6 exceeds E_nu with the per-step "1 +" left out
-@example((-1, Fraction(57, 2), 1, 3, 3), 16)
-@example((3, Fraction(73, 7), 1, 2, 3), 8)
-@example((3, Fraction(13072811, 1000), 1, 5, 6), 4)
-def test_walk_error_stays_within_its_bound(inputs, F):
-    # at even nu, 2^F c_nu = 2^F b_nu / (b_0 p^((2k-1) nu/2)) is rational, so
-    # |C_nu - 2^F c_nu| <= E_nu = S (nu + sum_(1 <= j < nu) |C_j| / 2^F) is
-    # checked exactly, at a deliberately small F
-    a_t, trace, chi1_p, p, k = inputs
-    norm = p ** (2 * k - 1)
-    seq = twisted_sequence(a_t, trace, chi1_p, p, k, 200)
-    walk = [C for block in _normalised_walk(seq[0], seq[1], trace, norm, F, 200) for C in block]
-    assert len(walk) == 200
-    S = _sine_bound(trace, norm)
-    for nu in range(2, 201, 2):
-        C = walk[nu - 1]
-        bound = S * (nu + Fraction(sum(map(abs, walk[: nu - 1])), 2**F))
-        error = C - Fraction(seq[nu] * 2**F) / (seq[0] * p ** ((2 * k - 1) * nu // 2))
-        assert abs(error) <= bound
+@pytest.mark.parametrize("chi1_p", [-1, 0, 1])
+@pytest.mark.parametrize("trace", [_NEAR_ZERO, -_NEAR_ZERO])
+def test_angles_near_0_and_pi_are_certified(trace, chi1_p):
+    for mode in ("full", "odd", "even"):
+        assert_falls_back((3, trace, chi1_p, 97, 6), mode, False)
