@@ -3,7 +3,8 @@
 Everything is exact integer arithmetic; these are the primitives the rest
 of the package leans on.  `exact` is the package's one number rule: every
 value is an int when integral and a Fraction otherwise, never a float.
-`clear_denominators` is the one place a list of them is scaled to integers.
+`clear_denominators` scales a list of them to integers, and `lucas_row` is
+the one loop of the order-two recurrence X_(j+1) = trace X_j - norm X_(j-1).
 """
 
 from __future__ import annotations
@@ -36,9 +37,17 @@ def clear_denominators(coeffs: Sequence[Rational]) -> tuple[int, list[int]]:
         L = math.lcm(*{c.denominator for c in coeffs})
     except AttributeError:
         raise TypeError("coefficients must be exact: int or Fraction") from None
-    if L == 1:  # the common integer case skips a multiply per coefficient
-        return 1, [c.numerator for c in coeffs]
     return L, [c.numerator * (L // c.denominator) for c in coeffs]
+
+
+def lucas_row(x0: int, x1: int, u: int, v: int, norm: int, M: int) -> list[int]:
+    """[v^j X_j for j = 0..M], X_0 = x0, v X_1 = x1, X_(j+1) = (u/v) X_j - norm X_(j-1),
+    on integers: Y_j = v^j X_j obeys Y_(j+1) = u Y_j - norm v^2 Y_(j-1)."""
+    step = norm * v * v
+    row = [x0, x1][: M + 1]
+    for _ in range(1, M):
+        row.append(u * row[-1] - step * row[-2])
+    return row
 
 
 def primes_up_to(n: int) -> list[int]:

@@ -6,7 +6,8 @@ Houses the closed form of the twisted coefficient series
 
 its even/odd split S0, S1 over the common degree-4 denominator, power
 series expansion, the Lucas-normalized companion polynomial of the local
-Satake data, and exact real-root counting via Sturm sequences.
+Satake data (its Lucas terms from arith.lucas_row), and exact real-root
+counting via Sturm sequences.
 
 The polynomial gcd and the Sturm sequence read one remainder sequence
 (_remainder_sequence): primitive integer pseudo-remainders, each scaled by a
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .arith import Rational, clear_denominators, exact
+from .arith import Rational, clear_denominators, exact, lucas_row
 from .errors import NotExpandable, ZeroPolynomial
 
 __all__ = [
@@ -56,7 +57,6 @@ __all__ = [
     "s_split_closed",
     "closed_form_checks",
     "expand",
-    "lucas_sequence",
     "remark_polynomial",
     "real_root_count",
     "sturm_chain",
@@ -413,21 +413,10 @@ def _scaled_closed_form_checks(
     return _expands_to(h1, B, s, v), split_ok, parity_ok
 
 
-def lucas_sequence(trace: Rational, norm: Rational, count: int) -> list[Rational]:
-    """u_0..u_count with u_0 = 0, u_1 = 1, u_{j+1} = trace u_j - norm u_{j-1}.
-
-    u_j = (alpha^j - beta^j)/(alpha - beta) for the roots alpha, beta of
-    X^2 - trace X + norm.
-    """
-    values = [0, 1]
-    while len(values) <= count:
-        values.append(trace * values[-1] - norm * values[-2])
-    return values[: count + 1]
-
-
 def remark_polynomial(trace: Rational, norm: int, m_p: int) -> Polynomial:
     """Rationalized companion Q(X) = norm u_{m_p - 1} X^m_p - u_{m_p} X^(m_p - 1) + 1,
-    with u the lucas_sequence of (trace, norm).
+    with u_0 = 0, u_1 = 1, u_{j+1} = trace u_j - norm u_{j-1}, read off
+    arith.lucas_row as v^j u_j for trace = u/v.
 
     The polynomial (beta alpha^m - alpha beta^m) X^m + (beta^m - alpha^m) X^(m-1)
     + (alpha - beta) built from the Satake roots alpha, beta of
@@ -437,11 +426,13 @@ def remark_polynomial(trace: Rational, norm: int, m_p: int) -> Polynomial:
     """
     if m_p < 1:
         raise ValueError("m_p must be at least 1")
-    u = lucas_sequence(trace, norm, m_p)
+    trace = exact(trace)
+    u, v = trace.numerator, trace.denominator
+    row = lucas_row(0, v, u, v, norm, m_p)
     coeffs = [0] * (m_p + 1)
     coeffs[0] = 1
-    coeffs[m_p - 1] -= u[m_p]
-    coeffs[m_p] += norm * u[m_p - 1]
+    coeffs[m_p - 1] -= Fraction(row[m_p], v**m_p)
+    coeffs[m_p] += Fraction(norm * row[m_p - 1], v ** (m_p - 1))
     return Polynomial(tuple(coeffs))
 
 

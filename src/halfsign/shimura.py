@@ -89,8 +89,8 @@ def crosscheck_lift(
     extract_trace(form, t, p) * chi(p) for every form, since chi(p)^2 = 1
     for p coprime to the level, so comparing with the trace could never
     fail.  Primes whose indices exceed the form's precision are reported as
-    skipped; when that leaves no prime to compare, the check has not run
-    and PrecisionExceeded is raised instead of an empty pass.
+    skipped; when no prime is left to compare, the check has not run and
+    PrecisionExceeded, naming why, is raised instead of an empty pass.
     """
     a_t = coefficient(form, t, 1)
     if a_t == 0:
@@ -113,9 +113,8 @@ def crosscheck_lift(
         if lift_p != integral_form_coeffs.coeffs[p]:
             mismatches.append(p)
     if not compared:
-        raise PrecisionExceeded(
-            f"no prime p <= {p_max} coprime to the level fits within precision {form.prec}"
-        )
+        cause = f"fits within precision {form.prec}" if skipped else "exists"
+        raise PrecisionExceeded(f"no prime p <= {p_max} coprime to the level {form.level} {cause}")
     return CrosscheckReport(
         t=t,
         compared=tuple(compared),

@@ -4,9 +4,9 @@ The twisted sequence b_nu = a(t p^(2 nu))/chi(p^nu) obeys the order-two
 linear recurrence b_{nu+1} = trace * b_nu - p^(2k-1) * b_{nu-1}; only its
 first two terms come from the q-expansion.  Its terms grow to about
 nu (k - 1/2) log2(p) bits.  With a_t = r/s and trace = u/v, the recurrence
-runs on integers only: _scaled_twisted returns the row B_nu = s v^nu b_nu
-with s and v, which is all the closed-form suite of genfun needs, and
-twisted_sequence divides it out into one canonical number per term.
+runs on integers only, in arith.lucas_row: _scaled_twisted returns the row
+B_nu = s v^nu b_nu with s and v, all the closed-form suite of genfun needs,
+and twisted_sequence divides it out into one canonical number per term.
 
 A scan needs only the signs at the indices its mode keeps, d, d+n, ...:
 subsequence(range(M + 1), mode) gives them (n = 1 in full mode, 2 for odd
@@ -21,7 +21,8 @@ cos(theta) - chi1(p) p^(-1/2)), so sgn b_nu = sgn b_0 (-1)^floor((psi + nu theta
 scan reads Theta and Psi, within eps = 2 of 2^G theta/pi and 2^G psi/pi,
 off two integer arctans per prime; y_nu = Psi + nu Theta, one addition per
 kept term, is then within E = eps (M + 1) of 2^G (psi + nu theta)/pi.  When
-every y_nu mod 2^G lies strictly inside (E, 2^G - E), the prime is
+every y_nu mod 2^G lies strictly inside (E, 2^G - E), which one pair of
+floor sums over all kept terms decides in O(G) steps, the prime is
 certified and its signs are the parities of floor(y_nu / 2^G).  Otherwise
 (b_0 = 0, a zero term, an extremal or violated trace, or an angle within
 about 2^-48 pi of a multiple of pi) its signs are read off the exact integer
@@ -45,7 +46,7 @@ from typing import Sequence
 
 from . import characters as characters_mod
 from . import hecke as hecke_mod
-from .arith import Rational, exact, is_prime, primes_up_to
+from .arith import Rational, exact, is_prime, lucas_row, primes_up_to
 from .characters import ProgressionSpec
 from .errors import NotInSubgroup, OutOfRange, ZeroBase
 from .forms import HalfIntegralForm, coefficient
@@ -68,20 +69,15 @@ def _scaled_twisted(
     """(B, s, v) with b_nu = B_nu / (s v^nu) for nu = 0..M, all integers.
 
     With a_t = r/s and trace = u/v in lowest terms, B_0 = r,
-    B_1 = (u - chi1_p p^(k-1) v) r and B_(nu+1) = u B_nu - p^(2k-1) v^2 B_(nu-1).
-    The inputs are not validated; twisted_sequence does that.
+    B_1 = (u - chi1_p p^(k-1) v) r and B is arith.lucas_row of (u, v) and
+    p^(2k-1).  The inputs are not validated; twisted_sequence does that.
     """
     a_t = exact(a_t)
     trace = exact(trace)
     r, s = a_t.numerator, a_t.denominator
     u, v = trace.numerator, trace.denominator
-    step = p ** (2 * k - 1) * v * v
-    row = [r]
-    if M >= 1:
-        row.append((u - chi1_p * p ** (k - 1) * v) * r)
-    for _ in range(1, M):
-        row.append(u * row[-1] - step * row[-2])
-    return row, s, v
+    b1 = (u - chi1_p * p ** (k - 1) * v) * r
+    return lucas_row(r, b1, u, v, p ** (2 * k - 1), M), s, v
 
 
 def twisted_sequence(
@@ -113,9 +109,6 @@ def twisted_sequence(
         out.append(exact(Fraction(b, scale)))
         scale *= v
     return out
-
-
-_BLOCK = 1 << 16  # kept terms certified and read at a time
 
 
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:
@@ -211,13 +204,14 @@ def _twisted_signs(
     twisted_sequence runs to index 1 (and validates the inputs), and
     _phases gives Theta and Psi at G = 48 + bitlen(E) bits, E = eps (M + 1),
     M = kept[-1].  y_nu runs from nu = kept[0] in steps of n Theta, shifted
-    down by E + 1 and kept mod 2^(G+1), which keeps bit G and the low bits.
-    So y_nu mod 2^G lies in (E, 2^G - E) exactly when adding 2E + 1 leaves
-    floor(y_nu / 2^G) unchanged, and as no floor can drop, two _floor_sum
-    calls check that for a block of _BLOCK terms at once.  When every block
+    down by E + 1; reducing the start and step mod 2^(G+1) keeps bit G and
+    the low bits.  So y_nu mod 2^G lies in (E, 2^G - E) exactly when adding
+    2E + 1 leaves floor(y_nu / 2^G) unchanged, and as no floor can drop, one
+    pair of _floor_sum calls over all kept terms checks that.  When it
     passes, bit G of each shifted y_nu is the parity of
-    floor((psi + nu theta)/pi).  Otherwise the exact recurrence runs to M,
-    as the row B_nu = s v^nu b_nu of _scaled_twisted (s, v > 0).
+    floor((psi + nu theta)/pi), read in one pass that keeps no per-term big
+    int, so no block split is needed.  Otherwise the exact recurrence runs
+    to M, as the row B_nu = s v^nu b_nu of _scaled_twisted (s, v > 0).
     """
     b0, b1 = twisted_sequence(a_t, trace, chi1_p, p, k, 1)
     if not kept:
@@ -230,16 +224,10 @@ def _twisted_signs(
         one, wrap = 1 << G, 2 << G
         step = theta * (kept[1] - kept[0] if len(kept) > 1 else 1) % wrap
         y = (psi + kept[0] * theta - E - 1) % wrap
-        keep, flip = (1, -1) if b0 > 0 else (-1, 1)
-        signs: list[int] = []
-        for start in range(0, len(kept), _BLOCK):
-            m = min(_BLOCK, len(kept) - start)
-            if _floor_sum(m, one, step, y + 2 * E + 1) != _floor_sum(m, one, step, y):
-                break
-            signs += [flip if z & one else keep for z in accumulate(repeat(step, m - 1), initial=y)]
-            y = (y + m * step) % wrap
-        else:
-            return signs
+        n = len(kept)
+        if _floor_sum(n, one, step, y + 2 * E + 1) == _floor_sum(n, one, step, y):
+            keep, flip = (1, -1) if b0 > 0 else (-1, 1)
+            return [flip if z & one else keep for z in accumulate(repeat(step, n - 1), initial=y)]
     row, _, _ = _scaled_twisted(a_t, trace, chi1_p, p, k, kept[-1])
     return [(row[i] > 0) - (row[i] < 0) for i in kept]
 

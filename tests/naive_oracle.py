@@ -79,6 +79,34 @@ def naive_twisted_sequence(
     return seq[: M + 1]
 
 
+def naive_scaled_twisted(a_t, trace, chi1_p: int, p: int, k: int, M: int):
+    """(B, s, v) with b_nu = B_nu / (s v^nu), the integer recurrence written out:
+    a_t = r/s and trace = u/v, B_0 = r, B_1 = (u - chi1_p p^(k-1) v) r and
+    B_(nu+1) = u B_nu - p^(2k-1) v^2 B_(nu-1)."""
+    a_t, trace = Fraction(a_t), Fraction(trace)
+    r, s = a_t.numerator, a_t.denominator
+    u, v = trace.numerator, trace.denominator
+    step = p ** (2 * k - 1) * v * v
+    row = [r]
+    if M >= 1:
+        row.append((u - chi1_p * p ** (k - 1) * v) * r)
+    for _ in range(1, M):
+        row.append(u * row[-1] - step * row[-2])
+    return row, s, v
+
+
+def naive_lucas_sequence(trace, norm, count: int) -> list:
+    """u_0..u_count with u_0 = 0, u_1 = 1, u_{j+1} = trace u_j - norm u_{j-1}.
+
+    u_j = (alpha^j - beta^j)/(alpha - beta) for the roots alpha, beta of
+    X^2 - trace X + norm.
+    """
+    values = [0, 1]
+    while len(values) <= count:
+        values.append(trace * values[-1] - norm * values[-2])
+    return values[: count + 1]
+
+
 def naive_expand(num: list[Fraction], den: list[Fraction], M: int) -> list[Fraction]:
     """c_0..c_M of num/den as a power series, every term a Fraction, from
     den_0 c_m = num_m - sum_(j >= 1) den_j c_(m-j); den_0 must be nonzero."""

@@ -183,6 +183,19 @@ def test_lift_that_compares_no_prime_exits_two(form_path, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, cause", [
+    (["--p-max", "1"], "no prime p <= 1 coprime to the level 4 exists"),
+    (["--p-max", "2"], "no prime p <= 2 coprime to the level 4 exists"),
+    # 2001 * 3^2 > 10^4: p = 3 is coprime to the level but skipped
+    (["--t", "2001", "--p-max", "3", "--n-max", "1"],
+     "no prime p <= 3 coprime to the level 4 fits within precision 10000"),
+])
+def test_lift_that_compares_no_prime_names_the_cause(args, cause, capsys):
+    fixture = Path(halfsign.data.__file__).with_name(FIXTURE_NAME)
+    assert run(["lift", "--form", str(fixture), *args]) == 2
+    assert capsys.readouterr().err == f"halfsign: error: PrecisionExceeded: {cause}\n"
+
+
 def test_verify_form_of_level_zero_with_a_table_exits_two(tmp_path, capsys):
     path = tmp_path / "level0.json"
     form = {"level": 0, "k": 6, "character": {}, "prec": 2, "coeffs": ["0", "1", "0"]}

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from halfsign.arith import primes_up_to
+from halfsign.arith import lucas_row, primes_up_to
 from halfsign.cli import random_instance
 from halfsign.errors import NotExpandable, ZeroPolynomial
 from halfsign.genfun import (
@@ -17,7 +17,6 @@ from halfsign.genfun import (
     closed_form_checks,
     expand,
     h_n_closed,
-    lucas_sequence,
     poly_gcd,
     real_root_count,
     remark_polynomial,
@@ -26,7 +25,13 @@ from halfsign.genfun import (
 )
 from halfsign.hecke import satake_data
 from halfsign.signscan import _scaled_twisted, twisted_sequence
-from naive_oracle import grid_sign_changes, naive_closed_form_checks, naive_expand
+from naive_oracle import (
+    grid_sign_changes,
+    naive_closed_form_checks,
+    naive_expand,
+    naive_lucas_sequence,
+    naive_scaled_twisted,
+)
 
 
 def P(*coeffs):
@@ -329,9 +334,40 @@ def test_sum_of_any_two_functions_equals_cross_multiplied_sum(f, g):
 
 def test_lucas_sequence_closed_form():
     # alpha = 4, beta = 2: u_j = (4^j - 2^j)/2
-    u = lucas_sequence(Fraction(6), Fraction(8), 8)
+    u = lucas_row(0, 1, 6, 1, 8, 8)
+    assert len(u) == 9
     for j, val in enumerate(u):
         assert val == Fraction(4**j - 2**j, 2)
+
+
+# u = trace numerator, integral (v = 1) or over v <= 16, of either sign
+_lucas_traces = st.tuples(st.integers(-10**6, 10**6), st.sampled_from((1, 1, 2, 3, 7, 16)))
+
+
+@settings(deadline=None)
+@given(_lucas_traces, st.integers(-10**6, 10**6), st.integers(0, 60))
+@example((3, 2), 5, 2)  # norm v^2 = 20, not norm v = 10
+@example((-7, 16), 1, 3)
+def test_lucas_row_equals_the_lucas_oracle(trace, norm, M):
+    # start pair (0, v): v^j u_j for u_0 = 0, u_1 = 1
+    u, v = trace
+    row = lucas_row(0, v, u, v, norm, M)
+    assert row == [c * v**j for j, c in enumerate(naive_lucas_sequence(Fraction(u, v), norm, M))]
+
+
+@settings(deadline=None)
+@given(st.one_of(st.integers(-99, 99), st.fractions(-99, 99, max_denominator=20)),
+       _lucas_traces, st.sampled_from((-1, 0, 1)), st.sampled_from((2, 3, 5, 47)),
+       st.integers(2, 7), st.integers(0, 60))
+@example(Fraction(3, 4), (5, 2), 1, 3, 2, 2)
+def test_lucas_row_equals_the_twisted_oracle(a_t, trace, chi1_p, p, k, M):
+    # start pair (b_0, b_1), scaled: (r, (u - chi1_p p^(k-1) v) r) for a_t = r/s
+    trace = Fraction(*trace)
+    expected = naive_scaled_twisted(a_t, trace, chi1_p, p, k, M)
+    r, (u, v) = Fraction(a_t).numerator, (trace.numerator, trace.denominator)
+    row = lucas_row(r, (u - chi1_p * p ** (k - 1) * v) * r, u, v, p ** (2 * k - 1), M)
+    assert row == expected[0]
+    assert _scaled_twisted(a_t, trace, chi1_p, p, k, M) == expected
 
 
 def test_remark_polynomial_m1_vanishes():
@@ -354,18 +390,23 @@ def test_remark_polynomial_constant_term_one():
             assert remark_polynomial(local.trace, local.norm, m_p)(0) == 1
 
 
+def remark_from_the_oracle(trace, norm, m_p):
+    """norm u_(m_p - 1) X^m_p - u_(m_p) X^(m_p - 1) + 1 from naive_lucas_sequence."""
+    u = naive_lucas_sequence(trace, norm, m_p)
+    coeffs = [Fraction(0)] * (m_p + 1)
+    coeffs[0] += 1
+    coeffs[m_p - 1] -= u[m_p]
+    coeffs[m_p] += norm * u[m_p - 1]
+    return Polynomial(coeffs)
+
+
 def test_remark_polynomial_rationalization_identity():
     # the literal root-built polynomial equals (alpha - beta) * Q for
     # integer Satake pairs, including the degenerate m_p = 1 collapse
     for alpha, beta in ((4, 2), (5, 3), (7, -2), (9, 4)):
         trace, norm = Fraction(alpha + beta), Fraction(alpha * beta)
         for m_p in range(1, 7):
-            u = lucas_sequence(trace, norm, m_p)
-            q_coeffs = [Fraction(0)] * (m_p + 1)
-            q_coeffs[0] += 1
-            q_coeffs[m_p - 1] -= u[m_p]
-            q_coeffs[m_p] += norm * u[m_p - 1]
-            q = Polynomial(q_coeffs)
+            q = remark_from_the_oracle(trace, norm, m_p)
             literal = [Fraction(0)] * (m_p + 1)
             literal[0] += alpha - beta
             literal[m_p - 1] += beta**m_p - alpha**m_p
@@ -374,6 +415,15 @@ def test_remark_polynomial_rationalization_identity():
             if (alpha, beta) == (4, 2):
                 # genuine Satake data: trace 6, norm 8 = 2^(2*2-1)
                 assert remark_polynomial(6, 8, m_p) == q
+
+
+@settings(deadline=None)
+@given(st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=16)),
+       st.sampled_from((2, 3, 5, 97)), st.integers(2, 8), st.integers(1, 8))
+@example(Fraction(7, 2), 2, 2, 2)
+def test_remark_polynomial_equals_the_oracle_formula(trace, p, k, m_p):
+    norm = p ** (2 * k - 1)
+    assert remark_polynomial(trace, norm, m_p) == remark_from_the_oracle(trace, norm, m_p)
 
 
 def test_real_root_count_examples():

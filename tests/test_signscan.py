@@ -383,30 +383,41 @@ def test_exact_zeros_at_rational_angles_fall_back():
                 assert_falls_back(inputs, mode, zeros)
 
 
-@pytest.mark.parametrize("block", [1, 3, 7, 8, 40, 41])
-def test_walk_blocks_leave_the_signs_unchanged(block):
-    # trace 10 against 2 sqrt(3^3) = 10.39: theta is about 0.28, so the signs
-    # come in runs of about 11 and a block of 7 ends inside a run; the 40
-    # kept terms are 5 blocks of 8 or one of 40 (a boundary on the last
-    # term), 13 of 3 and one of 1, or one block of 40 when it holds 41
-    inputs, M = (1, 10, 1, 3, 2), 39
-    kept = range(M + 1)
-    whole = _twisted_signs(*inputs, kept)
-    assert whole == exact_signs(*inputs, M)
-    blocks = []
+@contextlib.contextmanager
+def floor_sum_lengths():
+    """The n of every _floor_sum call that _twisted_signs makes inside the block."""
+    lengths = []
 
     def floor_sum(n, *args):
-        blocks.append(n)
+        lengths.append(n)
         return _floor_sum(n, *args)
 
-    with mock.patch.object(signscan, "_BLOCK", block), \
-            mock.patch.object(signscan, "_floor_sum", floor_sum), recorded_lengths() as lengths:
-        assert _twisted_signs(*inputs, kept) == whole
-    assert lengths == [1]  # certified in every block, no exact fallback
-    size = min(block, M + 1)
-    assert blocks[::2] == blocks[1::2] == [size] * (40 // size) + ([40 % size] if 40 % size else [])
-    if block == 7:
-        assert any(whole[j - 1] == whole[j] for j in range(block, M + 1, block))
+    with mock.patch.object(signscan, "_floor_sum", floor_sum):
+        yield lengths
+
+
+def test_one_pair_of_floor_sums_decides_every_kept_term():
+    # trace 10 against 2 sqrt(3^3) = 10.39: theta is about 0.28, so the signs
+    # come in runs of about 11 and every term is certified, 2^16 + 1 of them
+    # by one pair of calls too
+    inputs = (1, 10, 1, 3, 2)
+    for length in (1, 41, 2**16 + 1):
+        with floor_sum_lengths() as calls, recorded_lengths() as lengths:
+            signs = _twisted_signs(*inputs, range(length))
+        assert calls == [length, length]
+        assert lengths == [1]  # no exact fallback
+        assert len(signs) == length
+        if length <= 41:
+            assert signs == exact_signs(*inputs, length - 1)
+    # theta = psi = pi/4 (trace 2^2 against 2 sqrt(2^3), chi1_p = 0), so b_nu
+    # is a multiple of sin((nu + 1) pi/4): b_3 = 0 is the one term that
+    # cannot be certified, and the whole prime falls back to the exact row
+    inputs = (1, 4, 0, 2, 2)
+    with floor_sum_lengths() as calls, recorded_lengths() as lengths:
+        signs = _twisted_signs(*inputs, range(4))
+    assert calls == [4, 4]
+    assert lengths == [1, 3]
+    assert signs == exact_signs(*inputs, 3) == [1, 1, 1, 0]
 
 
 @settings(max_examples=300, deadline=None)
