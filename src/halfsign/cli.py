@@ -317,6 +317,9 @@ def cmd_scan(args) -> tuple[str, bool]:
         index = args.t * p * p
         print(f"halfsign: scan: skipped p = {p}: a({index}) is beyond precision {form.prec}",
               file=sys.stderr)
+    for p in reports.exact:
+        print(f"halfsign: scan: exact p = {p}: signs read off the exact recurrence, as the "
+              "phase left one undecided", file=sys.stderr)
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(("p", "t", "mode", "length", "change_count", "first_change_index",

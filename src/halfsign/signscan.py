@@ -23,11 +23,15 @@ off two integer arctans per prime; y_nu = Psi + nu Theta, one addition per
 kept term, is then within E = eps (M + 1) of 2^G (psi + nu theta)/pi.  When
 every y_nu mod 2^G lies strictly inside (E, 2^G - E), which one pair of
 floor sums over all kept terms decides in O(G) steps, the prime is
-certified and its signs are the parities of floor(y_nu / 2^G).  Otherwise
-(b_0 = 0, a zero term, an extremal or violated trace, or an angle within
-about 2^-48 pi of a multiple of pi) its signs are read off the exact integer
-row B_nu of _scaled_twisted, which has the signs of b_nu, so every sign a
-scan reports is the exact one and no Fraction is built.
+certified and its signs are the parities of floor(y_nu / 2^G).  With the
+step reduced into (-2^G, 2^G], that floor moves at most one per kept term,
+always the same way, so count_sign_changes counts the changes by two floors
+in O(log M) steps.  At G = 48 + 2 bitlen(E) the n windows of width 2E + 1
+that fail cover a share n (2E + 1)/2^G < 2^-48 of the circle, at any M.
+Otherwise (b_0 = 0, a zero term, an extremal or violated trace, or an
+angle that close to a multiple of pi) its signs are read off the exact
+integer row B_nu of _scaled_twisted, which has the signs of b_nu, so every
+sign a scan reports is the exact one and no Fraction is built.
 
 Sign changes are zero-transparent: a change is a pair of indices i < j
 with b_i * b_j < 0 and every entry strictly between them zero.  A count
@@ -195,29 +199,50 @@ def _phases(
     return _half_turns(gap, u, G), _half_turns(r.denominator**2 * gap, x, G)
 
 
+@dataclass(frozen=True)
+class _PhaseSigns:
+    """The n signs sign (-1)^floor((y + mu step)/2^G), mu < n, of a certified
+    prime, with -2^G < step <= 2^G; list() of it gives them one by one."""
+
+    y: int
+    step: int
+    n: int
+    G: int
+    sign: int
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self):
+        one, keep, flip = 1 << self.G, self.sign, -self.sign
+        return (flip if z & one else keep
+                for z in accumulate(repeat(self.step, self.n - 1), initial=self.y))
+
+
 def _twisted_signs(
     a_t: Rational, trace: Rational, chi1_p: int, p: int, k: int, kept: Sequence[int]
-) -> list[int]:
+) -> _PhaseSigns | list[int]:
     """The signs (-1, 0 or 1) of b_nu = twisted_sequence(a_t, trace, chi1_p,
     p, k, ...)[nu] at the increasing, evenly spaced indices kept.
 
-    twisted_sequence runs to index 1 (and validates the inputs), and
-    _phases gives Theta and Psi at G = 48 + bitlen(E) bits, E = eps (M + 1),
-    M = kept[-1].  y_nu runs from nu = kept[0] in steps of n Theta, shifted
-    down by E + 1; reducing the start and step mod 2^(G+1) keeps bit G and
-    the low bits.  So y_nu mod 2^G lies in (E, 2^G - E) exactly when adding
-    2E + 1 leaves floor(y_nu / 2^G) unchanged, and as no floor can drop, one
-    pair of _floor_sum calls over all kept terms checks that.  When it
-    passes, bit G of each shifted y_nu is the parity of
-    floor((psi + nu theta)/pi), read in one pass that keeps no per-term big
-    int, so no block split is needed.  Otherwise the exact recurrence runs
-    to M, as the row B_nu = s v^nu b_nu of _scaled_twisted (s, v > 0).
+    twisted_sequence runs to index 1 (and validates the inputs), and _phases
+    gives Theta and Psi at G = 48 + 2 bitlen(E) bits, E = eps (M + 1), M = kept[-1],
+    so the n windows of width 2E + 1 cover under 2^-48 of 2^G.  y_nu runs
+    from nu = kept[0] in steps of n Theta, shifted down by E + 1; reducing
+    the start and step mod 2^(G+1) keeps bit G and the low bits.  So y_nu
+    mod 2^G lies in (E, 2^G - E) exactly when adding 2E + 1 leaves
+    floor(y_nu / 2^G) unchanged, and as no floor can drop, one pair of
+    _floor_sum calls over all kept terms checks that.  Then floor(y_nu / 2^G)
+    has the parity of floor((psi + nu theta)/pi), and the signs are a
+    _PhaseSigns, step moved into (-2^G, 2^G] by a multiple of 2^(G+1).
+    Otherwise the exact recurrence runs to M, as the row B_nu = s v^nu b_nu
+    of _scaled_twisted (s, v > 0), and they are a list.
     """
     b0, b1 = twisted_sequence(a_t, trace, chi1_p, p, k, 1)
     if not kept:
         return []
     E = 2 * (kept[-1] + 1)
-    G = 48 + E.bit_length()
+    G = 48 + 2 * E.bit_length()
     phases = _phases(b0, b1, trace, p ** (2 * k - 1), G)
     if phases is not None:
         theta, psi = phases
@@ -226,8 +251,7 @@ def _twisted_signs(
         y = (psi + kept[0] * theta - E - 1) % wrap
         n = len(kept)
         if _floor_sum(n, one, step, y + 2 * E + 1) == _floor_sum(n, one, step, y):
-            keep, flip = (1, -1) if b0 > 0 else (-1, 1)
-            return [flip if z & one else keep for z in accumulate(repeat(step, n - 1), initial=y)]
+            return _PhaseSigns(y, step - wrap if step > one else step, n, G, 1 if b0 > 0 else -1)
     row, _, _ = _scaled_twisted(a_t, trace, chi1_p, p, k, kept[-1])
     return [(row[i] > 0) - (row[i] < 0) for i in kept]
 
@@ -264,7 +288,15 @@ def count_sign_changes(seq: Sequence[Rational]) -> SignChangeCount:
     A change is an index pair i < j of two opposite-sign entries with only
     zeros between them.  Only the number of changes and first_change_index,
     the j at which the first change completes, are kept, not the pairs.
+    A _PhaseSigns has no zeros and its floor(y_j / 2^G) moves at most one per
+    entry, one way, so two floors count its changes and one division finds
+    the first j past the floor of y_0.
     """
+    if isinstance(seq, _PhaseSigns):
+        y, step, n, G = seq.y, seq.step, seq.n, seq.G
+        changes = abs((y + (n - 1) * step >> G) - (y >> G))
+        room = (-y - 1 if step > 0 else y) % (1 << G)
+        return SignChangeCount(n, changes, room // abs(step) + 1 if changes else None, 0)
     change_count = zero_count = last_sign = 0
     first_change_index: int | None = None
     for idx, value in enumerate(seq):
@@ -293,12 +325,13 @@ class SignChangeReport(SignChangeCount):
 
 
 class ScanReports(list):
-    """A scan's SignChangeReports, sorted by p, and in `skipped` the primes it
-    passed over because a(t p^2) lies beyond the form's precision."""
+    """A scan's SignChangeReports, sorted by p; `skipped` names the primes whose
+    a(t p^2) lies beyond the form's precision, `exact` those read off the exact row."""
 
-    def __init__(self, reports: list[SignChangeReport], skipped: list[int]):
+    def __init__(self, reports: list[SignChangeReport], skipped: list[int], exact: list[int]):
         super().__init__(reports)
         self.skipped = tuple(skipped)
+        self.exact = tuple(exact)
 
 
 def scan(
@@ -321,7 +354,7 @@ def scan(
     hypotheses and are left out, and a prime whose progression starts past index M
     is reported with an empty subsequence.  Admissible primes whose trace
     needs a(t p^2) beyond the form's precision are listed in `skipped`
-    instead of ending the scan.  Reports come back sorted by p.
+    instead of ending the scan, those read off the exact row in `exact`.
     """
     a_t = coefficient(form, t, 1)
     if a_t == 0:
@@ -339,6 +372,7 @@ def scan(
         raise ValueError("M must be nonnegative")
     reports: list[SignChangeReport] = []
     skipped: list[int] = []
+    exact_primes: list[int] = []
     for p in primes_up_to(p_max):
         if form.level % p == 0:
             continue
@@ -356,8 +390,11 @@ def scan(
         trace = hecke_mod.extract_trace(form, t, p)
         c1 = chi1(p, t, form.k, form.level)
         kept = subsequence(range(M + 1), selector)
-        stats = count_sign_changes(_twisted_signs(a_t, trace, c1, p, form.k, kept))
+        signs = _twisted_signs(a_t, trace, c1, p, form.k, kept)
+        if signs and not isinstance(signs, _PhaseSigns):
+            exact_primes.append(p)
+        stats = count_sign_changes(signs)
         label = selector.label if progression else mode
         deligne = hecke_mod.deligne_check(trace, p, form.k)
         reports.append(SignChangeReport(**vars(stats), p=p, t=t, mode=label, deligne=deligne))
-    return ScanReports(reports, skipped)
+    return ScanReports(reports, skipped, exact_primes)

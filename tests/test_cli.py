@@ -319,6 +319,25 @@ def test_scan_skips_primes_beyond_precision(capsys):
     assert captured.err == "halfsign: scan: skipped p = 47: a(2209) is beyond precision 2000\n"
 
 
+def test_scan_names_each_prime_read_off_the_exact_recurrence(monkeypatch, capsys):
+    # with no certified phase every prime falls back: stderr says so, one
+    # line per prime, and the CSV is unchanged
+    fixture = Path(halfsign.data.__file__).with_name(FIXTURE_NAME)
+    argv = ["scan", "--form", str(fixture), "--p-max", "13", "--nu-max", "40", "--mode", "odd"]
+    assert run(argv) == 0
+    certified = capsys.readouterr()
+    assert certified.err == ""
+    monkeypatch.setattr(cli.signscan, "_phases", lambda *args: None)
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == certified.out
+    assert captured.err == "".join(
+        f"halfsign: scan: exact p = {p}: signs read off the exact recurrence, as the phase "
+        "left one undecided\n"
+        for p in (3, 5, 7, 11, 13)
+    )
+
+
 def test_genfun_check_seed_seven(tmp_path):
     out = tmp_path / "gf.json"
     code = run(["genfun-check", "--seed", "7", "--count", "40", "--terms", "60",

@@ -17,8 +17,10 @@ from halfsign.genfun import expand, h_n_closed
 from halfsign.hecke import extract_trace
 from halfsign.shimura import chi1
 from halfsign.signscan import (
+    SignChangeCount,
     _floor_sum,
     _phases,
+    _PhaseSigns,
     _twisted_signs,
     count_sign_changes,
     scan,
@@ -323,14 +325,69 @@ def kept_exact_signs(inputs, M, selector):
 def test_certified_signs_equal_the_exact_signs(case, M):
     inputs, selector = case
     kept = subsequence(range(M + 1), selector)
-    assert _twisted_signs(*inputs, kept) == kept_exact_signs(inputs, M, selector)
+    assert list(_twisted_signs(*inputs, kept)) == kept_exact_signs(inputs, M, selector)
+
+
+@settings(max_examples=150, deadline=None)
+@given(twisted_cases(), st.integers(0, 400))
+@example(((5, 44467, 1, 7, 6), ProgressionSpec.create(19, 7, 7)), 400)
+@example(((3, 1, 1, 97, 6), "even"), 400)
+@example(((3, -1, -1, 97, 6), "full"), 400)
+def test_certified_counts_equal_the_exact_counts(case, M):
+    # the floor count of a certified prime against the loop over the exact signs
+    inputs, selector = case
+    kept = subsequence(range(M + 1), selector)
+    expected = count_sign_changes(kept_exact_signs(inputs, M, selector))
+    assert count_sign_changes(_twisted_signs(*inputs, kept)) == expected
+
+
+@st.composite
+def phase_signs(draw):
+    """_PhaseSigns with G in 16..80, n <= 300 and y in [0, 2^(G+1)), near a
+    multiple of 2^G too; the step anywhere in (-2^G, 2^G], within 2^12 of
+    either end, a simple fraction of 2^G, slow, 0 or 2^G."""
+    G = draw(st.integers(16, 80))
+    one = 1 << G
+    step = draw(st.one_of(
+        st.integers(1 - one, one),
+        st.integers(0, 2**12).map(lambda d: one - d),
+        st.integers(1, 2**12).map(lambda d: d - one),
+        st.tuples(st.integers(2, 7), st.sampled_from((1, -1))).map(lambda f: f[1] * (one // f[0])),
+        st.integers(-(2**12), 2**12),
+        st.sampled_from((0, one)),
+    ))
+    y = draw(st.one_of(
+        st.integers(0, 2 * one - 1),
+        st.integers(-4, 4).map(lambda d: d % (2 * one)),
+        st.integers(-4, 4).map(lambda d: one + d),
+    ))
+    return _PhaseSigns(y, step, draw(st.integers(1, 300)), G, draw(st.sampled_from((1, -1))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(phase_signs())
+@example(_PhaseSigns(0, 1 << 16, 5, 16, 1))
+@example(_PhaseSigns((1 << 16) - 1, 0, 7, 16, -1))
+@example(_PhaseSigns((1 << 16) - 1, 1, 2, 16, 1))
+@example(_PhaseSigns(1 << 16, -1, 2, 16, 1))
+def test_phase_sign_counts_equal_the_naive_oracle(signs):
+    # list() walks the signs one by one; each is sign (-1)^floor((y + mu step)/2^G)
+    values = list(signs)
+    assert len(signs) == len(values) == signs.n
+    assert values == [
+        -signs.sign if (signs.y + mu * signs.step) >> signs.G & 1 else signs.sign
+        for mu in range(signs.n)
+    ]
+    pairs = naive_sign_changes(values)
+    expected = SignChangeCount(signs.n, len(pairs), pairs[0][1] if pairs else None, 0)
+    assert count_sign_changes(signs) == expected
 
 
 def assert_falls_back(inputs, mode, falls_back):
     kept = subsequence(range(41), mode)
     with recorded_lengths() as lengths:
         signs = _twisted_signs(*inputs, kept)
-    assert signs == kept_exact_signs(inputs, 40, mode)
+    assert list(signs) == kept_exact_signs(inputs, 40, mode)
     assert lengths == ([1, kept[-1]] if falls_back else [1])
 
 
@@ -408,7 +465,7 @@ def test_one_pair_of_floor_sums_decides_every_kept_term():
         assert lengths == [1]  # no exact fallback
         assert len(signs) == length
         if length <= 41:
-            assert signs == exact_signs(*inputs, length - 1)
+            assert list(signs) == exact_signs(*inputs, length - 1)
     # theta = psi = pi/4 (trace 2^2 against 2 sqrt(2^3), chi1_p = 0), so b_nu
     # is a multiple of sin((nu + 1) pi/4): b_3 = 0 is the one term that
     # cannot be certified, and the whole prime falls back to the exact row
@@ -465,3 +522,78 @@ def test_phases_are_within_eps_of_the_angles(inputs, G):
 def test_angles_near_0_and_pi_are_certified(trace, chi1_p):
     for mode in ("full", "odd", "even"):
         assert_falls_back((3, trace, chi1_p, 97, 6), mode, False)
+
+
+# (mode, p): length, change count and first change index of the flagship
+# fixture's scan at t = 1 and nu <= 10^15
+_NU_15_ROWS = {
+    ("full", 97): (10**15 + 1, 353_746_891_203_693, 2),
+    ("odd", 97): (5 * 10**14, 353_746_891_203_693, 1),
+    ("even", 97): (5 * 10**14 + 1, 353_746_891_203_693, 1),
+    ((997, 996), 97): (6_024_096_385_542, 4_349_300_842_247, 1),
+    ((31, 30), 89): (10**14, 23_765_455_254_143, 3),
+}
+
+
+@pytest.fixture()
+def no_exact_row():
+    """Makes any run of the exact recurrence past index 1 fail at once: at
+    nu = 10^15 a fallback would never finish."""
+    run = signscan._scaled_twisted
+
+    def guarded(*args):
+        assert args[-1] <= 1, f"exact recurrence run to M = {args[-1]}"
+        return run(*args)
+
+    with mock.patch.object(signscan, "_scaled_twisted", guarded):
+        yield
+
+
+def _mode_id(value):
+    return f"q{value[0]}h{value[1]}" if isinstance(value, tuple) else str(value)
+
+
+@pytest.mark.parametrize("mode, p", list(_NU_15_ROWS), ids=_mode_id)
+def test_scan_counts_at_nu_10_15(flagship, no_exact_row, mode, p):
+    reports = scan(flagship, 1, mode, 97, 10**15)
+    assert reports.exact == ()
+    (report,) = [r for r in reports if r.p == p]
+    row = (report.length, report.change_count, report.first_change_index, report.zero_count)
+    assert row == (*_NU_15_ROWS[mode, p], 0)
+
+
+@pytest.mark.parametrize("mode, p", [("full", 97), ((31, 30), 89)], ids=_mode_id)
+def test_nu_10_15_rows_equal_the_floor_formula_at_80_digits(flagship, mode, p):
+    # |floor((x_0 + (L - 1) phi)/pi) - floor(x_0/pi)| with x_0 = d theta + psi
+    # and phi = n theta reduced into (-pi, pi], and the first mu at which
+    # floor((x_0 + mu phi)/pi) moves
+    mpmath = pytest.importorskip("mpmath")
+    selector = ProgressionSpec.create(*mode, p) if isinstance(mode, tuple) else mode
+    kept = subsequence(range(10**15 + 1), selector)
+    trace = exact(extract_trace(flagship, 1, p))
+    c1 = chi1(p, 1, flagship.k, flagship.level)
+    with mpmath.workdps(80):
+        pi = mpmath.pi
+        cos = trace.numerator / (2 * trace.denominator * mpmath.sqrt(p) ** (2 * flagship.k - 1))
+        theta = mpmath.acos(cos)
+        psi = mpmath.atan2(mpmath.sin(theta), cos - c1 / mpmath.sqrt(p))
+        x0 = kept.start * theta + psi
+        phi = kept.step * theta
+        phi -= 2 * pi * mpmath.ceil((phi - pi) / (2 * pi))
+        start = mpmath.floor(x0 / pi)
+        count = abs(mpmath.floor((x0 + (len(kept) - 1) * phi) / pi) - start)
+        if phi > 0:
+            first = mpmath.ceil(((start + 1) * pi - x0) / phi)
+        else:
+            first = mpmath.floor((x0 - start * pi) / -phi) + 1
+        expected = (len(kept), int(count), int(first))
+    assert expected == _NU_15_ROWS[mode, p]
+
+
+def test_scan_names_the_primes_read_off_the_exact_recurrence(flagship):
+    certified = scan(flagship, 1, "full", 13, 40)
+    assert certified.exact == ()
+    with mock.patch.object(signscan, "_phases", lambda *args: None):
+        exact_rows = scan(flagship, 1, "full", 13, 40)
+    assert exact_rows.exact == (3, 5, 7, 11, 13)
+    assert exact_rows == certified
