@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import random
@@ -138,8 +139,9 @@ def cmd_verify(args) -> tuple[str, bool]:
     k, N = form.k, form.level
     t_set = hecke.base_indices(form, args.t_max)
 
+    primes = list(dict.fromkeys(args.p))  # each prime once, in the order given
     eigen: dict[str, dict] = {}
-    for p in args.p:
+    for p in primes:
         trace = hecke.extract_trace(form, t_set[0], p)
         report = hecke.eigen_consistency(form, p, trace, t_set, args.m_max)
         eigen[str(p)] = {
@@ -164,7 +166,7 @@ def cmd_verify(args) -> tuple[str, bool]:
             )
 
     identities: list[dict] = []
-    for p in args.p:
+    for p in primes:
         for t in t_set:
             raw = hecke.twisted_row(form, t, p)
             if len(raw) < 2:
@@ -389,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", parents=[form_source, output],
                               help="recurrence + identity suite on a form")
-    p_verify.add_argument("--p", type=int, nargs="+", default=[3, 5, 7])
+    p_verify.add_argument("--p", type=int, nargs="+", default=(3, 5, 7))
     p_verify.add_argument("--t-max", type=int, default=30)
     p_verify.add_argument("--m-max", type=int, default=4)
     p_verify.set_defaults(func=cmd_verify)
@@ -429,11 +431,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `run` shares: built on its first call, not at import."""
+    return build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
-    """Run one command, write its report to --out or stdout, return the exit status."""
-    parser = build_parser()
+    """Run one command, write its report to --out or stdout, return the exit status.
+
+    The parser is built on the first call and reused by every later call in
+    the process; parse_args leaves it unchanged, and its defaults are immutable.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage errors
         return int(exc.code or 0)

@@ -64,6 +64,10 @@ def _lift_coefficient(form: HalfIntegralForm, t: int, n: int) -> Rational:
 
 @dataclass(frozen=True)
 class CrosscheckReport:
+    """Outcome of crosscheck_lift at base index t: the primes p coprime to the
+    level that were compared, those among them where A_t(p)/a(t) != B(p), and
+    those skipped because t p^2 is beyond the form's precision, each ascending."""
+
     t: int
     compared: tuple[int, ...]
     mismatches: tuple[int, ...]

@@ -63,6 +63,73 @@ def test_unknown_flag_exits_two(capsys):
     assert run(["scan", "--frobnicate"]) == 2
 
 
+def test_run_builds_the_parser_once_per_process(monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        codes = [run(argv) for argv in (["--help"], ["--frobnicate"], ["characters", "--q", "7"],
+                                        ["scan", "--help"], ["characters", "--q", "5"])]
+    finally:
+        cli._parser.cache_clear()
+    assert codes == [0, 2, 0, 0, 0]
+    assert len(built) == 1
+
+
+def test_a_shared_parser_gives_each_op_the_output_of_a_fresh_one(form_path, tmp_path, monkeypatch,
+                                                                 capsys):
+    # each op follows one whose options it leaves at their defaults, so a value
+    # kept by the shared parser from an earlier op would show in its output
+    form, out = str(form_path), tmp_path / "report"
+    ops = [
+        ["scan", "--form", form, "--mode", "progression", "--q", "31", "--h", "30",
+         "--p-max", "30", "--nu-max", "40"],
+        ["scan", "--form", form, "--mode", "full", "--p-max", "30", "--nu-max", "40",
+         "--out", str(out)],
+        ["verify", "--form", form, "--p", "11", "--t-max", "5", "--m-max", "2"],
+        ["--frobnicate"],
+        ["verify", "--form", form, "--t-max", "5", "--m-max", "2", "--out", str(out)],
+        ["--help"],
+        ["expand", "--raw", "--eta", "2:12", "--eta", "1:24", "--prec", "30"],
+        ["expand", "--raw", "--prec", "30", "--out", str(out)],
+    ]
+
+    def outcomes():
+        results = []
+        for argv in ops:
+            out.unlink(missing_ok=True)
+            code = run(argv)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err,
+                            out.read_bytes() if out.exists() else None))
+        return results
+
+    cli._parser.cache_clear()
+    shared = outcomes()
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_parser", cli.build_parser)
+        fresh = outcomes()
+    assert [code for code, *_ in shared] == [0, 0, 0, 2, 0, 0, 0, 0]
+    assert shared == fresh
+
+
+def test_importing_the_cli_builds_no_parser():
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda *a, **k: built.append(1) or init(*a, **k)\n"
+        "from halfsign import cli\n"
+        "print(len(built), cli._parser.cache_info().currsize)\n"
+        "cli.run(['--frobnicate'])\n"
+        "print(len(built) > 0, cli._parser.cache_info().currsize)\n"
+    )
+    done = _python("-c", script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0 0\nTrue 1\n"
+
+
 def test_missing_inputs_exit_two(tmp_path, capsys):
     assert run(["verify", "--form", str(tmp_path / "nope.json")]) == 2
     assert run(["scan", "--mode", "progression", "--form", "x"]) == 2
@@ -118,6 +185,23 @@ def test_verify_flagship_file(form_path, tmp_path):
     report = json.loads(out.read_text())
     assert report["all_ok"] is True
     assert report["checks"]["eigen_consistency"]["3"]["trace"] == "252"
+
+
+def test_verify_reads_a_repeated_prime_once(capsys):
+    # --p 3 3 once ran p = 3 twice: one eigen entry but each identity case twice
+    fixture = str(Path(halfsign.data.__file__).with_name(FIXTURE_NAME))
+    assert run(["verify", "--form", fixture, "--p", "3"]) == 0
+    once = capsys.readouterr().out
+    assert run(["verify", "--form", fixture, "--p", "3", "3"]) == 0
+    assert capsys.readouterr().out == once
+    assert len(json.loads(once)["checks"]["closed_form_identities"]["cases"]) == 19
+    # the first occurrences keep their order
+    assert run(["verify", "--form", fixture, "--p", "5", "3", "--t-max", "5"]) == 0
+    once = capsys.readouterr().out
+    assert run(["verify", "--form", fixture, "--p", "5", "3", "5", "3", "--t-max", "5"]) == 0
+    assert capsys.readouterr().out == once
+    cases = json.loads(once)["checks"]["closed_form_identities"]["cases"]
+    assert list(dict.fromkeys(case["p"] for case in cases)) == [5, 3]
 
 
 def test_verify_odd_weight_theta_cubed_form(tmp_path):
@@ -478,10 +562,14 @@ def test_form_source_is_exactly_one_of_form_and_flagship(command, form_path, cap
     assert "one of the arguments --form --flagship is required" in capsys.readouterr().err
 
 
-def _python_m_halfsign(*argv):
+def _python(*argv):
     src = str(Path(halfsign.__file__).resolve().parents[1])
-    return subprocess.run([sys.executable, "-m", "halfsign", *argv], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+
+
+def _python_m_halfsign(*argv):
+    return _python("-m", "halfsign", *argv)
 
 
 def test_python_m_halfsign_scan(form_path):
