@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end: parses arguments and assembles each command's report.
 
 Commands:
   expand        expand an eta/theta recipe into a coefficient JSON file
@@ -11,8 +11,9 @@ Commands:
   characters    character table dump mod a prime q <= 1000
 
 Exit status: 0 on success, 1 when a verification ran and failed, 2 on
-usage errors or unusable inputs.  Reports are deterministic: fixed key
-order, exact 'num/den' rationals, no timestamps.
+usage errors or unusable inputs, such as sizes too large to allocate.
+Reports are deterministic: fixed key order, exact 'num/den' rationals, no
+timestamps.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import argparse
 import csv
 import functools
 import io
-import json
 import random
 import sys
 from fractions import Fraction
@@ -37,6 +37,8 @@ from .forms import (
     HalfIntegralForm,
     RealCharacter,
     _check_level_and_k,
+    _coefficient_file,
+    _json,
     form_to_dict,
     format_rational,
     load_form,
@@ -47,44 +49,6 @@ from .shimura import chi1
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
-
-
-_encode_str = json.encoder.encode_basestring_ascii
-# how a list whose items all have one of these types is joined in one call
-_JOINERS = {int: int.__repr__, str: _encode_str}
-
-
-def _json(payload: dict) -> str:
-    """The bytes of json.dumps(payload, indent=1, sort_keys=True) + "\n"; keys are strs.
-
-    Only top-level values are joined by hand, since every long list in the
-    reports is one (the (q-1)^2 exponents of `characters`, the coefficients of
-    `expand`); json.dumps renders all else.
-    """
-    out: list[str] = []
-    for key in sorted(payload):
-        out.append(("," if out else "{") + "\n " + _encode_str(key) + ": ")
-        _render(payload[key], "\n ", out, rows=True)
-    out.append("\n}\n" if out else "{}\n")
-    return "".join(out)
-
-
-def _render(value, newline: str, out: list[str], rows: bool = False) -> None:
-    """Append value as json.dumps nests it below `newline`: a nonempty list of
-    only ints or only strs is joined in one call, with `rows` also each row of a
-    list of lists, and the rest is dumped."""
-    kinds = set(map(type, value)) if type(value) is list else ()
-    kind = kinds.pop() if len(kinds) == 1 else None
-    inner = newline + " "
-    if kind is list and rows:
-        for i, row in enumerate(value):
-            out.append(("," if i else "[") + inner)
-            _render(row, inner, out)
-        out.append(newline + "]")
-    elif kind in _JOINERS:
-        out.append("[" + inner + ("," + inner).join(map(_JOINERS[kind], value)) + newline + "]")
-    else:
-        out.append(json.dumps(value, indent=1, sort_keys=True).replace("\n", newline))
 
 
 def _load_any_form(args) -> HalfIntegralForm:
@@ -118,14 +82,7 @@ def cmd_expand(args) -> tuple[str, bool]:
     recipe = EtaRecipe(factors=tuple(args.eta or ()), theta_power=args.theta_power)
     series = expand_recipe(recipe, args.prec)
     if args.raw:
-        payload = {
-            "level": args.level,
-            "k": args.k,
-            "character": "trivial",
-            "prec": series.prec,
-            "coeffs": [format_rational(c) for c in series.coeffs],
-        }
-        return _json(payload), True
+        return _json(_coefficient_file(args.level, args.k, "trivial", series)), True
     form = HalfIntegralForm(args.level, args.k, RealCharacter.trivial(args.level), series)
     return _json(form_to_dict(form)), True
 
@@ -391,9 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", parents=[form_source, output],
                               help="recurrence + identity suite on a form")
-    p_verify.add_argument("--p", type=int, nargs="+", default=(3, 5, 7))
-    p_verify.add_argument("--t-max", type=int, default=30)
-    p_verify.add_argument("--m-max", type=int, default=4)
+    p_verify.add_argument("--p", type=int, nargs="+", default=flagship_mod.VERIFY_PRIMES)
+    p_verify.add_argument("--t-max", type=int, default=flagship_mod.VERIFY_T_MAX)
+    p_verify.add_argument("--m-max", type=int, default=flagship_mod.VERIFY_M_MAX)
     p_verify.set_defaults(func=cmd_verify)
 
     p_lift = sub.add_parser("lift", parents=[form_source, output],
@@ -455,7 +412,7 @@ def run(argv: list[str] | None = None) -> int:
             Path(args.out).write_text(text, encoding="utf-8", newline="")
         else:
             sys.stdout.write(text)
-    except (HalfsignError, OSError, ValueError) as exc:
+    except (HalfsignError, MemoryError, OSError, ValueError) as exc:
         print(f"halfsign: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return USAGE_ERROR
     return 0 if ok else CHECK_FAILED

@@ -13,9 +13,8 @@ normalized Hecke eigenvalues are the classical tau values.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
-from importlib import resources
+from pathlib import Path
 
 from .errors import HalfsignError, PrecisionExceeded, ZeroBase
 from .forms import HalfIntegralForm, RealCharacter, load_form
@@ -71,20 +70,15 @@ def verify_eigenform(form: HalfIntegralForm) -> bool:
     return True
 
 
-def _fixture_path():
-    return resources.files("halfsign.data").joinpath(FIXTURE_NAME)
-
-
 def load_fixture() -> HalfIntegralForm:
     """The vendored flagship coefficient file (fallback data)."""
-    with resources.as_file(_fixture_path()) as path:
-        return load_form(path)
+    return load_form(Path(__file__).with_name("data").joinpath(FIXTURE_NAME))
 
 
 def _truncated(form: HalfIntegralForm, prec: int) -> HalfIntegralForm:
     if form.prec <= prec:
         return form
-    return dataclasses.replace(form, series=form.series.truncate(prec))
+    return HalfIntegralForm(form.level, form.k, form.chi, form.series.truncate(prec))
 
 
 @functools.lru_cache(maxsize=4)

@@ -1,8 +1,9 @@
-"""Half-integral-weight form model, squarefree indexing, and JSON ingestion.
+"""Half-integral-weight form model, squarefree indexing, and coefficient files.
 
 A form of weight k + 1/2 lives at a level N divisible by 4 and carries a
-real character chi (values +-1 on the units mod N, zero elsewhere).  The
-coefficient file format is documented in load_form.
+real character chi (values +-1 on the units mod N, zero elsewhere).  This
+module reads and writes the coefficient file format, which is documented in
+load_form, and holds the JSON writer every report shares.
 """
 
 from __future__ import annotations
@@ -276,25 +277,61 @@ def load_form(path: str | Path) -> HalfIntegralForm:
     return HalfIntegralForm(level, k, chi, series)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+# how a list whose items all have one of these types is joined in one call
+_JOINERS = {int: int.__repr__, str: _encode_str}
+
+
+def _json(payload: dict) -> str:
+    """The bytes of json.dumps(payload, indent=1, sort_keys=True) + "\n"; keys are strs.
+
+    Only top-level values are joined by hand, since every long list in the
+    reports is one (the (q-1)^2 exponents of `characters`, the coefficients of
+    a coefficient file); json.dumps renders all else.
+    """
+    out: list[str] = []
+    for key in sorted(payload):
+        out.append(("," if out else "{") + "\n " + _encode_str(key) + ": ")
+        _render(payload[key], "\n ", out, rows=True)
+    out.append("\n}\n" if out else "{}\n")
+    return "".join(out)
+
+
+def _render(value, newline: str, out: list[str], rows: bool = False) -> None:
+    """Append value as json.dumps nests it below `newline`: a nonempty list of
+    only ints or only strs is joined in one call, with `rows` also each row of a
+    list of lists, and the rest is dumped."""
+    kinds = set(map(type, value)) if type(value) is list else ()
+    kind = kinds.pop() if len(kinds) == 1 else None
+    inner = newline + " "
+    if kind is list and rows:
+        for i, row in enumerate(value):
+            out.append(("," if i else "[") + inner)
+            _render(row, inner, out)
+        out.append(newline + "]")
+    elif kind in _JOINERS:
+        out.append("[" + inner + ("," + inner).join(map(_JOINERS[kind], value)) + newline + "]")
+    else:
+        out.append(json.dumps(value, indent=1, sort_keys=True).replace("\n", newline))
+
+
+def _coefficient_file(level: int, k: int, character: object, series: TruncatedSeries) -> dict:
+    """The JSON object of a coefficient file, in the layout load_form reads."""
+    return {"level": level, "k": k, "character": character, "prec": series.prec,
+            "coeffs": [format_rational(c) for c in series.coeffs]}
+
+
 def form_to_dict(form: HalfIntegralForm) -> dict:
     chi = form.chi
     character: object = "trivial" if chi.is_trivial else {
         str(a): v for a, v in sorted(chi.table.items())
     }
-    return {
-        "level": form.level,
-        "k": form.k,
-        "character": character,
-        "prec": form.prec,
-        "coeffs": [format_rational(c) for c in form.series.coeffs],
-    }
+    return _coefficient_file(form.level, form.k, character, form.series)
 
 
 def save_form(form: HalfIntegralForm, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(form_to_dict(form), indent=1, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    # newline="" keeps the \n line endings on every platform, as in every report
+    Path(path).write_text(_json(form_to_dict(form)), encoding="utf-8", newline="")
 
 
 def load_series(path: str | Path) -> TruncatedSeries:
@@ -305,3 +342,4 @@ def load_series(path: str | Path) -> TruncatedSeries:
     integral-weight eigenform coefficients.
     """
     return _read_coefficient_file(path)[1]
+

@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 import halfsign
 import halfsign.data
 from halfsign import cli
-from halfsign.flagship import FIXTURE_NAME
+from halfsign.flagship import FIXTURE_NAME, build_flagship
+from halfsign.forms import form_to_dict, load_series, save_form
+from halfsign.qseries import eta_power
 from halfsign.cli import run
 
 
@@ -173,6 +175,17 @@ def test_expand_raw_delta(tmp_path):
     assert code == 0
     data = json.loads(out.read_text())
     assert data["coeffs"][2] == "-24"
+    assert data.keys() == form_to_dict(build_flagship(60)).keys()
+    assert (data["level"], data["k"], data["character"]) == (1, 12, "trivial")
+    assert load_series(out) == eta_power(1, 24, 60)
+
+
+def test_save_form_writes_the_bytes_of_expand_out(tmp_path):
+    expanded, saved = tmp_path / "expand.json", tmp_path / "saved.json"
+    assert run(["expand", "--eta", "2:12", "--theta-power", "1", "--prec", "2000",
+                "--out", str(expanded)]) == 0
+    save_form(build_flagship(2000), saved)
+    assert saved.read_bytes() == expanded.read_bytes()
 
 
 def test_verify_flagship_file(form_path, tmp_path):
@@ -570,6 +583,24 @@ def _python(*argv):
 
 def _python_m_halfsign(*argv):
     return _python("-m", "halfsign", *argv)
+
+
+def test_importing_the_cli_loads_no_importlib_resources():
+    # -S: a site-packages .pth file may import importlib.resources itself
+    done = _python("-S", "-c", "import sys, halfsign.cli; print('importlib.resources' in sys.modules)")
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+
+
+# 10^15 bytes, or list slots, lie past the 128 TiB x86-64 address space, so the
+# allocation fails at once; a size a kernel could commit is not tried here
+@pytest.mark.parametrize("argv", [
+    ["scan", "--flagship", "--prec", "100", "--p-max", str(10**15)],
+    ["expand", "--eta", "2:12", "--theta-power", "1", "--prec", str(10**15)],
+    ["lift", "--flagship", "--p-max", str(10**15)],
+], ids=["scan", "expand", "lift"])
+def test_a_size_too_large_to_allocate_exits_two(argv):
+    done = _python_m_halfsign(*argv)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", "halfsign: error: MemoryError: \n")
 
 
 def test_python_m_halfsign_scan(form_path):

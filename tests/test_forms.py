@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import halfsign.data
 from halfsign import forms
 from halfsign.arith import is_prime, is_squarefree, squarefree_decompose
-from halfsign.flagship import FIXTURE_NAME
+from halfsign.flagship import FIXTURE_NAME, load_fixture
 from halfsign.errors import (
     BadCharacter,
     HalfsignError,
@@ -26,6 +26,7 @@ from halfsign.forms import (
     HalfIntegralForm,
     RealCharacter,
     coefficient,
+    form_to_dict,
     format_rational,
     load_form,
     load_series,
@@ -288,6 +289,22 @@ def test_save_load_roundtrip(tmp_path):
     assert loaded.series == form.series
     assert loaded.level == 4 and loaded.k == 3
     assert loaded.chi(3) == -1
+
+
+def test_save_form_writes_the_report_writer_bytes(tmp_path):
+    # keys "1" < "11" < "5" < "7" as strings, against 1 < 5 < 7 < 11 as residues
+    chi = RealCharacter(12, {1: 1, 5: 1, 7: -1, 11: -1})
+    form = HalfIntegralForm(12, 3, chi, TruncatedSeries.from_coeffs([0, 1, Fraction(-5, 3), 2, 0]))
+    path = tmp_path / "form.json"
+    save_form(form, path)
+    text = forms._json(form_to_dict(form))
+    assert path.read_bytes() == text.encode("utf-8")
+    assert text == json.dumps(form_to_dict(form), indent=1, sort_keys=True) + "\n"
+
+
+def test_load_fixture_reads_the_fixture_in_the_source_tree():
+    path = Path(__file__).resolve().parents[1] / "src" / "halfsign" / "data" / FIXTURE_NAME
+    assert load_fixture() == load_form(path)
 
 
 @pytest.mark.parametrize("literal", ["7" * 5000, "1/" + "7" * 5000],
