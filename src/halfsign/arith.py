@@ -54,13 +54,15 @@ def primes_up_to(n: int) -> list[int]:
     """All primes <= n, by sieve of Eratosthenes."""
     if n < 2:
         return []
-    sieve = bytearray(b"\x01") * (n + 1)
-    sieve[0] = sieve[1] = 0
+    # zero-filled: a failed bytearray(b"\x01") * (n + 1) can free a half-built
+    # bytearray on CPython 3.11, which prints a spurious SystemError
+    composite = bytearray(n + 1)
+    composite[0] = composite[1] = 1
     for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
+        if not composite[p]:
             start = p * p
-            sieve[start :: p] = b"\x00" * len(range(start, n + 1, p))
-    return [i for i, alive in enumerate(sieve) if alive]
+            composite[start :: p] = b"\x01" * len(range(start, n + 1, p))
+    return [i for i, c in enumerate(composite) if not c]
 
 
 def is_prime(n: int) -> bool:

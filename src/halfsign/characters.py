@@ -13,11 +13,11 @@ filter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Sequence
 
 from .arith import Rational, is_prime, multiplicative_order, smallest_primitive_root
-from .errors import NotInSubgroup, OutOfRange, SamePrime
+from .errors import NotInSubgroup, OutOfRange, SamePrime, _Record
 
 __all__ = [
     "order_of",
@@ -58,20 +58,19 @@ def index_of(p: int, h: int, q: int) -> int:
     raise NotInSubgroup(f"{h} is not a power of {p} modulo {q}")
 
 
-@dataclass(frozen=True)
-class ProgressionSpec:
+class ProgressionSpec(_Record):
     """Progression data (q, h, p) with the order n of p mod q and the index
     d of h in <p>, both derived from (q, h, p) on construction."""
 
     q: int
     h: int
     p: int
-    n: int = field(init=False)
-    d: int = field(init=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n", order_of(self.p, self.q))
-        object.__setattr__(self, "d", index_of(self.p, self.h, self.q))
+    def __new__(cls, q: int, h: int, p: int):
+        return tuple.__new__(cls, (q, h, p, order_of(p, q), index_of(p, h, q)))
+
+    n = property(itemgetter(3))
+    d = property(itemgetter(4))
 
     @classmethod
     def create(cls, q: int, h: int, p: int) -> "ProgressionSpec":
@@ -82,8 +81,7 @@ class ProgressionSpec:
         return f"progression({self.q},{self.h})"
 
 
-@dataclass(frozen=True)
-class CharacterTable:
+class CharacterTable(_Record):
     """All Dirichlet characters modulo a prime q, in discrete-log form.
 
     With g the smallest primitive root mod q, character j (0 <= j <= q-2)

@@ -12,7 +12,6 @@ import itertools
 import json
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,6 +23,7 @@ from .errors import (
     NotSquarefree,
     ParseError,
     PrecisionExceeded,
+    _Record,
 )
 from .qseries import TruncatedSeries
 
@@ -128,8 +128,7 @@ def _check_level_and_k(level: int, k: int) -> None:
         raise ValueError(f"k must be at least 2, got {k}")
 
 
-@dataclass(frozen=True)
-class HalfIntegralForm:
+class HalfIntegralForm(_Record):
     """f in S_(k+1/2)(N, chi): level N (4 | N), integer k >= 2, a real
     character chi mod N, and the coefficients a(n) with a(0) = 0."""
 
@@ -138,12 +137,13 @@ class HalfIntegralForm:
     chi: RealCharacter
     series: TruncatedSeries
 
-    def __post_init__(self) -> None:
-        _check_level_and_k(self.level, self.k)
-        if self.chi.modulus != self.level:
-            raise BadCharacter(f"character modulus {self.chi.modulus} != level {self.level}")
-        if self.series.coeffs[0] != 0:
+    def __new__(cls, level: int, k: int, chi: RealCharacter, series: TruncatedSeries):
+        _check_level_and_k(level, k)
+        if chi.modulus != level:
+            raise BadCharacter(f"character modulus {chi.modulus} != level {level}")
+        if series.coeffs[0] != 0:
             raise NonCuspidal("constant coefficient of a cusp form must be zero")
+        return tuple.__new__(cls, (level, k, chi, series))
 
     @property
     def prec(self) -> int:

@@ -42,12 +42,11 @@ as the plain pair (trace, norm).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .arith import Rational, clear_denominators, exact, lucas_row
-from .errors import NotExpandable, ZeroPolynomial
+from .errors import NotExpandable, ZeroPolynomial, _Record
 
 __all__ = [
     "Polynomial",
@@ -63,8 +62,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(_Record):
     """Dense polynomial over the rationals, coefficients in ascending degree.
 
     The constructor takes any iterable of coefficients and stores them as a
@@ -75,11 +73,11 @@ class Polynomial:
 
     coeffs: tuple[Rational, ...]
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(exact(c) for c in self.coeffs)
+    def __new__(cls, coeffs: Iterable[Rational]):
+        coeffs = tuple(exact(c) for c in coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
-        object.__setattr__(self, "coeffs", coeffs)
+        return tuple.__new__(cls, (coeffs,))
 
     @classmethod
     def of(cls, *coeffs: Rational) -> "Polynomial":
@@ -207,8 +205,7 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return Polynomial(g)
 
 
-@dataclass(frozen=True)
-class RationalGF:
+class RationalGF(_Record):
     """Reduced rational function num/den with den(0) normalized to 1.
 
     The denominator must not vanish at 0 (the function is expandable as a
@@ -219,8 +216,7 @@ class RationalGF:
     num: Polynomial
     den: Polynomial
 
-    def __post_init__(self) -> None:
-        num, den = self.num, self.den
+    def __new__(cls, num: Polynomial, den: Polynomial):
         if den.is_zero or den.coeffs[0] == 0:
             raise NotExpandable("denominator vanishes at X = 0")
         if num.is_zero:
@@ -234,8 +230,7 @@ class RationalGF:
             if c != 1:
                 num = num.scale(Fraction(1, c))
                 den = den.scale(Fraction(1, c))
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        return tuple.__new__(cls, (num, den))
 
     @classmethod
     def of(cls, num: Iterable[Rational], den: Iterable[Rational]) -> "RationalGF":

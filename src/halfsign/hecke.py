@@ -17,17 +17,17 @@ so extract_trace reads tau_p off b_0 and b_1, and eigen_consistency checks
 the recurrence along the row up to depth min(m_max, H - 1).  Satake data is
 carried as the exact pair (trace, norm = p^(2k-1)); the roots alpha, beta of
 X^2 - trace*X + norm are never materialized as radicals or floats; their
-kind is read from _deligne, the one comparison of trace^2 with 4 norm.
+kind is read from _deligne's comparison of trace^2 with 4 norm, a decision
+signscan._phases makes itself from gap = 4 norm v^2 - u^2, trace = u/v.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import Rational, exact, is_prime, is_squarefree
-from .errors import NotCoprime, NotSquarefree, PrecisionExceeded, ZeroBase
+from .errors import NotCoprime, NotSquarefree, PrecisionExceeded, ZeroBase, _Record
 from .forms import HalfIntegralForm, coefficient
 from .shimura import chi1
 
@@ -44,8 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HeckeLocalData:
+class HeckeLocalData(_Record):
     """Exact local data at p: trace tau_p (int or Fraction) and norm p^(2k-1) (int)."""
 
     p: int
@@ -110,10 +109,11 @@ def twisted_row(form: HalfIntegralForm, t: int, p: int) -> list[Rational]:
         raise NotCoprime(f"p = {p} divides the level {form.level}")
     if not is_squarefree(t):
         raise NotSquarefree(f"t = {t} is not squarefree")
+    coeffs, chi_p = form.series.coeffs, form.chi(p)
     row, n, sign = [], t, 1
-    while n <= form.prec:
-        row.append(sign * form.series.coeffs[n])
-        n, sign = n * p * p, sign * form.chi(p)
+    while n < len(coeffs):
+        row.append(sign * coeffs[n])
+        n, sign = n * p * p, sign * chi_p
     return row
 
 
@@ -128,8 +128,7 @@ def extract_trace(form: HalfIntegralForm, t0: int, p: int) -> Rational:
     return exact(Fraction(row[1], row[0]) + c1 * p ** (form.k - 1))
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(_Record):
     """Residuals of the eigen recurrence, indexed by (t, m); m = 0 is the base relation."""
 
     p: int

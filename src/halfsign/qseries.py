@@ -30,12 +30,11 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .arith import Rational, clear_denominators, exact
-from .errors import NonIntegralOffset, PrecisionExceeded
+from .errors import NonIntegralOffset, PrecisionExceeded, _Record
 
 __all__ = [
     "TruncatedSeries",
@@ -48,21 +47,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(_Record):
     """Power series known exactly for exponents 0..prec inclusive; from_coeffs
     and series_mul give canonical coefficients (int iff integral, else Fraction)."""
 
     prec: int
     coeffs: tuple[Rational, ...]
 
-    def __post_init__(self) -> None:
-        if self.prec < 1:
+    def __new__(cls, prec: int, coeffs: tuple[Rational, ...]):
+        if prec < 1:
             raise ValueError("prec must be a positive integer")
-        if len(self.coeffs) != self.prec + 1:
-            raise ValueError(
-                f"need {self.prec + 1} coefficients for prec {self.prec}, got {len(self.coeffs)}"
-            )
+        if len(coeffs) != prec + 1:
+            raise ValueError(f"need {prec + 1} coefficients for prec {prec}, got {len(coeffs)}")
+        return tuple.__new__(cls, (prec, coeffs))
 
     @classmethod
     def from_coeffs(cls, values: Iterable[Rational], prec: int | None = None) -> "TruncatedSeries":
@@ -96,8 +93,7 @@ class TruncatedSeries:
         return series_mul(self, other)
 
 
-@dataclass(frozen=True)
-class EtaRecipe:
+class EtaRecipe(_Record):
     """Product prod eta(d*z)^r over factors, times theta(z)^theta_power.
 
     Each factor's d*r must be divisible by 24, so that every eta power, and
@@ -107,22 +103,23 @@ class EtaRecipe:
     """
 
     factors: tuple[tuple[int, int], ...]
-    theta_power: int = 0
+    theta_power: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "factors", tuple((d, r) for d, r in self.factors))
-        for x in (*itertools.chain(*self.factors), self.theta_power):
+    def __new__(cls, factors: Iterable[tuple[int, int]], theta_power: int = 0):
+        factors = tuple((d, r) for d, r in factors)
+        for x in (*itertools.chain(*factors), theta_power):
             if type(x) is not int:  # a float is not truncated, nor a bool read as 0 or 1
                 raise ValueError(f"eta recipe entries must be integers, got {x!r}")
-        for d, r in self.factors:
+        for d, r in factors:
             if d < 1:
                 raise ValueError(f"eta scale must be positive, got {d}")
             if r < 1:
                 raise ValueError(f"eta exponent must be positive, got {r}")
             if d * r % 24 != 0:
                 raise NonIntegralOffset(f"eta factor {d}:{r} has d*r = {d * r}, not divisible by 24")
-        if self.theta_power < 0:
+        if theta_power < 0:
             raise ValueError("theta power must be nonnegative")
+        return tuple.__new__(cls, (factors, theta_power))
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,10 @@ for every n and crosscheck_lift at each prime it compares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import Rational, kronecker, primes_up_to
-from .errors import MissingCoefficient, PrecisionExceeded, ZeroBase
+from .errors import MissingCoefficient, PrecisionExceeded, ZeroBase, _Record
 from .forms import HalfIntegralForm, coefficient
 from .qseries import TruncatedSeries
 
@@ -62,8 +61,7 @@ def _lift_coefficient(form: HalfIntegralForm, t: int, n: int) -> Rational:
     return total
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
+class CrosscheckReport(_Record):
     """Outcome of crosscheck_lift at base index t: the primes p coprime to the
     level that were compared, those among them where A_t(p)/a(t) != B(p), and
     those skipped because t p^2 is beyond the form's precision, each ascending."""

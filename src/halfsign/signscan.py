@@ -41,7 +41,6 @@ the pairs, so a report's size does not grow with nu.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
@@ -52,7 +51,7 @@ from . import characters as characters_mod
 from . import hecke as hecke_mod
 from .arith import Rational, exact, is_prime, lucas_row, primes_up_to
 from .characters import ProgressionSpec
-from .errors import NotInSubgroup, OutOfRange, ZeroBase
+from .errors import NotInSubgroup, OutOfRange, ZeroBase, _Record
 from .forms import HalfIntegralForm, coefficient
 from .shimura import chi1
 
@@ -199,8 +198,7 @@ def _phases(
     return _half_turns(gap, u, G), _half_turns(r.denominator**2 * gap, x, G)
 
 
-@dataclass(frozen=True)
-class _PhaseSigns:
+class _PhaseSigns(_Record):
     """The n signs sign (-1)^floor((y + mu step)/2^G), mu < n, of a certified
     prime, with -2^G < step <= 2^G; list() of it gives them one by one."""
 
@@ -272,8 +270,7 @@ def subsequence(seq: Sequence[Rational], mode: str | ProgressionSpec) -> Sequenc
     raise ValueError(f"unknown mode {mode!r}")
 
 
-@dataclass(frozen=True)
-class SignChangeCount:
+class SignChangeCount(_Record):
     """Sign-change statistics of a single real sequence."""
 
     length: int
@@ -312,7 +309,6 @@ def count_sign_changes(seq: Sequence[Rational]) -> SignChangeCount:
     return SignChangeCount(len(seq), change_count, first_change_index, zero_count)
 
 
-@dataclass(frozen=True)
 class SignChangeReport(SignChangeCount):
     """Per-prime scan result for one subsequence mode: the counts of the
     filtered signs, with the prime, the twist index, the mode label and the
@@ -396,5 +392,5 @@ def scan(
         stats = count_sign_changes(signs)
         label = selector.label if progression else mode
         deligne = hecke_mod.deligne_check(trace, p, form.k)
-        reports.append(SignChangeReport(**vars(stats), p=p, t=t, mode=label, deligne=deligne))
+        reports.append(SignChangeReport(*stats, p, t, label, deligne))
     return ScanReports(reports, skipped, exact_primes)

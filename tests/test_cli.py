@@ -591,6 +591,20 @@ def test_importing_the_cli_loads_no_importlib_resources():
     assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
+def test_importing_the_cli_adds_neither_dataclasses_nor_inspect():
+    # both cost a one-shot command their import time; -S as above
+    script = ("import sys\nbefore = set(sys.modules)\nimport halfsign.cli\n"
+              "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    done = _python("-S", "-c", script)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
+def test_python_m_halfsign_help_exits_zero():
+    done = _python_m_halfsign("--help")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("usage: ")
+
+
 # 10^15 bytes, or list slots, lie past the 128 TiB x86-64 address space, so the
 # allocation fails at once; a size a kernel could commit is not tried here
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -90,7 +89,7 @@ def test_eigen_consistency_detects_perturbation():
     form = synthetic_form(trace=10, depth=3)
     coeffs = list(form.series.coeffs)
     coeffs[81] += 1  # a(3^4), participating in rows m = 1 and m = 2
-    broken = dataclasses.replace(form, series=TruncatedSeries(form.prec, tuple(coeffs)))
+    broken = form.replace(series=TruncatedSeries(form.prec, tuple(coeffs)))
     report = eigen_consistency(broken, 3, 10, [1], 2)
     assert not report.consistent
     assert report.failures() == [(1, 1), (1, 2)]

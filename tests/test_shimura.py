@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -119,7 +118,7 @@ def test_crosscheck_reports_corrupted_form_coefficients(delta):
     coeffs = list(form.series.coeffs)
     coeffs[9] += 1
     coeffs[25] -= 3
-    corrupted = dataclasses.replace(form, series=TruncatedSeries.from_coeffs(coeffs))
+    corrupted = form.replace(series=TruncatedSeries.from_coeffs(coeffs))
     report = crosscheck_lift(corrupted, 1, delta, 13)
     assert report.compared == (3, 5, 7, 11, 13)
     assert report.mismatches == (3, 5)
@@ -134,7 +133,7 @@ def test_crosscheck_reports_corrupted_form_coefficients(delta):
 def test_lift_and_crosscheck_read_a_nontrivial_character(flagship):
     # the flagship's series with chi_-4 for its trivial character: the divisor
     # sum is defined for any character, and chi(d) = -1 at every d = 3 (mod 4)
-    form = dataclasses.replace(flagship, chi=RealCharacter(4, {1: 1, 3: -1}))
+    form = flagship.replace(chi=RealCharacter(4, {1: 1, 3: -1}))
     for t in (1, 3):
         lift = lift_coefficients(form, t, 40)
         assert lift == naive_lift(form, t, 40)

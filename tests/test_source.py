@@ -1,6 +1,8 @@
 """Static checks on the source of `halfsign`, read with `ast`: no floating
-point anywhere, each module's __all__ lists exactly its public names, and
-`genfun` is a leaf that imports only `arith` and `errors` from the package."""
+point anywhere, each module's __all__ lists exactly its public names,
+`genfun` is a leaf that imports only `arith` and `errors` from the package,
+and no module imports `dataclasses` or `inspect`, which would cost every
+command their import time."""
 
 import ast
 from pathlib import Path
@@ -37,27 +39,36 @@ def test_source_has_no_floating_point(path):
     assert _float_uses(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
-def _package_imports(tree: ast.AST) -> set[str]:
-    """Modules of the package a module imports, spelled relative (".arith")
-    or absolute ("halfsign.arith", "halfsign")."""
+def _imports(tree: ast.AST) -> set[str]:
+    """Modules a module imports, those of the package spelled relative
+    (".arith") or absolute ("halfsign.arith", "halfsign")."""
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            modules = [alias.name for alias in node.names]
+            found.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             base = "." * node.level + (node.module or "")
-            modules = [base] if node.module else [base + alias.name for alias in node.names]
-        else:
-            continue
-        found.update(m for m in modules if m.startswith(".") or m.split(".")[0] == "halfsign")
+            found.update([base] if node.module else [base + alias.name for alias in node.names])
     return found
+
+
+def _package_imports(tree: ast.AST) -> set[str]:
+    return {m for m in _imports(tree) if m.startswith(".") or m.split(".")[0] == "halfsign"}
 
 
 def test_the_import_detector_sees_each_spelling():
     tree = ast.parse(
-        "from .a import x\nfrom . import b\nimport halfsign.c\nfrom halfsign import d\nimport math"
+        "from .a import x\nfrom . import b\nimport halfsign.c\nfrom halfsign import d\nimport math\n"
+        "from dataclasses import field\nimport inspect as i"
     )
     assert _package_imports(tree) == {".a", ".b", "halfsign.c", "halfsign"}
+    assert _imports(tree) - _package_imports(tree) == {"math", "dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_source_imports_neither_dataclasses_nor_inspect(path):
+    imported = _imports(ast.parse(path.read_text(encoding="utf-8")))
+    assert {m.split(".")[0] for m in imported} & {"dataclasses", "inspect"} == set()
 
 
 def test_genfun_imports_only_arith_and_errors_from_the_package():
