@@ -3,8 +3,10 @@
 Everything is exact integer arithmetic; these are the primitives the rest
 of the package leans on.  `exact` is the package's one number rule: every
 value is an int when integral and a Fraction otherwise, never a float.
-`clear_denominators` scales a list of them to integers, and `lucas_row` is
-the one loop of the order-two recurrence X_(j+1) = trace X_j - norm X_(j-1).
+`clear_denominators` scales a list of them to integers and `unscale` divides
+a scaled integer row back.  `lucas_row` is the one loop of the order-two
+recurrence X_(j+1) = trace X_j - norm X_(j-1), and `check_twist_inputs` the
+one check of the twisted recurrence's inputs k and chi1(p).
 """
 
 from __future__ import annotations
@@ -38,6 +40,27 @@ def clear_denominators(coeffs: Sequence[Rational]) -> tuple[int, list[int]]:
     except AttributeError:
         raise TypeError("coefficients must be exact: int or Fraction") from None
     return L, [c.numerator * (L // c.denominator) for c in coeffs]
+
+
+def unscale(row: list[int], s: int, v: int) -> list[Rational]:
+    """[row[m] / (s v^m) for every m] as canonical numbers, the inverse of
+    clear_denominators (v = 1) and of lucas_row's scaling; row itself when
+    s = v = 1."""
+    if s == 1 and v == 1:
+        return row
+    out: list[Rational] = []
+    for b in row:
+        out.append(exact(Fraction(b, s)))
+        s *= v
+    return out
+
+
+def check_twist_inputs(k: int, chi1_p: int) -> None:
+    """The inputs of the twisted recurrence: weight k >= 2, chi1(p) in {-1, 0, 1}."""
+    if k < 2:
+        raise ValueError("k must be at least 2")
+    if chi1_p not in (-1, 0, 1):
+        raise ValueError("chi1_p must be one of -1, 0, 1")
 
 
 def lucas_row(x0: int, x1: int, u: int, v: int, norm: int, M: int) -> list[int]:

@@ -96,9 +96,7 @@ class CharacterTable(_Record):
 
     @classmethod
     def build(cls, q: int) -> "CharacterTable":
-        if not is_prime(q):
-            raise ValueError(f"{q} is not prime")
-        g = smallest_primitive_root(q)
+        g = smallest_primitive_root(q)  # raises for a q that is not prime
         log: dict[int, int] = {}
         x = 1
         for e in range(max(q - 1, 1)):

@@ -4,8 +4,9 @@ No concrete form is trusted blindly: the default recipe
 eta(2z)^12 * theta(z) at level 4, k = 6, trivial character is expanded
 and must pass the eigen-consistency suite (zero residuals at p = 3, 5, 7
 over squarefree t <= 30 with a(t) != 0, recurrence depth 4) before use.
-If it ever fails, a vendored coefficient fixture is loaded and put
-through the identical suite; only then is it served.
+If it ever fails, a vendored coefficient fixture is loaded and, when it
+holds the precision asked for, put through the identical suite; only then
+is it served.
 
 ramanujan_delta provides the weight-12 comparison series eta(z)^24, whose
 normalized Hecke eigenvalues are the classical tau values.
@@ -87,13 +88,18 @@ def flagship_form(prec: int = DEFAULT_PREC) -> HalfIntegralForm:
 
     The gate reads a(p^2) at every verify prime, so a candidate is expanded
     and gated at precision max(prec, 49) and then truncated to prec.
-    Raises HalfsignError if both the freshly expanded recipe and the
-    vendored fixture fail the eigen-consistency gate.
+    Raises HalfsignError if the freshly expanded recipe fails the
+    eigen-consistency gate and the vendored fixture either holds fewer
+    coefficients than that precision or fails the gate too.
     """
     gate_prec = max(prec, max(VERIFY_PRIMES) ** 2)
     candidate = build_flagship(gate_prec)
     if not verify_eigenform(candidate):
-        candidate = _truncated(load_fixture(), gate_prec)
+        fixture = load_fixture()
+        if fixture.prec < gate_prec:
+            raise HalfsignError(f"the flagship recipe fails eigen-consistency and the vendored "
+                                f"fixture holds precision {fixture.prec}, not {gate_prec}")
+        candidate = _truncated(fixture, gate_prec)
         if not verify_eigenform(candidate):
             raise HalfsignError(
                 "neither the flagship recipe nor the vendored fixture passes eigen-consistency"

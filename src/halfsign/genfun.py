@@ -16,7 +16,8 @@ negation; the gcd is its last entry, up to sign.
 
 Power series expansion clears denominators first: the recurrence runs on
 integers scaled by powers of the lcm L of the coefficient denominators
-(see expand), which builds Fractions only at the end, one per coefficient.
+(see expand), and arith.unscale builds Fractions only at the end, one per
+coefficient.
 
 The closed-form suite expands nothing on rational input.  It reads the
 twisted sequence as the integer row of its recurrence, b_m = B_m / (s v^m)
@@ -45,7 +46,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .arith import Rational, clear_denominators, exact, lucas_row
+from .arith import Rational, check_twist_inputs, clear_denominators, exact, lucas_row, unscale
 from .errors import NotExpandable, ZeroPolynomial, _Record
 
 __all__ = [
@@ -260,9 +261,8 @@ def expand(gf: RationalGF, M: int) -> list[Rational]:
 
         e_m = L^m N_m - sum_(1 <= j <= deg den) D_j L^(j-1) e_(m-j).
 
-    With L = 1 this is the plain integer recurrence on c_m, and the e_m are
-    returned as they are; otherwise each c_m = e_m / L^(m+1) becomes a
-    canonical number (int when integral, else a reduced Fraction), once.
+    With L = 1 this is the plain integer recurrence on c_m; arith.unscale
+    divides the e_m back into c_m = e_m / L^(m+1).
     """
     if M < 0:
         raise ValueError("M must be nonnegative")
@@ -277,14 +277,7 @@ def expand(gf: RationalGF, M: int) -> list[Rational]:
         for d, prev in zip(den, reversed(out)):
             e -= d * prev
         out.append(e)
-    if L == 1:
-        return out
-    scaled: list[Rational] = []
-    scale = 1
-    for e in out:
-        scale *= L
-        scaled.append(exact(Fraction(e, scale)))
-    return scaled
+    return unscale(out, L, L)
 
 
 def _expands_to(gf: RationalGF, B: Sequence[int], s: int, v: int) -> bool:
@@ -318,10 +311,7 @@ def h_n_closed(lead: Rational, trace: Rational, chi1_p: int, p: int, k: int) -> 
     Its expansion coefficients are the twisted values a(t p^(2m) n^2)/chi(p^m n)
     when lead = a(t n^2)/chi(n) and trace is the twisted Hecke trace at p.
     """
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    if chi1_p not in (-1, 0, 1):
-        raise ValueError("chi1_p must be one of -1, 0, 1")
+    check_twist_inputs(k, chi1_p)
     num = Polynomial.of(lead, -lead * chi1_p * p ** (k - 1))
     den = Polynomial.of(1, -trace, p ** (2 * k - 1))
     return RationalGF(num, den)
@@ -344,10 +334,7 @@ def s_split_closed(
     where a_tp2_twisted = a(t p^2)/chi(p).  S0 collects the even-index
     terms of the twisted series and S1 the odd-index terms.
     """
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    if chi1_p not in (-1, 0, 1):
-        raise ValueError("chi1_p must be one of -1, 0, 1")
+    check_twist_inputs(k, chi1_p)
     norm = p ** (2 * k - 1)
     den = Polynomial.of(1, -trace, norm) * Polynomial.of(1, trace, norm)
     s0_num = Polynomial.of(a_t, 0, a_t * (norm - trace * chi1_p * p ** (k - 1)))
@@ -424,10 +411,11 @@ def remark_polynomial(trace: Rational, norm: int, m_p: int) -> Polynomial:
     trace = exact(trace)
     u, v = trace.numerator, trace.denominator
     row = lucas_row(0, v, u, v, norm, m_p)
+    u_prev, u_last = unscale(row[m_p - 1 :], v ** (m_p - 1), v)
     coeffs = [0] * (m_p + 1)
     coeffs[0] = 1
-    coeffs[m_p - 1] -= Fraction(row[m_p], v**m_p)
-    coeffs[m_p] += Fraction(norm * row[m_p - 1], v ** (m_p - 1))
+    coeffs[m_p - 1] -= u_last
+    coeffs[m_p] += norm * u_prev
     return Polynomial(tuple(coeffs))
 
 

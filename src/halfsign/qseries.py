@@ -30,10 +30,9 @@ import functools
 import itertools
 import math
 import operator
-from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .arith import Rational, clear_denominators, exact
+from .arith import Rational, clear_denominators, exact, unscale
 from .errors import NonIntegralOffset, PrecisionExceeded, _Record
 
 __all__ = [
@@ -351,11 +350,7 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     prec = min(a.prec, b.prec)
     da, xs = clear_denominators(a.coeffs[: prec + 1])
     db, ys = (da, xs) if b is a else clear_denominators(b.coeffs[: prec + 1])
-    ints = _int_convolution(xs, ys, prec)
-    den = da * db
-    if den == 1:
-        return TruncatedSeries(prec, tuple(ints))
-    return TruncatedSeries(prec, tuple(exact(Fraction(v, den)) for v in ints))
+    return TruncatedSeries(prec, tuple(unscale(_int_convolution(xs, ys, prec), da * db, 1)))
 
 
 def series_pow(a: TruncatedSeries, e: int) -> TruncatedSeries:

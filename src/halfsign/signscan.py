@@ -6,7 +6,7 @@ first two terms come from the q-expansion.  Its terms grow to about
 nu (k - 1/2) log2(p) bits.  With a_t = r/s and trace = u/v, the recurrence
 runs on integers only, in arith.lucas_row: _scaled_twisted returns the row
 B_nu = s v^nu b_nu with s and v, all the closed-form suite of genfun needs,
-and twisted_sequence divides it out into one canonical number per term.
+and twisted_sequence divides it back with arith.unscale.
 
 A scan needs only the signs at the indices its mode keeps, d, d+n, ...:
 subsequence(range(M + 1), mode) gives them (n = 1 in full mode, 2 for odd
@@ -49,9 +49,9 @@ from typing import Sequence
 
 from . import characters as characters_mod
 from . import hecke as hecke_mod
-from .arith import Rational, exact, is_prime, lucas_row, primes_up_to
+from .arith import Rational, check_twist_inputs, exact, is_prime, lucas_row, primes_up_to, unscale
 from .characters import ProgressionSpec
-from .errors import NotInSubgroup, OutOfRange, ZeroBase, _Record
+from .errors import NotInSubgroup, OutOfRange, SamePrime, ZeroBase, _Record
 from .forms import HalfIntegralForm, coefficient
 from .shimura import chi1
 
@@ -94,24 +94,13 @@ def twisted_sequence(
     """b_0..b_M with b_0 = a_t, b_1 = (trace - chi1_p p^(k-1)) a_t and the
     order-two recurrence above; all ints when a_t and trace are integral.
 
-    The terms are the integer row of _scaled_twisted, each b_nu = B_nu / (s v^nu)
-    built once; when s = v = 1 the B_nu are the b_nu themselves.
+    The terms are the integer row of _scaled_twisted divided back by
+    arith.unscale, b_nu = B_nu / (s v^nu).
     """
     if M < 0:
         raise ValueError("M must be nonnegative")
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    if chi1_p not in (-1, 0, 1):
-        raise ValueError("chi1_p must be one of -1, 0, 1")
-    row, s, v = _scaled_twisted(a_t, trace, chi1_p, p, k, M)
-    if s == 1 and v == 1:
-        return row
-    out: list[Rational] = []
-    scale = s
-    for b in row:
-        out.append(exact(Fraction(b, scale)))
-        scale *= v
-    return out
+    check_twist_inputs(k, chi1_p)
+    return unscale(*_scaled_twisted(a_t, trace, chi1_p, p, k, M))
 
 
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:
@@ -355,7 +344,7 @@ def scan(
     a_t = coefficient(form, t, 1)
     if a_t == 0:
         raise ZeroBase(f"a({t}) = 0; the twisted sequence is identically zero")
-    progression = isinstance(mode, tuple)
+    progression = isinstance(mode, tuple) and len(mode) == 2
     if progression:
         q, h = mode
         if not is_prime(q):
@@ -374,11 +363,9 @@ def scan(
             continue
         selector: str | ProgressionSpec = mode
         if progression:
-            if p == q:
-                continue
             try:
                 selector = ProgressionSpec.create(q=q, h=h, p=p)
-            except NotInSubgroup:
+            except (NotInSubgroup, SamePrime):
                 continue
         if t * p * p > form.prec:
             skipped.append(p)

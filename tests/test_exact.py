@@ -9,7 +9,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from halfsign import flagship as flagship_mod
-from halfsign.arith import clear_denominators, exact, primes_up_to
+from halfsign.arith import clear_denominators, exact, lucas_row, primes_up_to, unscale
+from halfsign.errors import HalfsignError
 from halfsign.flagship import flagship_form
 from halfsign.genfun import Polynomial, expand, h_n_closed
 from halfsign.hecke import deligne_check, extract_trace
@@ -86,6 +87,36 @@ def test_flagship_below_precision_49_is_gated_without_the_fixture(monkeypatch):
     assert calls == []
 
 
+def _gate_rejecting_the_recipe(monkeypatch) -> list[int]:
+    """Make verify_eigenform reject its first form, the expanded recipe, and
+    gate every later one for real; returns the precisions it was shown."""
+    real, shown = flagship_mod.verify_eigenform, []
+
+    def gate(form):
+        shown.append(form.prec)
+        return len(shown) > 1 and real(form)
+
+    monkeypatch.setattr(flagship_mod, "verify_eigenform", gate)
+    return shown
+
+
+@pytest.mark.parametrize("prec, gate_prec", [(20, 49), (3000, 3000), (10_000, 10_000)])
+def test_a_failing_recipe_serves_the_gated_fixture_truncated(monkeypatch, prec, gate_prec):
+    fixture = flagship_mod.load_fixture()
+    shown = _gate_rejecting_the_recipe(monkeypatch)
+    form = flagship_form.__wrapped__(prec)  # bypass the cache
+    assert shown == [gate_prec, gate_prec]
+    assert form.prec == prec
+    assert form.series.coeffs == fixture.series.coeffs[: prec + 1]
+
+
+def test_a_failing_recipe_and_a_short_fixture_raise(monkeypatch):
+    shown = _gate_rejecting_the_recipe(monkeypatch)
+    with pytest.raises(HalfsignError, match="precision 10000, not 20000"):
+        flagship_form.__wrapped__(20_000)
+    assert shown == [20_000]
+
+
 def test_exact_returns_canonical_ints_and_fractions():
     class Flag(int):
         pass
@@ -114,3 +145,25 @@ def test_clear_denominators_scales_to_ints(coeffs, expected):
 def test_clear_denominators_rejects_floats():
     with pytest.raises(TypeError, match="exact"):
         clear_denominators([1, 2.0])
+
+
+@given(st.lists(_rational, max_size=20))
+def test_unscale_inverts_clear_denominators(cs):
+    L, ints = clear_denominators(cs)
+    back = unscale(ints, L, 1)
+    assert back == cs
+    assert all((type(c) is int) == (Fraction(c).denominator == 1) for c in back)
+
+
+@given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-30, 30), st.integers(1, 12),
+       st.integers(-20, 20), st.integers(0, 12), st.integers(1, 40))
+def test_unscale_divides_term_m_of_a_lucas_row_by_s_v_to_the_m(x0, x1, u, v, norm, M, s):
+    row = lucas_row(x0, x1, u, v, norm, M)
+    back = unscale(row, s, v)
+    assert back == [Fraction(b, s * v**m) for m, b in enumerate(row)]
+    assert all(type(c) is int or c.denominator != 1 for c in back)
+
+
+def test_unscale_by_one_is_the_row_itself():
+    row = [3, -1, 0]
+    assert unscale(row, 1, 1) is row

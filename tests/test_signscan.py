@@ -180,6 +180,12 @@ def test_scan_checks_the_progression_before_any_prime(flagship):
             scan(flagship, 1, mode, 2, 10)
 
 
+@pytest.mark.parametrize("mode", [ProgressionSpec(q=31, h=30, p=3), (31, 30, 1)])
+def test_scan_takes_only_a_pair_as_a_progression(flagship, mode):
+    with pytest.raises(ValueError, match="unknown mode"):
+        scan(flagship, 1, mode, 50, 10)
+
+
 def test_scan_reports_a_progression_starting_past_m_as_empty(flagship):
     # -1 = 30 mod 31 sits at index d = n/2 of <p>; only p = 37 (n = 6, d = 3)
     # has d <= M = 3, and every other admissible prime is kept with length 0
