@@ -26,24 +26,26 @@ truncated-product residual
 
     sum_(j <= min(m, deg D)) D_j v^j B_(m-j) = s v^m N_m    for every m <= M,
 
-with N, D the num and den times the lcm of their denominators; N has at
-most 4 terms, so the right side is 0 from m = 4 on.  Since den(0) = 1, den
-is a unit among power series, so den * b = num mod X^(M+1) holds exactly
-when b_0..b_M are the first coefficients of num/den.  closed_form_checks
-takes the sequence itself and hands the suite B_m = Q b_m, s = Q, v = 1,
-with Q the lcm of its denominators.
+with N, D the num and den times the lcm of their denominators.  Since
+den(0) = 1, den is a unit among power series, so den * b = num mod X^(M+1)
+holds exactly when b_0..b_M are the first coefficients of num/den.  Past the
+head m < max(len N, len D) the right side is 0: the identity is the
+order-deg D recurrence of the row.  S0 and S1 are read on the half rows
+B[0::2] and B[1::2].  closed_form_checks takes the sequence itself and hands
+the suite B_m = Q b_m, s = Q, v = 1, with Q the lcm of its denominators.
 
-All identity checking is done by cross-multiplication into polynomial
-identities; nothing in this module touches floating point.  Every
-denominator is cleared by arith.clear_denominators.  The module is a leaf:
-it imports only arith and errors from the package, and takes the Satake data
-as the plain pair (trace, norm).
+Nothing in this module touches floating point, and every denominator is
+cleared by arith.clear_denominators.  The module is a leaf: it imports only
+arith and errors from the package, and takes the Satake data as the plain
+pair (trace, norm).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat, zip_longest
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .arith import Rational, check_twist_inputs, clear_denominators, exact, lucas_row, unscale
@@ -106,29 +108,13 @@ class Polynomial(_Record):
         return acc
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            tuple(
-                (self.coeffs[i] if i < len(self.coeffs) else 0)
-                + (other.coeffs[i] if i < len(other.coeffs) else 0)
-                for i in range(n)
-            )
-        )
+        return Polynomial(a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0))
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.is_zero or other.is_zero:
-            return Polynomial(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] += a * b
-        return Polynomial(tuple(out))
+        return Polynomial(_convolve(self.coeffs, other.coeffs))
 
     def scale(self, c: Rational) -> "Polynomial":
         return Polynomial(tuple(c * v for v in self.coeffs))
@@ -152,6 +138,16 @@ class Polynomial(_Record):
 
     def derivative(self) -> "Polynomial":
         return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
+
+
+def _convolve(a: Sequence[Rational], b: Sequence[Rational]) -> list[Rational]:
+    """Ascending coefficients of the product a * b of two coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 def _integer_primitive(poly: Polynomial) -> list[int]:
@@ -280,29 +276,20 @@ def expand(gf: RationalGF, M: int) -> list[Rational]:
     return unscale(out, L, L)
 
 
-def _expands_to(gf: RationalGF, B: Sequence[int], s: int, v: int) -> bool:
-    """Whether the first len(B) coefficients of num/den are B[m] / (s v^m).
-
-    With s = v = 1 and an integral num/den, expand returns plain ints,
-    compared with B as one list.  Otherwise, with (N, D) = _cleared(gf), it
-    checks the residual sum_(j <= min(m, deg D)) D_j v^j B[m-j] = s v^m N_m
-    for every m: den(0) = 1 makes this equivalent to the expansion, and no
-    Fraction is built.
-    """
-    M = len(B) - 1
-    num, den = _cleared(gf)
-    if s == 1 and v == 1 and den[0] == 1:
-        # a clearing factor of 1 means num/den is integral; expand
-        # returns the terms as they are, and going through it keeps
-        # genfun.expand on the verify path that perfbench's tracer times
-        return expand(gf, M) == list(B)
-    residual = [s * v**m * c for m, c in enumerate(num[: M + 1])]
-    residual += [0] * (M + 1 - len(residual))
-    for j, d in enumerate(den):
-        if d:
-            d *= v**j
-            residual[j:] = [r - d * b for r, b in zip(residual[j:], B)]
-    return not any(residual)
+def _expands_to(num: list[int], den: list[int], B: Sequence[int], s: int, v: int) -> bool:
+    """Whether N/D, integer rows with D_0 != 0, expands to B[m] / (s v^m): the
+    module docstring's residual in full in the head, and in the tail over the
+    content g of the D_j v^j, in one lazy pass over shifted slices of B."""
+    dv = [d * v**j for j, d in enumerate(den)]
+    head = min(max(len(num), len(den)), len(B))
+    for m in range(head):
+        if sum(map(mul, dv, B[m::-1])) != s * v**m * (num[m] if m < len(num) else 0):
+            return False
+    g = math.gcd(*dv)
+    terms = B[head:] if dv[0] == g else map(mul, repeat(dv[0] // g), B[head:])
+    for j in range(1, len(dv)):
+        terms = map(add, terms, map(mul, repeat(dv[j] // g), B[head - j : len(B) - j]))
+    return not any(terms)
 
 
 def h_n_closed(lead: Rational, trace: Rational, chi1_p: int, p: int, k: int) -> RationalGF:
@@ -328,15 +315,17 @@ def s_split_closed(
     """Even/odd split (S0, S1) of the twisted series over the degree-4 denominator.
 
         S1 = X (a_tp2_twisted - a_t chi1_p p^(3k-2) X^2) / D
-        S0 = a_t (1 + (p^(2k-1) - trace chi1_p p^(k-1)) X^2) / D
-        D  = (1 - trace X + p^(2k-1) X^2)(1 + trace X + p^(2k-1) X^2)
+        S0 = a_t (1 + (N - trace chi1_p p^(k-1)) X^2) / D
+        D  = (1 - trace X + N X^2)(1 + trace X + N X^2) = 1 + (2N - trace^2) X^2 + N^2 X^4
 
-    where a_tp2_twisted = a(t p^2)/chi(p).  S0 collects the even-index
-    terms of the twisted series and S1 the odd-index terms.
+    with N = p^(2k-1) and a_tp2_twisted = a(t p^2)/chi(p): S0 collects the
+    even-index terms of the twisted series and S1 the odd-index terms.  The
+    gcd RationalGF cancels is even or odd, and even as D(0) = 1, so the
+    reduced forms stay n0(X^2)/d0(X^2) and X n1(X^2)/d1(X^2).
     """
     check_twist_inputs(k, chi1_p)
     norm = p ** (2 * k - 1)
-    den = Polynomial.of(1, -trace, norm) * Polynomial.of(1, trace, norm)
+    den = Polynomial.of(1, 0, 2 * norm - trace * trace, 0, norm * norm)
     s0_num = Polynomial.of(a_t, 0, a_t * (norm - trace * chi1_p * p ** (k - 1)))
     s1_num = Polynomial.of(0, a_tp2_twisted, 0, -a_t * chi1_p * p ** (3 * k - 2))
     return RationalGF(s0_num, den), RationalGF(s1_num, den)
@@ -378,21 +367,26 @@ def _scaled_closed_form_checks(
     """closed_form_checks for the sequence b_m = B[m] / (s v^m), m = 0..M;
     B is nonempty.
 
-    Each expansion is the residual identity of _expands_to against B or its
-    even or odd part, and the split identity is cross-multiplied on the
-    cleared integer polynomials of _cleared.
+    _expands_to checks H against B, n0/d0 against B[0::2] at scale (s, v^2)
+    and n1/d1 against B[1::2] at scale (s v, v^2); S0 + S1 = H is
+    cross-multiplied on the cleared rows.
     """
     b0 = exact(Fraction(B[0], s))
     h1 = h_n_closed(b0, trace, chi1_p, p, k)
     s0, s1 = s_split_closed(b0, b1, trace, chi1_p, p, k)
-    even = [b if m % 2 == 0 else 0 for m, b in enumerate(B)]
-    odd = [b if m % 2 == 1 else 0 for m, b in enumerate(B)]
-    parity_ok = _expands_to(s0, even, s, v) and _expands_to(s1, odd, s, v)
-    # S0 + S1 = H, cross-multiplied over the three cleared denominators
-    cleared = (map(Polynomial, _cleared(gf)) for gf in (s0, s1, h1))
-    (n0, d0), (n1, d1), (nh, dh) = cleared
-    split_ok = (n0 * d1 + n1 * d0) * dh == nh * d0 * d1
-    return _expands_to(h1, B, s, v), split_ok, parity_ok
+    (nh, dh), (n0, d0), (n1, d1) = map(_cleared, (h1, s0, s1))
+    if s == v == dh[0] == 1:
+        # integral H: expand keeps genfun.expand on the verify path perfbench times
+        closed_ok = expand(h1, len(B) - 1) == list(B)
+    else:
+        closed_ok = _expands_to(nh, dh, B, s, v)
+    parity_ok = _expands_to(n0[0::2], d0[0::2], B[0::2], s, v * v) and _expands_to(
+        n1[1::2], d1[0::2], B[1::2], s * v, v * v
+    )
+    parts = _convolve(_convolve(n0, d1), dh), _convolve(_convolve(n1, d0), dh)
+    total = _convolve(_convolve(nh, d0), d1)
+    split_ok = all(a + b == c for a, b, c in zip_longest(*parts, total, fillvalue=0))
+    return closed_ok, split_ok, parity_ok
 
 
 def remark_polynomial(trace: Rational, norm: int, m_p: int) -> Polynomial:

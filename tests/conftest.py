@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from halfsign.flagship import DEFAULT_PREC, flagship_form, ramanujan_delta
+
+# `pytest --hypothesis-profile=thorough` runs every property 1000 times
+settings.register_profile("thorough", max_examples=1000, deadline=None)
 
 
 @pytest.fixture(scope="session")

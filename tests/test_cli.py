@@ -484,6 +484,17 @@ def test_genfun_check_reports_at_zero_and_one_terms_are_unchanged(terms, digest,
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+# sha256 of the `genfun-check --seed S` reports at the default 100 terms, the
+# long rows whose tails the suite checks as the closed forms' recurrences
+@pytest.mark.parametrize("seed, digest", [
+    ("0", "3c499c858f910cd9ded760e47917d693bace1f488ce72391bc35b56d6591715c"),
+    ("18", "9581c2adba70148784854dbc6da1f17a86980a00003e0fb93d91e48709831a8c"),
+])
+def test_genfun_check_reports_at_the_default_terms_are_unchanged(seed, digest, capsys):
+    assert run(["genfun-check", "--seed", seed]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 _json_scalars = st.none() | st.booleans() | st.integers() | st.text()
 _json_values = st.recursive(
     _json_scalars | st.lists(st.integers()) | st.lists(st.text()),

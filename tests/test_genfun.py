@@ -12,6 +12,7 @@ from halfsign.errors import NotExpandable, ZeroPolynomial
 from halfsign.genfun import (
     Polynomial,
     RationalGF,
+    _cleared,
     _expands_to,
     _scaled_closed_form_checks,
     closed_form_checks,
@@ -281,12 +282,18 @@ def test_expand_matches_fraction_oracle_with_canonical_types(gf, M):
 
 @st.composite
 def expansion_targets(draw):
-    """(num, den, target): target is the expansion of num/den, or it with one
-    term changed; its terms are canonical ints and Fractions, or all Fractions."""
+    """(num, den, target): target is the first 20 to 120 terms of the
+    expansion of num/den, den of degree 0 to 4, or they with one term changed
+    in the head m < max(len num, len den) or in the recurrence tail past it;
+    its terms are canonical ints and Fractions, or all Fractions."""
     num, den = draw(expandable())
-    target = expand(RationalGF.of(num, den), draw(st.integers(0, 60)))
-    if draw(st.booleans()):
-        target[draw(st.integers(0, len(target) - 1))] += draw(_any_coeff.filter(bool))
+    den = den[:5]
+    gf = RationalGF.of(num, den)
+    target = expand(gf, draw(st.integers(19, 119)))
+    head = max(len(gf.num.coeffs), len(gf.den.coeffs))
+    where = draw(st.sampled_from(((), (0, head - 1), (head, len(target) - 1))))
+    if where:
+        target[draw(st.integers(*where))] += draw(_any_coeff.filter(bool))
     if draw(st.booleans()):
         target = [Fraction(t) for t in target]
     return num, den, target
@@ -300,13 +307,16 @@ def expansion_targets(draw):
 @example(([Fraction(1, 2)], [1, Fraction(-1, 3)], [Fraction(1, 2), Fraction(1, 6), Fraction(1, 19)]), 1)
 @example(([Fraction(1, 2), Fraction(1, 2)], [1, -1], [Fraction(1, 2), 1, 1]), 1)  # int terms, L = 2
 @example(([Fraction(1, 2), Fraction(1, 2)], [1, -1], [Fraction(1, 2), 1, 2]), 1)
+@example(([1], [1, 0, 0, 1], [1, 0]), 2)  # the row ends inside the head
+@example(([1], [1, 0, 0, 1], [1, 1]), 2)
 def test_expands_to_agrees_with_comparing_the_expansion(case, v):
     # target read as the row B_m = s v^m target_m, with s the lcm of its denominators
     num, den, target = case
     gf = RationalGF.of(num, den)
     s = math.lcm(*(t.denominator for t in target))
     row = [t.numerator * (s // t.denominator) * v**m for m, t in enumerate(target)]
-    assert _expands_to(gf, row, s, v) == (expand(gf, len(target) - 1) == list(target))
+    expected = expand(gf, len(target) - 1) == list(target)
+    assert _expands_to(*_cleared(gf), row, s, v) == expected
 
 
 def _cross_multiplied_sum(a, b):
@@ -330,6 +340,48 @@ def test_sum_of_any_two_functions_equals_cross_multiplied_sum(f, g):
     for x, y in ((a, b), (a, RationalGF(b.num, a.den))):
         total, expected = x + y, _cross_multiplied_sum(x, y)
         assert (total.num, total.den) == (expected.num, expected.den)
+
+
+def _has_parity(poly, parity):
+    return all(c == 0 for c in poly.coeffs[1 - parity :: 2])
+
+
+# tau = +-p^(k-1) (1 + p) makes 1 - tau X + p^(2k-1) X^2 split as
+# (1 -+ p^(k-1) X)(1 -+ p^k X); for chi1_p = sgn tau, S0 and S1 share the
+# factor 1 - p^(2k-2) X^2 with their denominator, and RationalGF cancels it
+_REDUCING = [(sign * p ** (k - 1) * (1 + p), chi1_p, p, k)
+             for sign in (1, -1) for chi1_p in (-1, 0, 1) for p, k in ((2, 2), (3, 3))]
+
+
+@given(_rational, _rational, _rational, st.sampled_from((-1, 0, 1)),
+       st.sampled_from(primes_up_to(30)), st.integers(2, 7))
+@example(Fraction(-7, 4), Fraction(-63, 4), 12, 1, 3, 2)  # S0 and S1 reduce
+@example(5, -18, -12, -1, 3, 2)  # S0 reduces, S1 does not
+@example(1, 0, -6, 0, 2, 2)  # chi1_p = 0: nothing cancels
+def test_split_halves_are_even_and_odd_after_reduction(a_t, b1, trace, chi1_p, p, k):
+    # S0 is even and S1 odd, so the gcd RationalGF cancels is even: both keep
+    # the shape that the half-row checks read
+    s0, s1 = s_split_closed(a_t, b1, trace, chi1_p, p, k)
+    assert _has_parity(s0.num, 0) and _has_parity(s0.den, 0)
+    assert _has_parity(s1.num, 1) and _has_parity(s1.den, 0)
+
+
+@pytest.mark.parametrize("change", ["none", "head", "tail", "b1"])
+@pytest.mark.parametrize("trace, chi1_p, p, k", _REDUCING)
+def test_scaled_suite_matches_the_oracle_where_the_split_reduces(trace, chi1_p, p, k, change):
+    a_t = Fraction(-7, 4)
+    row, s, v = _scaled_twisted(a_t, trace, chi1_p, p, k, 40)
+    b1 = (trace - chi1_p * p ** (k - 1)) * a_t
+    s0, s1 = s_split_closed(a_t, b1, trace, chi1_p, p, k)
+    assert (s0.den.degree, s1.den.degree) == ((2, 2) if chi1_p * trace > 0 else (4, 4))
+    if change == "b1":
+        b1 += 1
+    elif change != "none":
+        row[1 if change == "head" else 33] += 1
+    seq = [Fraction(b, s * v**m) for m, b in enumerate(row)]
+    got = _scaled_closed_form_checks(row, s, v, b1, trace, chi1_p, p, k)
+    assert got == naive_closed_form_checks(seq, b1, trace, chi1_p, p, k)
+    assert got == {"none": (True,) * 3, "b1": (True, False, False)}.get(change, (False, True, False))
 
 
 def test_lucas_sequence_closed_form():
