@@ -67,9 +67,12 @@ def lucas_row(x0: int, x1: int, u: int, v: int, norm: int, M: int) -> list[int]:
     """[v^j X_j for j = 0..M], X_0 = x0, v X_1 = x1, X_(j+1) = (u/v) X_j - norm X_(j-1),
     on integers: Y_j = v^j X_j obeys Y_(j+1) = u Y_j - norm v^2 Y_(j-1)."""
     step = norm * v * v
-    row = [x0, x1][: M + 1]
-    for _ in range(1, M):
-        row.append(u * row[-1] - step * row[-2])
+    # allocated up front, so a row too large to hold fails at once
+    row = [x0, x1][: M + 1] + [0] * (M - 1)
+    a, b = x0, x1
+    for j in range(2, M + 1):
+        a, b = b, u * b - step * a
+        row[j] = b
     return row
 
 

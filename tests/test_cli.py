@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import halfsign
 import halfsign.data
 from halfsign import cli
+from halfsign.characters import CharacterTable
 from halfsign.flagship import FIXTURE_NAME, build_flagship
 from halfsign.forms import form_to_dict, load_series, save_form
 from halfsign.qseries import eta_power
@@ -522,6 +523,22 @@ def test_characters_dump(tmp_path):
     assert len(table["value_exponents"]) == 6
 
 
+@pytest.mark.parametrize("q", [2, 7, 101])
+def test_characters_matrix_is_the_tables_value_exponent(q, tmp_path):
+    out = tmp_path / "chars.json"
+    assert run(["characters", "--q", str(q), "--out", str(out)]) == 0
+    dump = json.loads(out.read_text())
+    units = sorted(map(int, dump["log"]))
+    table = CharacterTable.build(q)
+    matrix = dump["value_exponents"]
+    assert matrix == [[table.value_exponent(j, a) for a in units] for j in range(q - 1)]
+    # each row is a homomorphism (Z/q)* -> Z/(q-1): e(ab) = e(a) + e(b)
+    column = {a: i for i, a in enumerate(units)}
+    for row in matrix:
+        assert all(row[column[a * b % q]] == (row[column[a]] + row[column[b]]) % (q - 1)
+                   for a in units for b in units)
+
+
 def test_characters_rejects_q_above_1000(tmp_path, capsys):
     out = tmp_path / "chars.json"
     assert run(["characters", "--q", "1009", "--out", str(out)]) == 2
@@ -610,6 +627,25 @@ def test_importing_the_cli_adds_neither_dataclasses_nor_inspect():
     assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
+def test_importing_the_package_loads_no_module_and_binds_only_the_version():
+    # -S as above; each public name lives in the module that defines it
+    script = ("import sys, halfsign\n"
+              "print(sorted(m for m in sys.modules if m.startswith('halfsign.')))\n"
+              "names = vars(halfsign)\n"
+              "print(sorted(n for n in names if not n.startswith('_')), '__version__' in names)")
+    done = _python("-S", "-c", script)
+    assert (done.returncode, done.stdout) == (0, "[]\n[] True\n"), done.stderr
+
+
+MODULES = sorted(p.stem for p in Path(halfsign.__file__).parent.glob("*.py") if p.stem != "__init__")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_each_module_imports_on_its_own(module):
+    done = _python("-S", "-c", f"import halfsign.{module}")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+
+
 def test_python_m_halfsign_help_exits_zero():
     done = _python_m_halfsign("--help")
     assert (done.returncode, done.stderr) == (0, "")
@@ -622,7 +658,8 @@ def test_python_m_halfsign_help_exits_zero():
     ["scan", "--flagship", "--prec", "100", "--p-max", str(10**15)],
     ["expand", "--eta", "2:12", "--theta-power", "1", "--prec", str(10**15)],
     ["lift", "--flagship", "--p-max", str(10**15)],
-], ids=["scan", "expand", "lift"])
+    ["genfun-check", "--seed", "0", "--count", "1", "--terms", str(10**15)],
+], ids=["scan", "expand", "lift", "genfun-check"])
 def test_a_size_too_large_to_allocate_exits_two(argv):
     done = _python_m_halfsign(*argv)
     assert (done.returncode, done.stdout, done.stderr) == (2, "", "halfsign: error: MemoryError: \n")

@@ -93,9 +93,7 @@ def _all_and_public_names(tree: ast.Module) -> tuple[list[str] | None, set[str]]
     return exported, public
 
 
-@pytest.mark.parametrize(
-    "path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda path: path.name
-)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_each_all_lists_the_modules_own_public_names(path):
     exported, public = _all_and_public_names(ast.parse(path.read_text(encoding="utf-8")))
     if exported is not None:
