@@ -5,8 +5,8 @@ of the package leans on.  `exact` is the package's one number rule: every
 value is an int when integral and a Fraction otherwise, never a float.
 `clear_denominators` scales a list of them to integers and `unscale` divides
 a scaled integer row back.  `lucas_row` is the one loop of the order-two
-recurrence X_(j+1) = trace X_j - norm X_(j-1), and `check_twist_inputs` the
-one check of the twisted recurrence's inputs k and chi1(p).
+recurrence X_(j+1) = trace X_j - norm X_(j-1); the `check_*` functions own the
+input rules that several modules share.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Sequence, Union
+
+from .errors import InvalidInput
 
 Rational = Union[int, Fraction]
 
@@ -55,12 +57,26 @@ def unscale(row: list[int], s: int, v: int) -> list[Rational]:
     return out
 
 
+def check_prime(n: int, name: str) -> None:
+    if not is_prime(n):
+        raise InvalidInput(f"{name} = {n} is not prime")
+
+
+def check_weight(k: int) -> None:
+    if k < 2:
+        raise InvalidInput(f"k must be at least 2, got {k}")
+
+
+def check_last_index(M: int) -> None:
+    if M < 0:
+        raise InvalidInput("M must be nonnegative")
+
+
 def check_twist_inputs(k: int, chi1_p: int) -> None:
     """The inputs of the twisted recurrence: weight k >= 2, chi1(p) in {-1, 0, 1}."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
+    check_weight(k)
     if chi1_p not in (-1, 0, 1):
-        raise ValueError("chi1_p must be one of -1, 0, 1")
+        raise InvalidInput("chi1_p must be one of -1, 0, 1")
 
 
 def lucas_row(x0: int, x1: int, u: int, v: int, norm: int, M: int) -> list[int]:
@@ -112,7 +128,7 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     the precisions this package works at.
     """
     if n < 1:
-        raise ValueError("n must be a positive integer")
+        raise InvalidInput("n must be a positive integer")
     t, m = 1, 1
     p = 2
     while p * p <= n:
@@ -174,7 +190,7 @@ def multiplicative_order(a: int, q: int) -> int:
     """Order of a in (Z/q)*; raises if gcd(a, q) != 1."""
     a %= q
     if math.gcd(a, q) != 1:
-        raise ValueError(f"{a} is not a unit modulo {q}")
+        raise InvalidInput(f"{a} is not a unit modulo {q}")
     x, k = a, 1
     while x != 1:
         x = x * a % q
@@ -184,8 +200,7 @@ def multiplicative_order(a: int, q: int) -> int:
 
 def smallest_primitive_root(q: int) -> int:
     """Smallest primitive root modulo a prime q."""
-    if not is_prime(q):
-        raise ValueError(f"{q} is not prime")
+    check_prime(q, "q")
     if q == 2:
         return 1
     phi = q - 1

@@ -16,8 +16,8 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Sequence
 
-from .arith import Rational, is_prime, multiplicative_order, smallest_primitive_root
-from .errors import NotInSubgroup, OutOfRange, SamePrime, _Record
+from .arith import Rational, check_prime, multiplicative_order, smallest_primitive_root
+from .errors import InvalidInput, NotInSubgroup, OutOfRange, SamePrime, _Record
 
 __all__ = [
     "order_of",
@@ -28,9 +28,15 @@ __all__ = [
 ]
 
 
+def _check_progression(q: int, h: int) -> None:
+    check_prime(q, "q")
+    if not 1 < h < q:
+        raise OutOfRange(f"need 1 < h < q, got h = {h}, q = {q}")
+
+
 def _check_distinct_primes(p: int, q: int) -> None:
-    if not is_prime(p) or not is_prime(q):
-        raise ValueError("p and q must be prime")
+    check_prime(q, "q")
+    check_prime(p, "p")
     if p == q:
         raise SamePrime(f"need p != q, got {p}")
 
@@ -47,8 +53,7 @@ def index_of(p: int, h: int, q: int) -> int:
     Walks p, p^2, ... until it meets h or returns to 1, so the order of p
     is never computed separately.
     """
-    if not (1 < h < q):
-        raise OutOfRange(f"need 1 < h < q, got h = {h}, q = {q}")
+    _check_progression(q, h)
     _check_distinct_primes(p, q)
     x, d = p % q, 1
     while x != 1:
@@ -112,7 +117,7 @@ class CharacterTable(_Record):
         """Exponent e with epsilon_j(a) = zeta^e, zeta = exp(2 pi i/(q-1))."""
         a %= self.q
         if a not in self.log:
-            raise ValueError(f"{a} is not a unit modulo {self.q}")
+            raise InvalidInput(f"{a} is not a unit modulo {self.q}")
         return (j * self.log[a]) % (self.q - 1)
 
 

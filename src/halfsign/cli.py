@@ -31,12 +31,12 @@ from pathlib import Path
 from . import characters as characters_mod
 from . import flagship as flagship_mod
 from . import genfun, hecke, shimura, signscan
-from .arith import primes_up_to
-from .errors import HalfsignError
+from .arith import check_weight, primes_up_to
+from .errors import HalfsignError, InvalidInput
 from .forms import (
     HalfIntegralForm,
     RealCharacter,
-    _check_level_and_k,
+    _check_level,
     _coefficient_file,
     _json,
     form_to_dict,
@@ -56,7 +56,7 @@ def _load_any_form(args) -> HalfIntegralForm:
         prec = flagship_mod.DEFAULT_PREC if args.prec is None else args.prec
         return flagship_mod.flagship_form(prec)
     if args.prec is not None:
-        raise HalfsignError("--prec applies only to --flagship")
+        raise InvalidInput("--prec applies only to --flagship")
     return load_form(args.form)
 
 
@@ -78,7 +78,8 @@ def _parse_eta(text: str) -> tuple[int, int]:
 
 def cmd_expand(args) -> tuple[str, bool]:
     if not args.raw:  # the form's own checks, before the expansion rather than after it
-        _check_level_and_k(args.level, args.k)
+        _check_level(args.level)
+        check_weight(args.k)
     recipe = EtaRecipe(factors=tuple(args.eta or ()), theta_power=args.theta_power)
     series = expand_recipe(recipe, args.prec)
     if args.raw:
@@ -236,11 +237,11 @@ def check_instance(inst: dict, terms: int, m_p: int) -> dict:
 
 def cmd_genfun_check(args) -> tuple[str, bool]:
     if args.count < 1:
-        raise ValueError(f"--count must be at least 1, got {args.count}")
+        raise InvalidInput(f"--count must be at least 1, got {args.count}")
     if args.terms < 0:
-        raise ValueError(f"--terms must be at least 0, got {args.terms}")
+        raise InvalidInput(f"--terms must be at least 0, got {args.terms}")
     if args.m_p < 1:
-        raise ValueError(f"--m-p must be at least 1, got {args.m_p}")
+        raise InvalidInput(f"--m-p must be at least 1, got {args.m_p}")
     rng = random.Random(args.seed)
     instances = [
         check_instance(random_instance(rng), args.terms, args.m_p)
@@ -267,10 +268,10 @@ def cmd_scan(args) -> tuple[str, bool]:
     mode = args.mode
     if mode == "progression":
         if args.q is None or args.h is None:
-            raise HalfsignError("mode=progression needs --q and --h")
+            raise InvalidInput("mode=progression needs --q and --h")
         mode = (args.q, args.h)
     elif args.q is not None or args.h is not None:
-        raise HalfsignError("--q and --h apply only to --mode progression")
+        raise InvalidInput("--q and --h apply only to --mode progression")
     reports = signscan.scan(form, args.t, mode, args.p_max, args.nu_max)
     for p in reports.skipped:
         index = args.t * p * p
@@ -298,7 +299,7 @@ def cmd_scan(args) -> tuple[str, bool]:
 def cmd_characters(args) -> tuple[str, bool]:
     # the dump holds (q-1)^2 exponents: 7.8 MB at q = 997, 34 MB at q = 2003
     if args.q > 1000:
-        raise ValueError(f"--q must be at most 1000, got {args.q}")
+        raise InvalidInput(f"--q must be at most 1000, got {args.q}")
     table = characters_mod.CharacterTable.build(args.q)
     units = sorted(table.log)
     logs = [table.log[a] for a in units]
@@ -412,7 +413,7 @@ def run(argv: list[str] | None = None) -> int:
             Path(args.out).write_text(text, encoding="utf-8", newline="")
         else:
             sys.stdout.write(text)
-    except (HalfsignError, MemoryError, OSError, ValueError) as exc:
+    except (HalfsignError, MemoryError, OSError, OverflowError, ValueError) as exc:
         print(f"halfsign: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return USAGE_ERROR
     return 0 if ok else CHECK_FAILED

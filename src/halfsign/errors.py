@@ -62,6 +62,10 @@ class HalfsignError(Exception):
     """Base class for every error raised by this package."""
 
 
+class InvalidInput(HalfsignError, ValueError):
+    """An argument outside its domain, such as a composite where a prime is expected."""
+
+
 class NonIntegralOffset(HalfsignError):
     """Eta power whose leading exponent d*r/24 is not an integer."""
 

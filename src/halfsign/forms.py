@@ -15,14 +15,14 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
-from .arith import Rational, exact, is_squarefree
+from .arith import Rational, check_weight, exact, is_squarefree
 from .errors import (
     BadCharacter,
+    InvalidInput,
     InvalidLevel,
     NonCuspidal,
     NotSquarefree,
     ParseError,
-    PrecisionExceeded,
     _Record,
 )
 from .qseries import TruncatedSeries
@@ -121,13 +121,6 @@ def _check_level(level: int) -> None:
         raise InvalidLevel(f"level must be divisible by 4, got {level}")
 
 
-def _check_level_and_k(level: int, k: int) -> None:
-    """HalfIntegralForm's conditions on (level, k), in the order it checks them."""
-    _check_level(level)
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
-
-
 class HalfIntegralForm(_Record):
     """f in S_(k+1/2)(N, chi): level N (4 | N), integer k >= 2, a real
     character chi mod N, and the coefficients a(n) with a(0) = 0."""
@@ -138,7 +131,8 @@ class HalfIntegralForm(_Record):
     series: TruncatedSeries
 
     def __new__(cls, level: int, k: int, chi: RealCharacter, series: TruncatedSeries):
-        _check_level_and_k(level, k)
+        _check_level(level)
+        check_weight(k)
         if chi.modulus != level:
             raise BadCharacter(f"character modulus {chi.modulus} != level {level}")
         if series.coeffs[0] != 0:
@@ -150,16 +144,19 @@ class HalfIntegralForm(_Record):
         return self.series.prec
 
 
-def coefficient(form: HalfIntegralForm, t: int, m: int) -> Rational:
-    """a(t * m^2) for squarefree t; exact accessor along the Hecke indexing."""
-    if t < 1 or m < 1:
-        raise ValueError("t and m must be positive")
+def _check_base_index(t: int) -> None:
+    if t < 1:
+        raise InvalidInput(f"t must be positive, got {t}")
     if not is_squarefree(t):
         raise NotSquarefree(f"t = {t} is not squarefree")
-    n = t * m * m
-    if n > form.prec:
-        raise PrecisionExceeded(f"a({n}) is beyond precision {form.prec}")
-    return form.series.coeffs[n]
+
+
+def coefficient(form: HalfIntegralForm, t: int, m: int) -> Rational:
+    """a(t * m^2) for squarefree t; exact accessor along the Hecke indexing."""
+    _check_base_index(t)
+    if m < 1:
+        raise InvalidInput(f"m must be positive, got {m}")
+    return form.series.coefficient(t * m * m)
 
 
 # ---------------------------------------------------------------------------

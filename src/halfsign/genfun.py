@@ -48,8 +48,9 @@ from itertools import repeat, zip_longest
 from operator import add, mul
 from typing import Iterable, Sequence
 
-from .arith import Rational, check_twist_inputs, clear_denominators, exact, lucas_row, unscale
-from .errors import NotExpandable, ZeroPolynomial, _Record
+from .arith import (Rational, check_last_index, check_twist_inputs, clear_denominators, exact,
+                    lucas_row, unscale)
+from .errors import InvalidInput, NotExpandable, ZeroPolynomial, _Record
 
 __all__ = [
     "Polynomial",
@@ -120,13 +121,10 @@ class Polynomial(_Record):
         return Polynomial(tuple(c * v for v in self.coeffs))
 
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """Exact euclidean division over the rationals."""
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
+        """Exact euclidean division over the rationals; ZeroPolynomial for a zero divisor."""
+        d, lead = other.degree, other.leading
         rem = list(self.coeffs)
-        quot = [0] * max(len(rem) - len(other.coeffs) + 1, 0)
-        d = other.degree
-        lead = other.leading
+        quot = [0] * max(len(rem) - d, 0)
         for i in range(len(rem) - 1, d - 1, -1):
             if rem[i] == 0:
                 continue
@@ -260,8 +258,7 @@ def expand(gf: RationalGF, M: int) -> list[Rational]:
     With L = 1 this is the plain integer recurrence on c_m; arith.unscale
     divides the e_m back into c_m = e_m / L^(m+1).
     """
-    if M < 0:
-        raise ValueError("M must be nonnegative")
+    check_last_index(M)
     num, den = _cleared(gf)
     L = den[0]
     num = [c * L**m for m, c in enumerate(num)]
@@ -349,7 +346,7 @@ def closed_form_checks(
     denominators, and checked as the row (T, Q, 1) by _scaled_closed_form_checks.
     """
     if not seq:
-        raise ValueError("seq must hold at least one term")
+        raise InvalidInput("seq must hold at least one term")
     Q, scaled = clear_denominators(seq)
     return _scaled_closed_form_checks(scaled, Q, 1, b1, trace, chi1_p, p, k)
 
@@ -401,7 +398,7 @@ def remark_polynomial(trace: Rational, norm: int, m_p: int) -> Polynomial:
     identically.
     """
     if m_p < 1:
-        raise ValueError("m_p must be at least 1")
+        raise InvalidInput("m_p must be at least 1")
     trace = exact(trace)
     u, v = trace.numerator, trace.denominator
     row = lucas_row(0, v, u, v, norm, m_p)
@@ -419,6 +416,8 @@ def sturm_chain(poly: Polynomial) -> list[Polynomial]:
     to a multiple of gcd(poly, poly').  Squarefree input is not required: the
     drop in sign variations between two points that are not roots still
     counts the distinct roots between them."""
+    if poly.is_zero:
+        raise ZeroPolynomial("the zero polynomial has no Sturm chain")
     derivative = poly.derivative()
     rest = _remainder_sequence(_integer_primitive(poly), _integer_primitive(derivative))[2:]
     return [c for c in (poly, derivative) if not c.is_zero] + [Polynomial(r) for r in rest]
@@ -435,9 +434,7 @@ def real_root_count(poly: Polynomial) -> int:
     Multiple roots are counted once; no squarefree reduction is needed,
     since the Sturm chain of any nonzero polynomial counts distinct roots.
     """
-    if poly.is_zero:
-        raise ZeroPolynomial("real_root_count of the zero polynomial")
-    if poly.degree == 0:
+    if poly.degree == 0:  # the zero polynomial goes on to sturm_chain, which rejects it
         return 0
     chain = sturm_chain(poly)
 

@@ -26,9 +26,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .arith import Rational, exact, is_prime, is_squarefree
-from .errors import NotCoprime, NotSquarefree, PrecisionExceeded, ZeroBase, _Record
-from .forms import HalfIntegralForm, coefficient
+from .arith import Rational, check_prime, check_weight, exact, is_squarefree
+from .errors import InvalidInput, NotCoprime, PrecisionExceeded, ZeroBase, _Record
+from .forms import HalfIntegralForm, _check_base_index, coefficient
 from .shimura import chi1
 
 __all__ = [
@@ -60,10 +60,8 @@ class HeckeLocalData(_Record):
 
 def satake_data(trace: Rational, p: int, k: int) -> HeckeLocalData:
     """Local data for the quadratic X^2 - trace*X + p^(2k-1)."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+    check_weight(k)
+    check_prime(p, "p")
     return HeckeLocalData(p=p, trace=exact(trace), norm=p ** (2 * k - 1))
 
 
@@ -74,6 +72,8 @@ def deligne_check(trace: Rational, p: int, k: int) -> str:
     (the trace is then +-2 p^(k-1/2), forcing sqrt(p) into the eigenvalue
     field), and "violated" beyond the bound.
     """
+    check_weight(k)
+    check_prime(p, "p")
     return _deligne(exact(trace), p ** (2 * k - 1))
 
 
@@ -96,6 +96,12 @@ def base_indices(form: HalfIntegralForm, t_max: int) -> list[int]:
     return t_set
 
 
+def _check_prime_to_level(form: HalfIntegralForm, p: int) -> None:
+    check_prime(p, "p")
+    if form.level % p == 0:
+        raise NotCoprime(f"p = {p} divides the level {form.level}")
+
+
 def twisted_row(form: HalfIntegralForm, t: int, p: int) -> list[Rational]:
     """b_0..b_H with b_m = chi(p)^m a(t p^(2m)) and H the largest m with
     t p^(2m) <= prec; empty when t > prec.
@@ -103,12 +109,8 @@ def twisted_row(form: HalfIntegralForm, t: int, p: int) -> list[Rational]:
     p must be a prime not dividing the level, so chi(p) is +-1 and dividing
     by chi(p^m) equals multiplying; t must be squarefree.
     """
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    if form.level % p == 0:
-        raise NotCoprime(f"p = {p} divides the level {form.level}")
-    if not is_squarefree(t):
-        raise NotSquarefree(f"t = {t} is not squarefree")
+    _check_prime_to_level(form, p)
+    _check_base_index(t)
     coeffs, chi_p = form.series.coeffs, form.chi(p)
     row, n, sign = [], t, 1
     while n < len(coeffs):
@@ -160,12 +162,9 @@ def eigen_consistency(
     as is (t, 0) for t > prec; the form is consistent at p iff every computed
     residual is exactly zero.
     """
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    if form.level % p == 0:
-        raise NotCoprime(f"p = {p} divides the level {form.level}")
+    _check_prime_to_level(form, p)
     if m_max < 0:
-        raise ValueError("m_max must be nonnegative")
+        raise InvalidInput("m_max must be nonnegative")
     trace = exact(trace)
     k, N = form.k, form.level
     norm = p ** (2 * k - 1)
@@ -198,10 +197,5 @@ def multiplicativity_check(form: HalfIntegralForm, t: int, m: int, n: int) -> Ra
     """Residual a(t m^2) a(t n^2) - a(t) a(t m^2 n^2); zero for eigenforms."""
     if math.gcd(m, n) != 1:
         raise NotCoprime(f"gcd({m}, {n}) > 1")
-    if t * m * m * n * n > form.prec:
-        raise PrecisionExceeded(
-            f"a({t * m * m * n * n}) is beyond precision {form.prec}"
-        )
-    return coefficient(form, t, m) * coefficient(form, t, n) - coefficient(
-        form, t, 1
-    ) * coefficient(form, t, m * n)
+    return (coefficient(form, t, m) * coefficient(form, t, n)
+            - coefficient(form, t, 1) * coefficient(form, t, m * n))

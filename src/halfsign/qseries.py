@@ -33,7 +33,7 @@ import operator
 from typing import Iterable, Sequence
 
 from .arith import Rational, clear_denominators, exact, unscale
-from .errors import NonIntegralOffset, PrecisionExceeded, _Record
+from .errors import InvalidInput, NonIntegralOffset, PrecisionExceeded, _Record
 
 __all__ = [
     "TruncatedSeries",
@@ -46,6 +46,11 @@ __all__ = [
 ]
 
 
+def _check_prec(prec: int) -> None:
+    if prec < 1:
+        raise InvalidInput("prec must be a positive integer")
+
+
 class TruncatedSeries(_Record):
     """Power series known exactly for exponents 0..prec inclusive; from_coeffs
     and series_mul give canonical coefficients (int iff integral, else Fraction)."""
@@ -54,10 +59,9 @@ class TruncatedSeries(_Record):
     coeffs: tuple[Rational, ...]
 
     def __new__(cls, prec: int, coeffs: tuple[Rational, ...]):
-        if prec < 1:
-            raise ValueError("prec must be a positive integer")
+        _check_prec(prec)
         if len(coeffs) != prec + 1:
-            raise ValueError(f"need {prec + 1} coefficients for prec {prec}, got {len(coeffs)}")
+            raise InvalidInput(f"need {prec + 1} coefficients for prec {prec}, got {len(coeffs)}")
         return tuple.__new__(cls, (prec, coeffs))
 
     @classmethod
@@ -65,11 +69,7 @@ class TruncatedSeries(_Record):
         coeffs = tuple(exact(v) for v in values)
         if prec is None:
             prec = len(coeffs) - 1
-        if len(coeffs) < prec + 1:
-            coeffs = coeffs + (0,) * (prec + 1 - len(coeffs))
-        else:
-            coeffs = coeffs[: prec + 1]
-        return cls(prec, coeffs)
+        return cls(prec, (coeffs + (0,) * prec)[: prec + 1])
 
     @classmethod
     def one(cls, prec: int) -> "TruncatedSeries":
@@ -78,9 +78,9 @@ class TruncatedSeries(_Record):
     def coefficient(self, n: int) -> Rational:
         """Coefficient of q^n; n past the precision is an error."""
         if n < 0:
-            raise ValueError("exponent must be nonnegative")
+            raise InvalidInput("exponent must be nonnegative")
         if n > self.prec:
-            raise PrecisionExceeded(f"coefficient q^{n} unknown beyond precision {self.prec}")
+            raise PrecisionExceeded(f"a({n}) is beyond precision {self.prec}")
         return self.coeffs[n]
 
     def truncate(self, prec: int) -> "TruncatedSeries":
@@ -108,16 +108,14 @@ class EtaRecipe(_Record):
         factors = tuple((d, r) for d, r in factors)
         for x in (*itertools.chain(*factors), theta_power):
             if type(x) is not int:  # a float is not truncated, nor a bool read as 0 or 1
-                raise ValueError(f"eta recipe entries must be integers, got {x!r}")
+                raise InvalidInput(f"eta recipe entries must be integers, got {x!r}")
         for d, r in factors:
-            if d < 1:
-                raise ValueError(f"eta scale must be positive, got {d}")
-            if r < 1:
-                raise ValueError(f"eta exponent must be positive, got {r}")
+            if d < 1 or r < 1:
+                raise InvalidInput(f"eta factor {d}:{r} needs positive d and r")
             if d * r % 24 != 0:
                 raise NonIntegralOffset(f"eta factor {d}:{r} has d*r = {d * r}, not divisible by 24")
         if theta_power < 0:
-            raise ValueError("theta power must be nonnegative")
+            raise InvalidInput("theta power must be nonnegative")
         return tuple.__new__(cls, (factors, theta_power))
 
 
@@ -356,7 +354,7 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 def series_pow(a: TruncatedSeries, e: int) -> TruncatedSeries:
     """a**e by binary exponentiation (e >= 0), from the leading bit of e."""
     if e < 0:
-        raise ValueError("negative series powers are not supported")
+        raise InvalidInput("negative series powers are not supported")
     if e == 0:
         return TruncatedSeries.one(a.prec)
     result = a
@@ -413,14 +411,10 @@ def eta_power(d: int, r: int, prec: int) -> TruncatedSeries:
     E(q) = prod (1 - q^n), so E^r is expanded only to the exponents that
     land at or below prec and spread out to multiples of d.  E^r is
     (E^3)^(r/3) from Jacobi's series when 3 | r, else E^r from the
-    pentagonal series.
+    pentagonal series.  EtaRecipe checks d and r.
     """
-    if d < 1 or r < 1:
-        raise ValueError("d and r must be positive integers")
-    if prec < 1:
-        raise ValueError("prec must be a positive integer")
-    if (d * r) % 24 != 0:
-        raise NonIntegralOffset(f"d*r = {d * r} is not divisible by 24")
+    EtaRecipe(((d, r),))
+    _check_prec(prec)
     offset = d * r // 24
     coeffs = [0] * (prec + 1)
     if offset <= prec:
@@ -432,8 +426,7 @@ def eta_power(d: int, r: int, prec: int) -> TruncatedSeries:
 
 def theta_series(prec: int) -> TruncatedSeries:
     """1 + 2*sum_{n>=1} q^(n^2), truncated at prec."""
-    if prec < 1:
-        raise ValueError("prec must be a positive integer")
+    _check_prec(prec)
     coeffs = [0] * (prec + 1)
     coeffs[0] = 1
     for n in range(1, math.isqrt(prec) + 1):

@@ -18,8 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .arith import Rational, kronecker, primes_up_to
-from .errors import MissingCoefficient, PrecisionExceeded, ZeroBase, _Record
-from .forms import HalfIntegralForm, coefficient
+from .errors import InvalidInput, MissingCoefficient, PrecisionExceeded, ZeroBase, _Record
+from .forms import HalfIntegralForm, _check_base_index, coefficient
 from .qseries import TruncatedSeries
 
 __all__ = [
@@ -33,15 +33,16 @@ __all__ = [
 def chi1(m: int, t: int, k: int, N: int) -> int:
     """Kronecker symbol ((-1)^k N^2 t | m); values in {-1, 0, 1}."""
     if m < 1:
-        raise ValueError("m must be a positive integer")
+        raise InvalidInput("m must be a positive integer")
     top = (N * N * t) if k % 2 == 0 else (-N * N * t)
     return kronecker(top, m)
 
 
 def lift_coefficients(form: HalfIntegralForm, t: int, n_max: int) -> dict[int, Rational]:
     """Divisor-convolution lift coefficients {n: A_t(n)} for n = 1..n_max."""
+    _check_base_index(t)
     if n_max < 1:
-        raise ValueError("n_max must be positive")
+        raise InvalidInput("n_max must be positive")
     if t * n_max * n_max > form.prec:
         raise PrecisionExceeded(
             f"A_t({n_max}) needs a({t * n_max * n_max}) beyond precision {form.prec}"
@@ -107,9 +108,7 @@ def crosscheck_lift(
             skipped.append(p)
             continue
         if p > integral_form_coeffs.prec:
-            raise MissingCoefficient(
-                f"comparison series stops before coefficient {p}"
-            )
+            raise MissingCoefficient(f"comparison series stops before coefficient {p}")
         lift_p = Fraction(_lift_coefficient(form, t, p), a_t)
         compared.append(p)
         if lift_p != integral_form_coeffs.coeffs[p]:
@@ -117,9 +116,4 @@ def crosscheck_lift(
     if not compared:
         cause = f"fits within precision {form.prec}" if skipped else "exists"
         raise PrecisionExceeded(f"no prime p <= {p_max} coprime to the level {form.level} {cause}")
-    return CrosscheckReport(
-        t=t,
-        compared=tuple(compared),
-        mismatches=tuple(mismatches),
-        skipped=tuple(skipped),
-    )
+    return CrosscheckReport(t, tuple(compared), tuple(mismatches), tuple(skipped))

@@ -49,9 +49,10 @@ from typing import Sequence
 
 from . import characters as characters_mod
 from . import hecke as hecke_mod
-from .arith import Rational, check_twist_inputs, exact, is_prime, lucas_row, primes_up_to, unscale
-from .characters import ProgressionSpec
-from .errors import NotInSubgroup, OutOfRange, SamePrime, ZeroBase, _Record
+from .arith import (Rational, check_last_index, check_twist_inputs, exact, lucas_row,
+                    primes_up_to, unscale)
+from .characters import ProgressionSpec, _check_progression
+from .errors import InvalidInput, NotInSubgroup, SamePrime, ZeroBase, _Record
 from .forms import HalfIntegralForm, coefficient
 from .shimura import chi1
 
@@ -97,8 +98,7 @@ def twisted_sequence(
     The terms are the integer row of _scaled_twisted divided back by
     arith.unscale, b_nu = B_nu / (s v^nu).
     """
-    if M < 0:
-        raise ValueError("M must be nonnegative")
+    check_last_index(M)
     check_twist_inputs(k, chi1_p)
     return unscale(*_scaled_twisted(a_t, trace, chi1_p, p, k, M))
 
@@ -243,6 +243,15 @@ def _twisted_signs(
     return [(row[i] > 0) - (row[i] < 0) for i in kept]
 
 
+_NAMED_MODES = {"full": slice(None), "odd": slice(1, None, 2), "even": slice(0, None, 2)}
+
+
+def _named_mode(mode: object) -> slice:
+    if isinstance(mode, str) and mode in _NAMED_MODES:
+        return _NAMED_MODES[mode]
+    raise InvalidInput(f"unknown mode {mode!r}")
+
+
 def subsequence(seq: Sequence[Rational], mode: str | ProgressionSpec) -> Sequence[Rational]:
     """Index filter: full, odd (1,3,5,...), even (0,2,4,...), or a progression.
 
@@ -250,13 +259,7 @@ def subsequence(seq: Sequence[Rational], mode: str | ProgressionSpec) -> Sequenc
     """
     if isinstance(mode, ProgressionSpec):
         return characters_mod.progression_extract(seq, mode)
-    if mode == "full":
-        return seq[:]
-    if mode == "odd":
-        return seq[1::2]
-    if mode == "even":
-        return seq[0::2]
-    raise ValueError(f"unknown mode {mode!r}")
+    return seq[_named_mode(mode)]
 
 
 class SignChangeCount(_Record):
@@ -347,14 +350,10 @@ def scan(
     progression = isinstance(mode, tuple) and len(mode) == 2
     if progression:
         q, h = mode
-        if not is_prime(q):
-            raise ValueError(f"q = {q} is not prime")
-        if not 1 < h < q:
-            raise OutOfRange(f"need 1 < h < q, got h = {h}, q = {q}")
-    elif mode not in ("full", "odd", "even"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if M < 0:
-        raise ValueError("M must be nonnegative")
+        _check_progression(q, h)
+    else:
+        _named_mode(mode)
+    check_last_index(M)
     reports: list[SignChangeReport] = []
     skipped: list[int] = []
     exact_primes: list[int] = []

@@ -271,7 +271,17 @@ def test_lift_expands_delta_only_to_the_last_prime_it_can_compare(monkeypatch, c
     digest = "e09b6a112a370386fbd0ca266254d290688fdfcac4f609fd72be8ec19e3bb0d4"
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
     assert run(["lift", "--form", str(fixture), "--t", "0"]) == 2
-    assert "ValueError" in capsys.readouterr().err
+    assert "InvalidInput" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t, err", [
+    # t = 4 at prec 200 also fails the precision bound a(4 * 20^2) <= 200; t is checked first
+    ("4", "halfsign: error: NotSquarefree: t = 4 is not squarefree\n"),
+    ("0", "halfsign: error: InvalidInput: t must be positive, got 0\n"),
+])
+def test_lift_names_a_bad_t_before_the_precision_bound(t, err, capsys):
+    assert run(["lift", "--flagship", "--prec", "200", "--t", t]) == 2
+    assert capsys.readouterr().err == err
 
 
 def test_lift_that_compares_no_prime_exits_two(form_path, tmp_path, capsys):
@@ -320,7 +330,7 @@ def test_expand_at_a_level_below_one_exits_two(level, capsys):
 
 
 @pytest.mark.parametrize("flag, value, error", [("--level", "6", "InvalidLevel"),
-                                               ("--k", "1", "ValueError")])
+                                               ("--k", "1", "InvalidInput")])
 def test_expand_checks_level_and_k_before_expanding(flag, value, error, monkeypatch, capsys):
     def no_expansion(recipe, prec):
         raise AssertionError("the recipe was expanded before the level and k checks")
@@ -663,6 +673,20 @@ def test_python_m_halfsign_help_exits_zero():
 def test_a_size_too_large_to_allocate_exits_two(argv):
     done = _python_m_halfsign(*argv)
     assert (done.returncode, done.stdout, done.stderr) == (2, "", "halfsign: error: MemoryError: \n")
+
+
+# past sys.maxsize a size does not fit a list or bytearray index at all
+@pytest.mark.parametrize("argv", [
+    ["scan", "--flagship", "--prec", "100", "--p-max", str(10**20)],
+    ["expand", "--eta", "2:12", "--theta-power", "1", "--prec", str(10**20)],
+    ["lift", "--flagship", "--p-max", str(10**20)],
+    ["genfun-check", "--seed", "0", "--count", "1", "--terms", str(10**20)],
+], ids=["scan", "expand", "lift", "genfun-check"])
+def test_a_size_past_the_index_range_exits_two(argv, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("halfsign: error: OverflowError: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_python_m_halfsign_scan(form_path):

@@ -1,8 +1,8 @@
 """Static checks on the source of `halfsign`, read with `ast`: no floating
 point anywhere, each module's __all__ lists exactly its public names,
 `genfun` is a leaf that imports only `arith` and `errors` from the package,
-and no module imports `dataclasses` or `inspect`, which would cost every
-command their import time."""
+no module imports `dataclasses` or `inspect`, which would cost every
+command their import time, and no module raises a bare `ValueError`."""
 
 import ast
 from pathlib import Path
@@ -37,6 +37,32 @@ def test_the_float_detector_sees_each_kind_of_use():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_source_has_no_floating_point(path):
     assert _float_uses(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def _bare_value_errors(tree: ast.AST) -> list[int]:
+    """Lines of `raise ValueError` and `raise ValueError(...)`."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                found.append(node.lineno)
+    return found
+
+
+def test_the_value_error_detector_sees_both_spellings():
+    tree = ast.parse(
+        "raise ValueError\nraise ValueError('x')\nraise InvalidInput('x')\n"
+        "try:\n    pass\nexcept ValueError:\n    raise\nx = ValueError('y')"
+    )
+    assert _bare_value_errors(tree) == [1, 2]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_source_raises_no_bare_value_error(path):
+    # an argument outside its domain raises errors.InvalidInput, which is
+    # both a HalfsignError and a ValueError
+    assert _bare_value_errors(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
 def _imports(tree: ast.AST) -> set[str]:
