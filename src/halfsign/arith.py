@@ -72,11 +72,12 @@ def check_last_index(M: int) -> None:
         raise InvalidInput("M must be nonnegative")
 
 
-def check_twist_inputs(k: int, chi1_p: int) -> None:
-    """The inputs of the twisted recurrence: weight k >= 2, chi1(p) in {-1, 0, 1}."""
+def check_twist_inputs(k: int, chi1_p: int, p: int) -> None:
+    """The inputs of the twisted recurrence: weight k >= 2, chi1(p) in {-1, 0, 1}, p prime."""
     check_weight(k)
     if chi1_p not in (-1, 0, 1):
         raise InvalidInput("chi1_p must be one of -1, 0, 1")
+    check_prime(p, "p")
 
 
 def lucas_row(x0: int, x1: int, u: int, v: int, norm: int, M: int) -> list[int]:

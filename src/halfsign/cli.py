@@ -185,10 +185,13 @@ def cmd_lift(args) -> tuple[str, bool]:
 # genfun-check
 
 
+_GENFUN_PRIMES = tuple(primes_up_to(50))
+
+
 def random_instance(rng: random.Random) -> dict:
     """One seeded draw of closed-form parameters with a Deligne-compatible trace."""
     k = rng.randint(2, 8)
-    p = rng.choice(primes_up_to(50))
+    p = rng.choice(_GENFUN_PRIMES)
     chi1_p = rng.choice((-1, 0, 1))
     den = rng.randint(1, 16)
     num_bound = isqrt(4 * p ** (2 * k - 1) * den * den)

@@ -235,13 +235,22 @@ def _read_coefficient_file(path: str | Path) -> tuple[dict, TruncatedSeries]:
 
 def _parse_coefficients(entries: list) -> tuple[Rational, ...]:
     """parse_rational of each entry.  The usual file, all ASCII integer
-    literals, is read in bulk by int(), which accepts exactly the same
-    literals over [0-9+-]; anything else falls back to the entry-by-entry
-    reading and its errors."""
+    literals, is read in bulk by one json.loads of the joined entries.  Over
+    [0-9+,-] JSON reads a subset of the literals int() reads ("+5", "007", ""
+    and a literal over the digit limit are not JSON), and it reads exactly
+    len(entries) values only when no entry holds a comma.  What JSON leaves
+    goes to int(), which reads the same literals as parse_rational over
+    [0-9+-]; anything else goes to the entry-by-entry reading and its errors."""
     try:
-        joined = ",".join(entries)
-        if joined.isascii() and not joined.encode().translate(None, b"0123456789+,-"):
-            return tuple(map(int, entries))
+        text = ",".join(entries)
+        if text.isascii() and not text.encode().translate(None, b"0123456789+,-"):
+            text = "[" + text + "]"
+            try:
+                values = json.loads(text)
+            except ValueError:
+                values = ()
+            del text
+            return tuple(values) if len(values) == len(entries) else tuple(map(int, entries))
     except (TypeError, ValueError):  # a non-str entry, "+-5", or a literal over the digit limit
         pass
     return tuple(parse_rational(c) for c in entries)

@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import repeat, zip_longest
-from operator import add, mul
+from operator import add, mul, ne
 from typing import Iterable, Sequence
 
 from .arith import (Rational, check_last_index, check_twist_inputs, clear_denominators, exact,
@@ -78,7 +78,7 @@ class Polynomial(_Record):
     coeffs: tuple[Rational, ...]
 
     def __new__(cls, coeffs: Iterable[Rational]):
-        coeffs = tuple(exact(c) for c in coeffs)
+        coeffs = tuple(map(exact, coeffs))
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         return tuple.__new__(cls, (coeffs,))
@@ -295,9 +295,10 @@ def h_n_closed(lead: Rational, trace: Rational, chi1_p: int, p: int, k: int) -> 
     Its expansion coefficients are the twisted values a(t p^(2m) n^2)/chi(p^m n)
     when lead = a(t n^2)/chi(n) and trace is the twisted Hecke trace at p.
     """
-    check_twist_inputs(k, chi1_p)
-    num = Polynomial.of(lead, -lead * chi1_p * p ** (k - 1))
-    den = Polynomial.of(1, -trace, p ** (2 * k - 1))
+    check_twist_inputs(k, chi1_p, p)
+    lead = exact(lead)
+    num = Polynomial.of(lead, Fraction(-lead.numerator * chi1_p * p ** (k - 1), lead.denominator))
+    den = Polynomial.of(1, -exact(trace), p ** (2 * k - 1))
     return RationalGF(num, den)
 
 
@@ -320,11 +321,15 @@ def s_split_closed(
     gcd RationalGF cancels is even or odd, and even as D(0) = 1, so the
     reduced forms stay n0(X^2)/d0(X^2) and X n1(X^2)/d1(X^2).
     """
-    check_twist_inputs(k, chi1_p)
+    check_twist_inputs(k, chi1_p, p)
+    a_t, trace = exact(a_t), exact(trace)
+    # each coefficient is one Fraction of integers, for a_t = r/s and trace = u/v
+    r, s = a_t.numerator, a_t.denominator
+    u, v = trace.numerator, trace.denominator
     norm = p ** (2 * k - 1)
-    den = Polynomial.of(1, 0, 2 * norm - trace * trace, 0, norm * norm)
-    s0_num = Polynomial.of(a_t, 0, a_t * (norm - trace * chi1_p * p ** (k - 1)))
-    s1_num = Polynomial.of(0, a_tp2_twisted, 0, -a_t * chi1_p * p ** (3 * k - 2))
+    den = Polynomial.of(1, 0, Fraction(2 * norm * v * v - u * u, v * v), 0, norm * norm)
+    s0_num = Polynomial.of(a_t, 0, Fraction(r * (norm * v - u * chi1_p * p ** (k - 1)), s * v))
+    s1_num = Polynomial.of(0, a_tp2_twisted, 0, Fraction(-r * chi1_p * p ** (3 * k - 2), s))
     return RationalGF(s0_num, den), RationalGF(s1_num, den)
 
 
@@ -366,7 +371,7 @@ def _scaled_closed_form_checks(
 
     _expands_to checks H against B, n0/d0 against B[0::2] at scale (s, v^2)
     and n1/d1 against B[1::2] at scale (s v, v^2); S0 + S1 = H is
-    cross-multiplied on the cleared rows.
+    cross-multiplied on the cleared rows, (n0 d1 + n1 d0) dh = nh d0 d1.
     """
     b0 = exact(Fraction(B[0], s))
     h1 = h_n_closed(b0, trace, chi1_p, p, k)
@@ -380,9 +385,9 @@ def _scaled_closed_form_checks(
     parity_ok = _expands_to(n0[0::2], d0[0::2], B[0::2], s, v * v) and _expands_to(
         n1[1::2], d1[0::2], B[1::2], s * v, v * v
     )
-    parts = _convolve(_convolve(n0, d1), dh), _convolve(_convolve(n1, d0), dh)
+    parts = [a + b for a, b in zip_longest(_convolve(n0, d1), _convolve(n1, d0), fillvalue=0)]
     total = _convolve(_convolve(nh, d0), d1)
-    split_ok = all(a + b == c for a, b, c in zip_longest(*parts, total, fillvalue=0))
+    split_ok = all(a == b for a, b in zip_longest(_convolve(parts, dh), total, fillvalue=0))
     return closed_ok, split_ok, parity_ok
 
 
@@ -423,9 +428,9 @@ def sturm_chain(poly: Polynomial) -> list[Polynomial]:
     return [c for c in (poly, derivative) if not c.is_zero] + [Polynomial(r) for r in rest]
 
 
-def _sign_variations(signs: Sequence[int]) -> int:
-    filtered = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(filtered, filtered[1:]) if a != b)
+def _sign_variations(positive: Sequence[bool]) -> int:
+    """Sign changes along nonzero signs, each given as whether it is positive."""
+    return sum(map(ne, positive, positive[1:]))
 
 
 def real_root_count(poly: Polynomial) -> int:
@@ -433,17 +438,12 @@ def real_root_count(poly: Polynomial) -> int:
 
     Multiple roots are counted once; no squarefree reduction is needed,
     since the Sturm chain of any nonzero polynomial counts distinct roots.
+    No entry of the chain is zero: its sign at +inf is that of its leading
+    coefficient, and at -inf that sign flipped for an odd degree.
     """
     if poly.degree == 0:  # the zero polynomial goes on to sturm_chain, which rejects it
         return 0
     chain = sturm_chain(poly)
-
-    def sign_at_inf(c: Polynomial, positive: bool) -> int:
-        s = 1 if c.leading > 0 else -1
-        if not positive and c.degree % 2 == 1:
-            s = -s
-        return s
-
-    high = _sign_variations([sign_at_inf(c, True) for c in chain])
-    low = _sign_variations([sign_at_inf(c, False) for c in chain])
-    return low - high
+    high = [c.coeffs[-1] > 0 for c in chain]
+    low = [positive != (c.degree % 2 == 1) for positive, c in zip(high, chain)]
+    return _sign_variations(low) - _sign_variations(high)

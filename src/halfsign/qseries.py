@@ -105,6 +105,10 @@ class EtaRecipe(_Record):
     theta_power: int
 
     def __new__(cls, factors: Iterable[tuple[int, int]], theta_power: int = 0):
+        factors = tuple(factors)
+        for factor in factors:
+            if not isinstance(factor, (tuple, list)) or len(factor) != 2:
+                raise InvalidInput(f"eta factor must be a pair (d, r), got {factor!r}")
         factors = tuple((d, r) for d, r in factors)
         for x in (*itertools.chain(*factors), theta_power):
             if type(x) is not int:  # a float is not truncated, nor a bool read as 0 or 1

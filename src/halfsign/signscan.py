@@ -99,7 +99,7 @@ def twisted_sequence(
     arith.unscale, b_nu = B_nu / (s v^nu).
     """
     check_last_index(M)
-    check_twist_inputs(k, chi1_p)
+    check_twist_inputs(k, chi1_p, p)
     return unscale(*_scaled_twisted(a_t, trace, chi1_p, p, k, M))
 
 

@@ -75,6 +75,8 @@ CASES = [
     ("EtaRecipe-negative-exponent", lambda f: EtaRecipe(((2, -12),)), InvalidInput),
     ("EtaRecipe-negative-theta", lambda f: EtaRecipe(((2, 12),), -1), InvalidInput),
     ("EtaRecipe-offset", lambda f: EtaRecipe(((1, 8),)), NonIntegralOffset),
+    ("EtaRecipe-triple", lambda f: EtaRecipe([(2, 12, 3)]), InvalidInput),
+    ("EtaRecipe-not-a-pair", lambda f: EtaRecipe([5]), InvalidInput),
     ("series_pow-negative", lambda f: series_pow(SERIES, -1), InvalidInput),
     ("eta_power-zero-scale", lambda f: eta_power(0, 24, 10), InvalidInput),
     ("eta_power-negative-exponent", lambda f: eta_power(1, -24, 10), InvalidInput),
@@ -122,7 +124,10 @@ CASES = [
     ("expand-negative-M", lambda f: expand(RationalGF.of([1], [1, -1]), -1), InvalidInput),
     ("h_n_closed-chi1", lambda f: h_n_closed(1, 0, 2, 3, 6), InvalidInput),
     ("h_n_closed-k", lambda f: h_n_closed(1, 0, 1, 3, 1), InvalidInput),
+    ("h_n_closed-p-one", lambda f: h_n_closed(1, 0, 0, 1, 6), InvalidInput),
+    ("h_n_closed-composite", lambda f: h_n_closed(1, 0, 0, 9, 6), InvalidInput),
     ("s_split_closed-k", lambda f: s_split_closed(1, 1, 0, 1, 3, 0), InvalidInput),
+    ("s_split_closed-composite", lambda f: s_split_closed(1, 1, 0, 1, 4, 6), InvalidInput),
     ("closed_form_checks-empty", lambda f: closed_form_checks([], 1, 0, 1, 3, 6), InvalidInput),
     ("remark_polynomial-zero", lambda f: remark_polynomial(0, 3**11, 0), InvalidInput),
     ("real_root_count-zero", lambda f: real_root_count(Polynomial(())), ZeroPolynomial),
@@ -146,6 +151,8 @@ CASES = [
      lambda f: twisted_sequence(1, 0, 0, 3, 6, -1), InvalidInput),
     ("twisted_sequence-k", lambda f: twisted_sequence(1, 0, 0, 3, 1, 5), InvalidInput),
     ("twisted_sequence-chi1", lambda f: twisted_sequence(1, 0, 2, 3, 6, 5), InvalidInput),
+    ("twisted_sequence-zero-p", lambda f: twisted_sequence(1, 0, 0, 0, 6, 3), InvalidInput),
+    ("twisted_sequence-composite", lambda f: twisted_sequence(1, 0, 0, -3, 6, 3), InvalidInput),
     ("subsequence-mode", lambda f: subsequence([1, 2, 3], "sideways"), InvalidInput),
     ("scan-composite-q", lambda f: scan(f, 1, (4, 2), 13, 50), InvalidInput),
     ("scan-h", lambda f: scan(f, 1, (5, 7), 13, 50), OutOfRange),

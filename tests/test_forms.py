@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -415,6 +416,10 @@ _literals = st.one_of(
 @example(["0", "1", "-24", "252"])
 @example(["0", "٣"])  # int() reads it, but it is not an ASCII literal
 @example(["0", "+-5"])  # only [0-9+-] characters, yet not a literal
+@example(["0", "1,2"])  # the bulk JSON read finds one value too many
+@example(["0", "007", "5"])  # JSON rejects the leading zeros, int() reads them
+@example(["0", "-0"])
+@example(["0", "1", "7" * 4301, "-2"])  # over the digit limit of int() and of JSON
 def test_coefficient_file_reading_matches_the_per_entry_oracle(fuzz_path, entries):
     fuzz_path.write_text(json.dumps({"prec": len(entries) - 1, "coeffs": entries}), encoding="utf-8")
 
@@ -427,7 +432,10 @@ def test_coefficient_file_reading_matches_the_per_entry_oracle(fuzz_path, entrie
     expected = outcome(lambda: naive_read_coefficients(entries))
     with mock.patch.object(forms, "parse_rational", wraps=forms.parse_rational) as per_entry:
         assert outcome(lambda: forms._read_coefficient_file(fuzz_path)[1]) == expected
-    # a file of plain ASCII integer literals is read in bulk, anything else
-    # entry by entry; a single entry means prec 0, rejected before any is read
-    plain = all(isinstance(c, str) and re.fullmatch(r"[+-]?[0-9]+", c) for c in entries)
+    # a file of plain ASCII integer literals within int()'s digit limit is read
+    # in bulk, anything else entry by entry; a single entry means prec 0,
+    # rejected before any is read
+    limit = sys.get_int_max_str_digits() or float("inf")  # 0 is no limit
+    plain = all(isinstance(c, str) and re.fullmatch(r"[+-]?[0-9]+", c)
+                and len(c.lstrip("+-")) <= limit for c in entries)
     assert per_entry.called == (not plain and len(entries) > 1)
