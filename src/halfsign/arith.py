@@ -57,17 +57,25 @@ def unscale(row: list[int], s: int, v: int) -> list[Rational]:
     return out
 
 
+def _check_int(x: int, name: str) -> None:
+    if type(x) is not int:  # a float would leak into exact results, a bool pass as 0 or 1
+        raise InvalidInput(f"{name} must be an int, got {x!r}")
+
+
 def check_prime(n: int, name: str) -> None:
+    _check_int(n, name)
     if not is_prime(n):
         raise InvalidInput(f"{name} = {n} is not prime")
 
 
 def check_weight(k: int) -> None:
+    _check_int(k, "k")
     if k < 2:
         raise InvalidInput(f"k must be at least 2, got {k}")
 
 
 def check_last_index(M: int) -> None:
+    _check_int(M, "M")
     if M < 0:
         raise InvalidInput("M must be nonnegative")
 
@@ -75,9 +83,14 @@ def check_last_index(M: int) -> None:
 def check_twist_inputs(k: int, chi1_p: int, p: int) -> None:
     """The inputs of the twisted recurrence: weight k >= 2, chi1(p) in {-1, 0, 1}, p prime."""
     check_weight(k)
-    if chi1_p not in (-1, 0, 1):
+    if type(chi1_p) is not int or chi1_p not in (-1, 0, 1):
         raise InvalidInput("chi1_p must be one of -1, 0, 1")
     check_prime(p, "p")
+
+
+def check_unit(a: int, q: int) -> None:
+    if math.gcd(a, q) != 1:
+        raise InvalidInput(f"{a} is not a unit modulo {q}")
 
 
 def lucas_row(x0: int, x1: int, u: int, v: int, norm: int, M: int) -> list[int]:
@@ -190,8 +203,7 @@ def kronecker(a: int, n: int) -> int:
 def multiplicative_order(a: int, q: int) -> int:
     """Order of a in (Z/q)*; raises if gcd(a, q) != 1."""
     a %= q
-    if math.gcd(a, q) != 1:
-        raise InvalidInput(f"{a} is not a unit modulo {q}")
+    check_unit(a, q)
     x, k = a, 1
     while x != 1:
         x = x * a % q

@@ -16,8 +16,8 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Sequence
 
-from .arith import Rational, check_prime, multiplicative_order, smallest_primitive_root
-from .errors import InvalidInput, NotInSubgroup, OutOfRange, SamePrime, _Record
+from .arith import Rational, check_prime, check_unit, multiplicative_order, smallest_primitive_root
+from .errors import NotInSubgroup, OutOfRange, SamePrime, _Record
 
 __all__ = [
     "order_of",
@@ -116,8 +116,7 @@ class CharacterTable(_Record):
     def value_exponent(self, j: int, a: int) -> int:
         """Exponent e with epsilon_j(a) = zeta^e, zeta = exp(2 pi i/(q-1))."""
         a %= self.q
-        if a not in self.log:
-            raise InvalidInput(f"{a} is not a unit modulo {self.q}")
+        check_unit(a, self.q)
         return (j * self.log[a]) % (self.q - 1)
 
 

@@ -234,24 +234,20 @@ def _read_coefficient_file(path: str | Path) -> tuple[dict, TruncatedSeries]:
 
 
 def _parse_coefficients(entries: list) -> tuple[Rational, ...]:
-    """parse_rational of each entry.  The usual file, all ASCII integer
-    literals, is read in bulk by one json.loads of the joined entries.  Over
-    [0-9+,-] JSON reads a subset of the literals int() reads ("+5", "007", ""
-    and a literal over the digit limit are not JSON), and it reads exactly
-    len(entries) values only when no entry holds a comma.  What JSON leaves
-    goes to int(), which reads the same literals as parse_rational over
-    [0-9+-]; anything else goes to the entry-by-entry reading and its errors."""
+    """parse_rational of each entry.  The usual file, all canonical ASCII
+    integer literals, is read in bulk by one json.loads of the joined
+    entries: over [0-9+,-] JSON reads a subset of what parse_rational reads,
+    to the same values ("+5", "007", "" and a literal over the digit limit
+    are not JSON), and exactly len(entries) values when no entry holds a
+    comma.  Anything else is read entry by entry, with its errors."""
     try:
         text = ",".join(entries)
         if text.isascii() and not text.encode().translate(None, b"0123456789+,-"):
-            text = "[" + text + "]"
-            try:
-                values = json.loads(text)
-            except ValueError:
-                values = ()
+            values = json.loads("[" + text + "]")
             del text
-            return tuple(values) if len(values) == len(entries) else tuple(map(int, entries))
-    except (TypeError, ValueError):  # a non-str entry, "+-5", or a literal over the digit limit
+            if len(values) == len(entries):
+                return tuple(values)
+    except (TypeError, ValueError):  # a non-str entry, or text that is not JSON
         pass
     return tuple(parse_rational(c) for c in entries)
 

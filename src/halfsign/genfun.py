@@ -14,10 +14,9 @@ The polynomial gcd and the Sturm sequence read one remainder sequence
 positive factor and negated.  Sturm's theorem needs both the signs and the
 negation; the gcd is its last entry, up to sign.
 
-Power series expansion clears denominators first: the recurrence runs on
-integers scaled by powers of the lcm L of the coefficient denominators
-(see expand), and arith.unscale builds Fractions only at the end, one per
-coefficient.
+A RationalGF holds its reduced integer rows, with content 1 and den(0) > 0.
+expand runs the recurrence on integers scaled by powers of L = den(0), and
+arith.unscale builds Fractions only at the end, one per coefficient.
 
 The closed-form suite expands nothing on rational input.  It reads the
 twisted sequence as the integer row of its recurrence, b_m = B_m / (s v^m)
@@ -26,11 +25,11 @@ truncated-product residual
 
     sum_(j <= min(m, deg D)) D_j v^j B_(m-j) = s v^m N_m    for every m <= M,
 
-with N, D the num and den times the lcm of their denominators.  Since
-den(0) = 1, den is a unit among power series, so den * b = num mod X^(M+1)
-holds exactly when b_0..b_M are the first coefficients of num/den.  Past the
-head m < max(len N, len D) the right side is 0: the identity is the
-order-deg D recurrence of the row.  S0 and S1 are read on the half rows
+with N, D the integer rows of num and den.  Since den(0) != 0, den is a
+unit among power series, so den * b = num mod X^(M+1) holds exactly when
+b_0..b_M are the first coefficients of num/den.  Past the head
+m < max(len N, len D) the right side is 0: the identity is the order-deg D
+recurrence of the row.  S0 and S1 are read on the half rows
 B[0::2] and B[1::2].  closed_form_checks takes the sequence itself and hands
 the suite B_m = Q b_m, s = Q, v = 1, with Q the lcm of its denominators.
 
@@ -201,11 +200,12 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 class RationalGF(_Record):
-    """Reduced rational function num/den with den(0) normalized to 1.
+    """Reduced rational function num/den, held as its integer rows.
 
     The denominator must not vanish at 0 (the function is expandable as a
-    power series there); construction reduces by the polynomial gcd and
-    rescales so den(0) = 1, making the representation canonical.
+    power series there).  Construction divides out the polynomial gcd, then
+    scales both rows to integers with content 1 and den(0) > 0, making the
+    representation canonical: num and den share no factor of positive degree.
     """
 
     num: Polynomial
@@ -215,43 +215,28 @@ class RationalGF(_Record):
         if den.is_zero or den.coeffs[0] == 0:
             raise NotExpandable("denominator vanishes at X = 0")
         if num.is_zero:
-            num, den = Polynomial(()), Polynomial.of(1)
-        else:
-            g = poly_gcd(num, den)
-            if g.degree >= 1:
-                num, _ = num.divmod(g)
-                den, _ = den.divmod(g)
-            c = den.coeffs[0]
-            if c != 1:
-                num = num.scale(Fraction(1, c))
-                den = den.scale(Fraction(1, c))
-        return tuple.__new__(cls, (num, den))
+            return tuple.__new__(cls, (num, Polynomial.of(1)))
+        g = poly_gcd(num, den)
+        if g.degree >= 1:
+            num, _ = num.divmod(g)
+            den, _ = den.divmod(g)
+        _, ints = clear_denominators(num.coeffs + den.coeffs)
+        n = len(num.coeffs)
+        content = math.gcd(*ints) if ints[n] > 0 else -math.gcd(*ints)
+        return tuple.__new__(cls, (Polynomial(c // content for c in ints[:n]),
+                                   Polynomial(c // content for c in ints[n:])))
 
     @classmethod
     def of(cls, num: Iterable[Rational], den: Iterable[Rational]) -> "RationalGF":
         return cls(Polynomial(num), Polynomial(den))
 
-    def __add__(self, other: "RationalGF") -> "RationalGF":
-        if self.den == other.den:
-            return RationalGF(self.num + other.num, self.den)
-        return RationalGF(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-
-def _cleared(gf: RationalGF) -> tuple[list[int], list[int]]:
-    """num and den of gf times the lcm L of all their coefficient
-    denominators; den(0) = 1 makes the cleared den[0] equal to L."""
-    _, ints = clear_denominators(gf.num.coeffs + gf.den.coeffs)
-    return ints[: len(gf.num.coeffs)], ints[len(gf.num.coeffs) :]
-
 
 def expand(gf: RationalGF, M: int) -> list[Rational]:
     """First M+1 power-series coefficients of num/den, exactly.
 
-    The recurrence den(0) c_m = num_m - sum_j den_j c_{m-j} (den(0) = 1
-    after normalization) runs on integers: with (N, D) = _cleared(gf) and
-    L = D_0 the clearing factor, the scaled terms e_m = L^(m+1) c_m obey
+    The recurrence den(0) c_m = num_m - sum_j den_j c_{m-j} runs on the
+    integer rows N = gf.num, D = gf.den: with L = D_0 >= 1, the scaled terms
+    e_m = L^(m+1) c_m obey
 
         e_m = L^m N_m - sum_(1 <= j <= deg den) D_j L^(j-1) e_(m-j).
 
@@ -259,11 +244,10 @@ def expand(gf: RationalGF, M: int) -> list[Rational]:
     divides the e_m back into c_m = e_m / L^(m+1).
     """
     check_last_index(M)
-    num, den = _cleared(gf)
-    L = den[0]
-    num = [c * L**m for m, c in enumerate(num)]
+    L = gf.den.coeffs[0]
+    num = [c * L**m for m, c in enumerate(gf.num.coeffs)]
     # D_j L^(j-1) for j = 1..deg den, paired below with e_(m-1), e_(m-2), ...
-    den = [c * L**j for j, c in enumerate(den[1:])]
+    den = [c * L**j for j, c in enumerate(gf.den.coeffs[1:])]
     out: list[int] = []
     for m in range(M + 1):
         e = num[m] if m < len(num) else 0
@@ -273,7 +257,7 @@ def expand(gf: RationalGF, M: int) -> list[Rational]:
     return unscale(out, L, L)
 
 
-def _expands_to(num: list[int], den: list[int], B: Sequence[int], s: int, v: int) -> bool:
+def _expands_to(num: Sequence[int], den: Sequence[int], B: Sequence[int], s: int, v: int) -> bool:
     """Whether N/D, integer rows with D_0 != 0, expands to B[m] / (s v^m): the
     module docstring's residual in full in the head, and in the tail over the
     content g of the D_j v^j, in one lazy pass over shifted slices of B."""
@@ -296,9 +280,10 @@ def h_n_closed(lead: Rational, trace: Rational, chi1_p: int, p: int, k: int) -> 
     when lead = a(t n^2)/chi(n) and trace is the twisted Hecke trace at p.
     """
     check_twist_inputs(k, chi1_p, p)
-    lead = exact(lead)
-    num = Polynomial.of(lead, Fraction(-lead.numerator * chi1_p * p ** (k - 1), lead.denominator))
-    den = Polynomial.of(1, -exact(trace), p ** (2 * k - 1))
+    # r v (1 - c X) / (s (v - u X + N v X^2)) for lead = r/s and trace = u/v
+    (r, s), (u, v) = (exact(x).as_integer_ratio() for x in (lead, trace))
+    num = Polynomial.of(r * v, -r * v * chi1_p * p ** (k - 1))
+    den = Polynomial.of(s * v, -s * u, s * v * p ** (2 * k - 1))
     return RationalGF(num, den)
 
 
@@ -318,19 +303,18 @@ def s_split_closed(
 
     with N = p^(2k-1) and a_tp2_twisted = a(t p^2)/chi(p): S0 collects the
     even-index terms of the twisted series and S1 the odd-index terms.  The
-    gcd RationalGF cancels is even or odd, and even as D(0) = 1, so the
+    gcd RationalGF cancels is even or odd, and even as D(0) != 0, so the
     reduced forms stay n0(X^2)/d0(X^2) and X n1(X^2)/d1(X^2).
     """
     check_twist_inputs(k, chi1_p, p)
-    a_t, trace = exact(a_t), exact(trace)
-    # each coefficient is one Fraction of integers, for a_t = r/s and trace = u/v
-    r, s = a_t.numerator, a_t.denominator
-    u, v = trace.numerator, trace.denominator
+    # S0 times s v^2 and S1 times s z v^2, for a_t = r/s, a_tp2_twisted = w/z, trace = u/v
+    (r, s), (w, z), (u, v) = (exact(x).as_integer_ratio() for x in (a_t, a_tp2_twisted, trace))
     norm = p ** (2 * k - 1)
-    den = Polynomial.of(1, 0, Fraction(2 * norm * v * v - u * u, v * v), 0, norm * norm)
-    s0_num = Polynomial.of(a_t, 0, Fraction(r * (norm * v - u * chi1_p * p ** (k - 1)), s * v))
-    s1_num = Polynomial.of(0, a_tp2_twisted, 0, Fraction(-r * chi1_p * p ** (3 * k - 2), s))
-    return RationalGF(s0_num, den), RationalGF(s1_num, den)
+    den = (v * v, 0, 2 * norm * v * v - u * u, 0, norm * norm * v * v)
+    s0_num = (r * v * v, 0, r * v * (norm * v - u * chi1_p * p ** (k - 1)))
+    s1_num = (0, w * s * v * v, 0, -r * z * v * v * chi1_p * p ** (3 * k - 2))
+    s0 = RationalGF.of(s0_num, (s * d for d in den))
+    return s0, RationalGF.of(s1_num, (s * z * d for d in den))
 
 
 def closed_form_checks(
@@ -371,12 +355,12 @@ def _scaled_closed_form_checks(
 
     _expands_to checks H against B, n0/d0 against B[0::2] at scale (s, v^2)
     and n1/d1 against B[1::2] at scale (s v, v^2); S0 + S1 = H is
-    cross-multiplied on the cleared rows, (n0 d1 + n1 d0) dh = nh d0 d1.
+    cross-multiplied on the integer rows, (n0 d1 + n1 d0) dh = nh d0 d1.
     """
     b0 = exact(Fraction(B[0], s))
     h1 = h_n_closed(b0, trace, chi1_p, p, k)
     s0, s1 = s_split_closed(b0, b1, trace, chi1_p, p, k)
-    (nh, dh), (n0, d0), (n1, d1) = map(_cleared, (h1, s0, s1))
+    (nh, dh), (n0, d0), (n1, d1) = ((gf.num.coeffs, gf.den.coeffs) for gf in (h1, s0, s1))
     if s == v == dh[0] == 1:
         # integral H: expand keeps genfun.expand on the verify path perfbench times
         closed_ok = expand(h1, len(B) - 1) == list(B)
@@ -441,8 +425,6 @@ def real_root_count(poly: Polynomial) -> int:
     No entry of the chain is zero: its sign at +inf is that of its leading
     coefficient, and at -inf that sign flipped for an odd degree.
     """
-    if poly.degree == 0:  # the zero polynomial goes on to sturm_chain, which rejects it
-        return 0
     chain = sturm_chain(poly)
     high = [c.coeffs[-1] > 0 for c in chain]
     low = [positive != (c.degree % 2 == 1) for positive, c in zip(high, chain)]

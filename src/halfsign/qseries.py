@@ -88,9 +88,6 @@ class TruncatedSeries(_Record):
             raise PrecisionExceeded(f"cannot extend precision {self.prec} to {prec}")
         return TruncatedSeries(prec, self.coeffs[: prec + 1])
 
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return series_mul(self, other)
-
 
 class EtaRecipe(_Record):
     """Product prod eta(d*z)^r over factors, times theta(z)^theta_power.
@@ -105,7 +102,10 @@ class EtaRecipe(_Record):
     theta_power: int
 
     def __new__(cls, factors: Iterable[tuple[int, int]], theta_power: int = 0):
-        factors = tuple(factors)
+        try:
+            factors = tuple(factors)
+        except TypeError:
+            raise InvalidInput(f"eta factors must be an iterable of pairs, got {factors!r}") from None
         for factor in factors:
             if not isinstance(factor, (tuple, list)) or len(factor) != 2:
                 raise InvalidInput(f"eta factor must be a pair (d, r), got {factor!r}")

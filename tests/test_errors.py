@@ -77,6 +77,7 @@ CASES = [
     ("EtaRecipe-offset", lambda f: EtaRecipe(((1, 8),)), NonIntegralOffset),
     ("EtaRecipe-triple", lambda f: EtaRecipe([(2, 12, 3)]), InvalidInput),
     ("EtaRecipe-not-a-pair", lambda f: EtaRecipe([5]), InvalidInput),
+    ("EtaRecipe-not-iterable", lambda f: EtaRecipe(5), InvalidInput),
     ("series_pow-negative", lambda f: series_pow(SERIES, -1), InvalidInput),
     ("eta_power-zero-scale", lambda f: eta_power(0, 24, 10), InvalidInput),
     ("eta_power-negative-exponent", lambda f: eta_power(1, -24, 10), InvalidInput),
@@ -111,6 +112,7 @@ CASES = [
      lambda f: eigen_consistency(f, 3, 0, [1], -1), InvalidInput),
     ("satake_data-composite", lambda f: satake_data(0, 4, 6), InvalidInput),
     ("satake_data-k", lambda f: satake_data(0, 3, 1), InvalidInput),
+    ("satake_data-float-k", lambda f: satake_data(3, 5, 6.0), InvalidInput),
     ("deligne_check-k", lambda f: deligne_check(0, 3, 0), InvalidInput),
     ("deligne_check-composite", lambda f: deligne_check(0, 4, 6), InvalidInput),
     ("multiplicativity_check-common-factor",
@@ -122,6 +124,7 @@ CASES = [
      ZeroPolynomial),
     ("RationalGF-den-vanishes-at-0", lambda f: RationalGF.of([1], [0, 1]), NotExpandable),
     ("expand-negative-M", lambda f: expand(RationalGF.of([1], [1, -1]), -1), InvalidInput),
+    ("expand-float-M", lambda f: expand(RationalGF.of([1], [1, -1]), 2.0), InvalidInput),
     ("h_n_closed-chi1", lambda f: h_n_closed(1, 0, 2, 3, 6), InvalidInput),
     ("h_n_closed-k", lambda f: h_n_closed(1, 0, 1, 3, 1), InvalidInput),
     ("h_n_closed-p-one", lambda f: h_n_closed(1, 0, 0, 1, 6), InvalidInput),
@@ -136,6 +139,7 @@ CASES = [
     ("order_of-composite-p", lambda f: order_of(4, 7), InvalidInput),
     ("order_of-composite-q", lambda f: order_of(3, 4), InvalidInput),
     ("order_of-same", lambda f: order_of(5, 5), SamePrime),
+    ("order_of-float-p", lambda f: order_of(3.0, 7), InvalidInput),
     ("index_of-composite-q", lambda f: index_of(3, 2, 4), InvalidInput),
     ("index_of-h", lambda f: index_of(3, 7, 7), OutOfRange),
     ("index_of-composite-p", lambda f: index_of(4, 2, 7), InvalidInput),
@@ -153,6 +157,11 @@ CASES = [
     ("twisted_sequence-chi1", lambda f: twisted_sequence(1, 0, 2, 3, 6, 5), InvalidInput),
     ("twisted_sequence-zero-p", lambda f: twisted_sequence(1, 0, 0, 0, 6, 3), InvalidInput),
     ("twisted_sequence-composite", lambda f: twisted_sequence(1, 0, 0, -3, 6, 3), InvalidInput),
+    ("twisted_sequence-float-k", lambda f: twisted_sequence(1, 0, 0, 3, 6.0, 3), InvalidInput),
+    ("twisted_sequence-float-chi1", lambda f: twisted_sequence(1, 0, 1.0, 3, 6, 3), InvalidInput),
+    ("twisted_sequence-bool-chi1", lambda f: twisted_sequence(1, 0, True, 3, 6, 3), InvalidInput),
+    ("twisted_sequence-float-p", lambda f: twisted_sequence(1, 0, 0, 3.0, 6, 3), InvalidInput),
+    ("twisted_sequence-float-M", lambda f: twisted_sequence(1, 0, 0, 3, 6, 3.0), InvalidInput),
     ("subsequence-mode", lambda f: subsequence([1, 2, 3], "sideways"), InvalidInput),
     ("scan-composite-q", lambda f: scan(f, 1, (4, 2), 13, 50), InvalidInput),
     ("scan-h", lambda f: scan(f, 1, (5, 7), 13, 50), OutOfRange),

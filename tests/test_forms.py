@@ -432,10 +432,10 @@ def test_coefficient_file_reading_matches_the_per_entry_oracle(fuzz_path, entrie
     expected = outcome(lambda: naive_read_coefficients(entries))
     with mock.patch.object(forms, "parse_rational", wraps=forms.parse_rational) as per_entry:
         assert outcome(lambda: forms._read_coefficient_file(fuzz_path)[1]) == expected
-    # a file of plain ASCII integer literals within int()'s digit limit is read
-    # in bulk, anything else entry by entry; a single entry means prec 0,
-    # rejected before any is read
+    # a file of canonical ASCII integer literals (JSON's) within the digit
+    # limit is read in bulk, anything else entry by entry; a single entry
+    # means prec 0, rejected before any is read
     limit = sys.get_int_max_str_digits() or float("inf")  # 0 is no limit
-    plain = all(isinstance(c, str) and re.fullmatch(r"[+-]?[0-9]+", c)
-                and len(c.lstrip("+-")) <= limit for c in entries)
+    plain = all(isinstance(c, str) and re.fullmatch(r"-?(0|[1-9][0-9]*)", c)
+                and len(c.lstrip("-")) <= limit for c in entries)
     assert per_entry.called == (not plain and len(entries) > 1)

@@ -12,7 +12,6 @@ from halfsign.errors import NotExpandable, ZeroPolynomial
 from halfsign.genfun import (
     Polynomial,
     RationalGF,
-    _cleared,
     _expands_to,
     _scaled_closed_form_checks,
     closed_form_checks,
@@ -117,7 +116,7 @@ def test_s_split_values_and_identity():
         assert expand(s0, 0) == [a_t]
         assert expand(s1, 1)[0] == 0
         h1 = h_n_closed(a_t, trace, c1, p, k)
-        assert s0 + s1 == h1
+        assert _cross_multiplied_sum(s0, s1) == h1
         seq = twisted_sequence(a_t, trace, c1, p, k, 50)
         s0x, s1x = expand(s0, 50), expand(s1, 50)
         for m in range(51):
@@ -140,7 +139,8 @@ def test_split_denominator_is_product_of_h1_dens():
             quotient, remainder = product.divmod(part.den)
             assert remainder.is_zero  # stored den divides the unreduced one
         h1 = h_n_closed(inst["a_t"], trace, inst["chi1_p"], p, k)
-        assert h1.den == P(1, -trace, norm)
+        d0 = h1.den.coeffs[0]  # the integer row, a positive multiple of the formula's
+        assert d0 > 0 and h1.den.scale(Fraction(1, d0)) == P(1, -trace, norm)
 
 
 # (a_t, trace, chi1_p, p, k, delta): one integral and one rational twisted
@@ -316,7 +316,7 @@ def test_expands_to_agrees_with_comparing_the_expansion(case, v):
     s = math.lcm(*(t.denominator for t in target))
     row = [t.numerator * (s // t.denominator) * v**m for m, t in enumerate(target)]
     expected = expand(gf, len(target) - 1) == list(target)
-    assert _expands_to(*_cleared(gf), row, s, v) == expected
+    assert _expands_to(gf.num.coeffs, gf.den.coeffs, row, s, v) == expected
 
 
 def _cross_multiplied_sum(a, b):
@@ -326,20 +326,35 @@ def _cross_multiplied_sum(a, b):
 _rational = st.one_of(st.integers(-10**4, 10**4), st.fractions(max_denominator=30))
 
 
-@given(_rational, _rational, _rational, st.sampled_from((-1, 0, 1)),
-       st.sampled_from(primes_up_to(30)), st.integers(2, 7))
-def test_same_denominator_sum_equals_cross_multiplied_sum(a_t, b1, trace, chi1_p, p, k):
-    s0, s1 = s_split_closed(a_t, b1, trace, chi1_p, p, k)
-    total, expected = s0 + s1, _cross_multiplied_sum(s0, s1)
-    assert (total.num, total.den) == (expected.num, expected.den)
+@st.composite
+def unreduced(draw):
+    """(num, den) from expandable(), both times one common factor of degree
+    0 to 3 with a nonzero constant term, for the constructor to divide out."""
+    num, den = draw(expandable())
+    common = P(draw(_any_coeff.filter(bool)), *draw(st.lists(_any_coeff, max_size=3)))
+    return list((P(*num) * common).coeffs), list((P(*den) * common).coeffs)
 
 
-@given(expandable(), expandable())
-def test_sum_of_any_two_functions_equals_cross_multiplied_sum(f, g):
-    a, b = RationalGF.of(*f), RationalGF.of(*g)
-    for x, y in ((a, b), (a, RationalGF(b.num, a.den))):
-        total, expected = x + y, _cross_multiplied_sum(x, y)
-        assert (total.num, total.den) == (expected.num, expected.den)
+def _coprime(a, b):
+    """Whether a and b share no factor of positive degree, by Euclid over the rationals."""
+    while not b.is_zero:
+        a, b = b, a.divmod(b)[1]
+    return a.degree == 0
+
+
+@settings(deadline=None)
+@given(unreduced(), st.integers(0, 30))
+@example(([1, -2], [1, -6, 8]), 3)  # the common factor 1 - 2X
+@example(([Fraction(1, 2)], [Fraction(-1, 3), 1]), 2)  # den(0) < 0 and denominators
+@example(([], [Fraction(-1, 2), 3]), 2)  # num = 0
+def test_rational_gf_holds_its_reduced_integer_rows(case, M):
+    num, den = case
+    gf = RationalGF.of(num, den)
+    rows = gf.num.coeffs + gf.den.coeffs
+    assert all(type(c) is int for c in rows)
+    assert math.gcd(*rows) == 1 and gf.den.coeffs[0] > 0
+    assert _coprime(gf.num, gf.den)
+    assert expand(gf, M) == naive_expand(num, den, M)
 
 
 def _has_parity(poly, parity):
