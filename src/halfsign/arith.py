@@ -201,11 +201,14 @@ def kronecker(a: int, n: int) -> int:
 
 
 def multiplicative_order(a: int, q: int) -> int:
-    """Order of a in (Z/q)*; raises if gcd(a, q) != 1."""
+    """Order of a in (Z/q)* for q >= 1; raises if gcd(a, q) != 1.  (Z/1)*
+    is the trivial group, where every a has order 1."""
+    if q < 1:
+        raise InvalidInput(f"q must be a positive integer, got {q}")
     a %= q
     check_unit(a, q)
     x, k = a, 1
-    while x != 1:
+    while x != 1 % q:
         x = x * a % q
         k += 1
     return k

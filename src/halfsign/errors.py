@@ -13,7 +13,8 @@ class _Record(tuple):
     The plain constructor takes each field once, by position or keyword.  A
     record that checks, normalizes or derives values defines __new__, which
     returns tuple.__new__(cls, values); values past the fields are derived.
-    Records are equal, and hash alike, when their types and values are.
+    Records are equal, and hash alike, when their types and values are; a
+    record defines no + or *, unless its own class does.
     """
 
     _fields: tuple[str, ...] = ()
@@ -40,6 +41,13 @@ class _Record(tuple):
         return not self.__eq__(other)
 
     __hash__ = tuple.__hash__
+
+    # a record is not a sequence to concatenate or repeat: without these,
+    # tuple's + and * would return a plain tuple
+    def __add__(self, other: object):
+        return NotImplemented
+
+    __mul__ = __rmul__ = __add__
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")

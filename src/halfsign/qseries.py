@@ -15,12 +15,13 @@ denominators, and every product then takes one of four exact carriers.
 Two sparse operands, such as E^3 squared or theta times Jacobi's series,
 are multiplied term pair by term pair.  Every other product is one
 Kronecker substitution: each operand packed into one signed big number,
-and the coefficients read back limb by limb, with limbs just wide enough
-for the l1-norm bound on the coefficients.  A product with one sparse
-factor (theta, Jacobi's or the pentagonal series) sums shifted copies of
-the other operand, one per nonzero term.  Other large products are carried
-by `decimal`, whose libmpdec multiplies by number-theoretic transform, and
-small ones by native ints.
+with limbs just wide enough for the l1-norm bound on the coefficients,
+packed and read back a whole array at a time through struct, except that
+limbs wider than 8 bytes are packed one to_bytes per limb.  A product
+with one sparse factor (theta, Jacobi's or the pentagonal series) sums
+shifted copies of the other operand, one per nonzero term.  Other large
+products are carried by `decimal`, whose libmpdec multiplies by
+number-theoretic transform, and small ones by native ints.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import functools
 import itertools
 import math
 import operator
+import struct
 from typing import Iterable, Sequence
 
 from .arith import Rational, clear_denominators, exact, unscale
@@ -224,27 +226,62 @@ def _limb_bits(xs: Sequence[int], ys: Sequence[int]) -> int:
     return max(bound, mx, my).bit_length() + 1
 
 
+def _offsets(width: int, n: int) -> int:
+    """O = sum_(k < n) B^k B/2 with B = 2^(8 width): the top bit of n limbs."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+
+
+_SIGN_FILL = bytes(128) + b"\xff" * 128  # a byte -> the sign byte of its top bit
+
+
 def _pack(vals: Sequence[int], width: int) -> int:
-    """sum v_i B^i with B = 2^(8 width) > 2|v_i|, each limb written as the
-    nonnegative v_i + B/2.  Joining 1024 limbs at a time keeps the join's
-    list small: grown by realloc, it leaves freed but resident heap behind."""
-    half = 1 << (8 * width - 1)
-    chunks = (
-        b"".join((v + half).to_bytes(width, "little") for v in vals[k : k + 1024])
-        for k in range(0, len(vals), 1024)
-    )
-    offsets = int.from_bytes(half.to_bytes(width, "little") * len(vals), "little")
-    return int.from_bytes(b"".join(chunks), "little") - offsets
+    """sum v_i B^i with B = 2^(8 width) > 2|v_i|.  Up to 8 bytes, one
+    struct.pack writes the v_i as 8-byte words, whose low `width` bytes are
+    copied out by one strided slice per byte: U = sum (v_i mod B) B^i, and
+    X = (U ^ O) - O.  Wider limbs, the nonnegative v_i + B/2, are joined one
+    to_bytes per limb, which measured faster than word splits; 1024 at a
+    time keeps the join's list small: grown by realloc, it leaves freed but
+    resident heap behind."""
+    n = len(vals)
+    offsets = _offsets(width, n)
+    if width > 8:
+        half = 1 << (8 * width - 1)
+        chunks = (
+            b"".join((v + half).to_bytes(width, "little") for v in vals[k : k + 1024])
+            for k in range(0, n, 1024)
+        )
+        return int.from_bytes(b"".join(chunks), "little") - offsets
+    words = struct.pack(f"<{n}q", *vals)
+    raw = bytearray(width * n)
+    for b in range(width):
+        raw[b::width] = words[b::8]
+    return (int.from_bytes(raw, "little") ^ offsets) - offsets
 
 
 def _unpack(value: int, width: int, n: int) -> list[int]:
     """c_0..c_(n-1) from any value = sum c_k B^k mod B^n, B = 2^(8 width) >
-    2|c_k|: with B/2 added to each limb, the low n limbs of its two's
-    complement are nonnegative and read off independently, each less B/2."""
-    half = 1 << (8 * width - 1)
-    value += int.from_bytes(half.to_bytes(width, "little") * n, "little")
-    raw = value.to_bytes(max(width * n, value.bit_length() // 8 + 1), "little", signed=True)
-    return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, n * width, width)]
+    2|c_k|: the low n limbs of value + O are c_k + B/2, each in [0, B), and
+    one to_bytes writes them.  Up to 8 bytes, the limbs with their top bits
+    flipped are c_k's two's complement: one strided slice per byte copies
+    them into 8-byte words, one translate of their top bytes gives the sign
+    bytes, and one struct.unpack reads the words.  Wider limbs are cut
+    apart by one Struct of n fields, read unsigned, each less B/2; it is
+    not cached, as struct.unpack's formats are, since it grows with n."""
+    size = width * n
+    offsets = _offsets(width, n)
+    low = (value + offsets) & ((1 << (8 * size)) - 1)
+    if width > 8:
+        limbs = struct.Struct("<" + f"{width}s" * n).unpack(low.to_bytes(size, "little"))
+        shifted = map(int.from_bytes, limbs, itertools.repeat("little"))
+        return list(map(operator.sub, shifted, itertools.repeat(1 << (8 * width - 1))))
+    raw = (low ^ offsets).to_bytes(size, "little")
+    words = bytearray(8 * n)
+    for b in range(width):
+        words[b::8] = raw[b::width]
+    sign = raw[width - 1 :: width].translate(_SIGN_FILL)
+    for b in range(width, 8):
+        words[b::8] = sign
+    return list(struct.unpack(f"<{n}q", words))
 
 
 def _int_product(xs: Sequence[int], ys: Sequence[int], bits: int, n: int) -> list[int]:
@@ -287,7 +324,9 @@ def _decimal_product(xs: Sequence[int], ys: Sequence[int], bits: int, n: int) ->
     """c_0..c_(n-1) of the product of xs and ys, packed in exact decimals
     with limbs of whole digits (bits from _limb_bits).  Each operand is
     written once, as the digits of the nonnegative v + 10^digits/2 per
-    limb, and the offsets are subtracted in one decimal operation."""
+    limb, and the offsets are subtracted in one decimal operation.  Only
+    the n limbs kept get 10^digits/2 added, and are rendered: the rest,
+    D floor(total / D) for D = 10^(digits n), is taken off exactly."""
     mpd = _libmpdec
     digits = len(str(1 << bits))  # 10^digits > 2^bits
     half = "5" + "0" * (digits - 1)
@@ -303,8 +342,9 @@ def _decimal_product(xs: Sequence[int], ys: Sequence[int], bits: int, n: int) ->
 
     x = pack(xs)
     product = context.multiply(x, x if ys is xs else pack(ys))
-    limbs = len(xs) + len(ys) - 1
-    text = str(context.add(product, mpd.Decimal(half * limbs))).zfill(digits * limbs)
+    total = context.add(product, mpd.Decimal(half * n))
+    high = total.scaleb(-digits * n, context).to_integral_value(mpd.ROUND_FLOOR, context)
+    text = str(context.subtract(total, high.scaleb(digits * n, context))).zfill(digits * n)
     last = len(text) - digits  # limb 0 is the last `digits` characters
     return [
         int(text[i : i + digits]) - half_value for i in range(last, last - n * digits, -digits)

@@ -2,10 +2,10 @@
 
 Everything here is written with the dumbest correct algorithm available,
 on purpose: plain O(n^2) convolutions, factor-by-factor product expansion
-(no pentagonal-number shortcut, no packed integer tricks), Euler's
-criterion for quadratic residues, grid sign counting for real roots,
-coefficients read one index at a time, and a complex floating-point
-character sum for progressions.
+(no pentagonal-number shortcut, no packed integer tricks), big numbers
+packed and read back one limb at a time, Euler's criterion for quadratic
+residues, grid sign counting for real roots, coefficients read one index
+at a time, and a complex floating-point character sum for progressions.
 The library under test must agree with these, never the other way round.
 """
 
@@ -32,6 +32,26 @@ def naive_mul(a: list[Fraction], b: list[Fraction], prec: int) -> list[Fraction]
             if bj:
                 out[i + j] += ai * bj
     return out
+
+
+def naive_pack(vals: list[int], width: int) -> int:
+    """sum v_i B^i with B = 2^(8 width) > 2|v_i|, one to_bytes per limb:
+    each limb written as the nonnegative v_i + B/2, the offsets taken off
+    the joined total."""
+    half = 1 << (8 * width - 1)
+    raw = b"".join((v + half).to_bytes(width, "little") for v in vals)
+    offsets = int.from_bytes(half.to_bytes(width, "little") * len(vals), "little")
+    return int.from_bytes(raw, "little") - offsets
+
+
+def naive_unpack(value: int, width: int, n: int) -> list[int]:
+    """c_0..c_(n-1) from any value = sum c_k B^k mod B^n, B = 2^(8 width),
+    one from_bytes per limb: with B/2 added to each limb, the low n limbs
+    of the two's complement are read off independently, each less B/2."""
+    half = 1 << (8 * width - 1)
+    value += int.from_bytes(half.to_bytes(width, "little") * n, "little")
+    raw = value.to_bytes(max(width * n, value.bit_length() // 8 + 1), "little", signed=True)
+    return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, n * width, width)]
 
 
 def naive_eta_product(d: int, r: int, prec: int) -> list[Fraction]:

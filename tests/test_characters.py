@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import halfsign
 from halfsign.arith import multiplicative_order, primes_up_to
 from halfsign.characters import (
     CharacterTable,
@@ -23,6 +28,16 @@ def test_order_of_examples():
     assert order_of(3, 7) == 6
     with pytest.raises(SamePrime):
         order_of(5, 5)
+
+
+def test_multiplicative_order_modulo_one_is_one():
+    # (Z/1)* is the trivial group.  Run in a child process, so that a loop
+    # that never ends fails on the timeout instead of hanging the suite
+    src = str(Path(halfsign.__file__).resolve().parents[1])
+    code = "from halfsign.arith import multiplicative_order as m; print(m(5, 1), m(0, 1), m(-3, 1))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=30)
+    assert (done.returncode, done.stdout) == (0, "1 1 1\n"), done.stderr
 
 
 def test_index_of_examples():

@@ -64,6 +64,9 @@ CASES = [
     # arith
     ("squarefree_decompose-zero", lambda f: arith.squarefree_decompose(0), InvalidInput),
     ("multiplicative_order-non-unit", lambda f: arith.multiplicative_order(6, 9), InvalidInput),
+    ("multiplicative_order-zero-modulus", lambda f: arith.multiplicative_order(3, 0), InvalidInput),
+    ("multiplicative_order-negative-modulus",
+     lambda f: arith.multiplicative_order(3, -5), InvalidInput),
     ("smallest_primitive_root-composite",
      lambda f: arith.smallest_primitive_root(4), InvalidInput),
     # qseries

@@ -17,7 +17,13 @@ from halfsign.qseries import (
     series_pow,
     theta_series,
 )
-from naive_oracle import naive_eta_product, naive_mul, naive_theta
+from naive_oracle import (
+    naive_eta_product,
+    naive_mul,
+    naive_pack,
+    naive_theta,
+    naive_unpack,
+)
 
 
 def S(values, prec=None):
@@ -300,6 +306,40 @@ def test_sparse_sum_stays_within_n_limbs(xs, ys, n):
         total = qseries._sparse_product(xs, ys, 8 * width, n)
     terms = sum(1 for c in ys[:n] if c)
     assert 0 <= total < max(terms, 1) << (8 * width * n)
+
+
+@st.composite
+def _limbs(draw):
+    """(width, values): 1 to 40 values that fit limbs of 1 to 24 bytes, with
+    0 and the extremes +-(B/2 - 1) of B = 2^(8 width) drawn often."""
+    width = draw(st.integers(1, 24))
+    top = 2 ** (8 * width - 1) - 1
+    value = st.one_of(st.sampled_from([0, top, -top]), st.integers(-top, top))
+    return width, draw(st.lists(value, min_size=1, max_size=40))
+
+
+def _extremes(width, n):
+    top = 2 ** (8 * width - 1) - 1
+    return width, [top, -top, 0, -1, 1][:n] + [-top] * (n - 5)
+
+
+# one-byte limbs, the widths either side of an 8-byte word, and 16 and 17 bytes
+@given(limbs=_limbs(), high=st.integers(), noise=st.integers(-(2**8000), 2**8000))
+@example(limbs=_extremes(1, 7), high=-1, noise=-1)
+@example(limbs=_extremes(7, 3), high=-(2**90), noise=2**200 - 1)
+@example(limbs=_extremes(8, 40), high=3, noise=-(2**2600))
+@example(limbs=_extremes(9, 2), high=-5, noise=-(2**72))
+@example(limbs=_extremes(16, 6), high=2**64, noise=2**900 + 2**127)
+@example(limbs=_extremes(17, 1), high=-(2**300), noise=-(2**136) + 1)
+def test_limb_conversion_matches_the_per_limb_oracle(limbs, high, noise):
+    width, vals = limbs
+    n = len(vals)
+    packed = qseries._pack(vals, width)
+    assert packed == naive_pack(vals, width)
+    assert qseries._unpack(packed, width, n) == vals
+    # a negative total, bits above limb n - 1, and any value at all
+    for value in (-packed, packed + (high << (8 * width * n)), noise):
+        assert qseries._unpack(value, width, n) == naive_unpack(value, width, n)
 
 
 def test_sparse_factors_take_the_sparse_carrier(monkeypatch):

@@ -131,6 +131,18 @@ def test_copies_and_pickles_are_equal_records(cls, fields, changes):
         assert type(twin) is cls and twin == record
 
 
+@pytest.mark.parametrize("cls, fields, changes", RECORDS, ids=IDS)
+def test_a_record_is_neither_concatenated_nor_repeated(cls, fields, changes):
+    # tuple's + and * would return a plain tuple; Polynomial has its own + and *
+    record = cls(**fields)
+    combinations = [lambda: 2 * record]
+    if cls is not Polynomial:
+        combinations += [lambda: record + record, lambda: record * 2]
+    for combine in combinations:
+        with pytest.raises(TypeError, match="unsupported operand"):
+            combine()
+
+
 def test_replace_checks_the_new_record_as_construction_does():
     form = HalfIntegralForm(4, 6, RealCharacter.trivial(4), SERIES)
     with pytest.raises(NonCuspidal):
